@@ -4,10 +4,13 @@
 // The model turns per-column `query::ColumnStats` into two things the
 // planner needs:
 //
-//   1. A linear per-candidate evaluation-cost estimate. Evaluating one
-//      candidate X∪{A} -> Y is two count-only refinement passes over the
+//   1. A linear per-candidate evaluation-cost estimate. It prices one
+//      candidate X∪{A} -> Y as two count-only refinement passes over the
 //      live rows (C_X -> C_XA and C_XY -> C_XAY) plus the key/dictionary
-//      work proportional to the groups the added column can create.
+//      work proportional to the groups the added column can create. The
+//      search itself counts on stripped partitions, which visit only the
+//      rows of multi-row groups, so these constants no longer describe
+//      what it does and await recalibration.
 //
 //   2. Sound cardinality bounds. |π_{S∪{A}}| ≤ min(n_live, |π_S|·slots(A))
 //      where slots(A) is A's ndv plus a NULL slot, and projection counts

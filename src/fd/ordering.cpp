@@ -19,7 +19,9 @@ double ConflictScore(const Fd& fd, const std::vector<Fd>& all) {
 std::vector<OrderedFd> OrderFds(const relation::Relation& rel,
                                 const std::vector<Fd>& fds,
                                 const OrderingOptions& opts) {
-  query::DistinctEvaluator eval(rel);
+  // Sequential: a handful of counts per FD, where range-partitioned
+  // refine passes cost more than they save.
+  query::DistinctEvaluator eval(rel, /*threads=*/1);
   std::vector<OrderedFd> out;
   out.reserve(fds.size());
   for (size_t i = 0; i < fds.size(); ++i) {

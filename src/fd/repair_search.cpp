@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "fd/cost_model.h"
+#include "query/stripped_partition.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -78,8 +79,19 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     return target >= 1.0 ? x == xy : confidence >= target;
   };
 
-  query::DistinctEvaluator eval(rel, opts.threads);
-  result.original_measures = ComputeMeasures(eval, fd);
+  // Every candidate X∪U∪{a} -> Y costs two counts, |π_XUa| and |π_XUaY|,
+  // and both run on stripped partitions. The roots π̂_X and π̂_XY are built
+  // once, sequentially, and their group counts are the original FD's
+  // |π_X| and |π_XY|.
+  using query::StrippedPartition;
+  std::vector<query::PartitionScratch> chunk_scratch(1);
+  const StrippedPartition root_x =
+      StrippedPartition::FromGrouping(rel, query::GroupBy(rel, fd.lhs()));
+  const StrippedPartition root_xy =
+      root_x.Refine(rel, fd.rhs(), chunk_scratch[0]);
+  result.original_measures =
+      MeasuresFromCounts(root_x.group_count(), root_xy.group_count(),
+                         query::GroupCountBy(rel, fd.rhs()));
   if (satisfies_target(result.original_measures.distinct_x,
                        result.original_measures.distinct_xy,
                        result.original_measures.confidence)) {
@@ -87,12 +99,6 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     result.stats.elapsed_ms = timer.ElapsedMs();
     return result;
   }
-
-  // Warm the evaluator with the groupings every candidate refines from:
-  // C_X for the |π_XA| counts and C_XY for the |π_XAY| counts. With both
-  // cached, evaluating a candidate is two count-only refinement passes.
-  eval.GroupFor(fd.lhs());
-  eval.GroupFor(fd.AllAttrs());
 
   const relation::AttrSet pool = CandidatePool(rel, fd, opts.pool);
   const int max_depth =
@@ -127,18 +133,16 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   uint64_t seq = 0;
 
   // Candidate evaluation is batched: one batch is the seed phase or one
-  // node expansion — exactly the set of siblings the sequential loop would
-  // evaluate back to back. With exec_width > 1 the batch fans out across
-  // the shared pool; every worker counts its candidate slice against its
-  // own scratch while sharing the batch's two base groupings read-only
-  // (the evaluator itself is single-owner and is never touched inside the
-  // parallel region). Results are folded back in pool order with the same
-  // budget, dedup, and seq-number semantics as the sequential loop, so the
+  // node expansion. A batch refines the roots by the expanded node's added
+  // attributes U into its two bases, π̂_XU and π̂_XUY, then fans its
+  // candidates out across the shared pool; each chunk counts against its
+  // own mark array while the bases stay read-only. Counts are exact
+  // integers and results are folded back in batch order with the same
+  // budget, dedup, and seq-number semantics at every width, so the
   // frontier — and therefore the ranked output — is bit-identical for
   // every thread count.
   const int exec_width = util::ResolveThreads(opts.threads);
   const size_t y_count = result.original_measures.distinct_y;
-  std::vector<query::RefineScratch> worker_scratch;
   std::vector<relation::AttrSet> batch_sets;
   std::vector<int> batch_attrs;
   std::vector<FdMeasures> batch_measures;
@@ -221,36 +225,35 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     }
 
     batch_measures.assign(batch_sets.size(), FdMeasures{});
-    if (exec_width > 1 && batch_sets.size() > 1) {
-      // Materialize the shared bases once (both are one refinement off a
-      // cached grouping); cache references stay valid while workers read.
-      const relation::AttrSet base_x = fd.lhs().Union(base_added);
-      const query::Grouping& gx = eval.GroupFor(base_x);
-      const query::Grouping& gxy = eval.GroupFor(base_x.Union(fd.rhs()));
+    if (!batch_sets.empty()) {
+      // The batch's bases π̂_XU and π̂_XUY: the roots refined by U.
+      StrippedPartition base_x;
+      StrippedPartition base_xy;
+      if (!base_added.Empty()) {
+        base_x = root_x.Refine(rel, base_added, chunk_scratch[0]);
+        base_xy = root_xy.Refine(rel, base_added, chunk_scratch[0]);
+      }
+      const StrippedPartition& px = base_added.Empty() ? root_x : base_x;
+      const StrippedPartition& pxy = base_added.Empty() ? root_xy : base_xy;
+
       // One scratch per chunk actually used — ParallelFor caps the width
       // at the batch size, so an absurd threads value must not allocate
       // past it.
-      const size_t slots = std::min<size_t>(
+      const size_t chunks = std::min<size_t>(
           static_cast<size_t>(exec_width), batch_sets.size());
-      if (worker_scratch.size() < slots) worker_scratch.resize(slots);
+      if (chunk_scratch.size() < chunks) chunk_scratch.resize(chunks);
       util::ThreadPool::Global().ParallelFor(
           batch_sets.size(), 1, exec_width,
           [&](int chunk, size_t lo, size_t hi) {
-            query::RefineScratch& ws =
-                worker_scratch[static_cast<size_t>(chunk)];
+            query::PartitionScratch& ws =
+                chunk_scratch[static_cast<size_t>(chunk)];
             for (size_t i = lo; i < hi; ++i) {
-              relation::AttrSet one;
-              one.Add(batch_attrs[i]);
-              const size_t x = query::RefineCountBy(rel, gx, one, ws);
-              const size_t xy = query::RefineCountBy(rel, gxy, one, ws);
-              batch_measures[i] = MeasuresFromCounts(x, xy, y_count);
+              const int a = batch_attrs[i];
+              batch_measures[i] = MeasuresFromCounts(
+                  px.RefineCount(rel, a, ws), pxy.RefineCount(rel, a, ws),
+                  y_count);
             }
           });
-    } else {
-      for (size_t i = 0; i < batch_sets.size(); ++i) {
-        batch_measures[i] =
-            ComputeMeasures(eval, fd.WithAntecedent(batch_sets[i]));
-      }
     }
 
     for (size_t i = 0; i < batch_sets.size(); ++i) {

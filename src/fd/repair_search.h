@@ -67,16 +67,16 @@ struct RepairOptions {
   double target_confidence = 1.0;
 
   /// Execution width for candidate evaluation: 0 (default) resolves to
-  /// `hardware_concurrency`, 1 forces the exact pre-parallel sequential
-  /// code path, k > 1 evaluates each frontier batch (the seed candidates,
-  /// then every node expansion's children) across the shared thread pool.
+  /// `hardware_concurrency`, 1 runs every batch inline on the caller, and
+  /// k > 1 fans each frontier batch (the seed candidates, then every node
+  /// expansion's children) out across the shared thread pool.
   ///
-  /// Every candidate in a batch counts against its own per-worker scratch
-  /// while sharing the batch's two materialized base groupings (C_XU and
-  /// C_XUY) read-only; results are merged back in pool order with the same
-  /// `seq` tie-break numbers the sequential loop would assign. Ranked
-  /// output — repairs, measures, and all stats except `elapsed_ms` — is
-  /// therefore bit-identical for every thread count.
+  /// Every candidate in a batch counts against its chunk's own mark array
+  /// while sharing the batch's two stripped base partitions (π̂_XU and
+  /// π̂_XUY, see query::StrippedPartition) read-only; results are merged
+  /// back in batch order with the same `seq` tie-break numbers at every
+  /// width. Ranked output — repairs, measures, and all stats except
+  /// `elapsed_ms` — is therefore bit-identical for every thread count.
   int threads = 0;
 
   /// Statistics-driven planning (fd::CostModel): candidates whose sound

@@ -275,11 +275,12 @@ size_t DistinctEvaluator::Count(const relation::AttrSet& attrs) {
     if (gap.Count() <= 1) {
       result = RefineCountBy(rel_, *best.grouping, gap, scratch_);
     } else {
-      // Materialize all but one missing attribute: the repair search asks
-      // for |π_XA_1Y|, |π_XA_2Y|, ... and this caches the shared base once
-      // instead of regrouping it per sibling. Prefer dropping an attribute
-      // whose complement is already cached (the shared base may sit on
-      // either side of the index order); otherwise drop the largest.
+      // Materialize all but one missing attribute: discovery asks for
+      // |π_XA_1|, |π_XA_2|, ... per lattice node X, and this caches the
+      // shared base once instead of regrouping it per sibling.
+      // Prefer dropping an attribute whose complement is already cached
+      // (the shared base may sit on either side of the index order);
+      // otherwise drop the largest.
       const auto gap_attrs = gap.ToVector();
       int dropped = gap_attrs.back();
       for (int a : gap_attrs) {

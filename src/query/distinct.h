@@ -44,9 +44,11 @@ size_t DistinctCount(const relation::Relation& rel,
 /// \brief Batched evaluator with a per-instance memo, incrementally
 /// maintainable under appends.
 ///
-/// The repair search asks for |π_X|, |π_XY|, |π_XA|, |π_XAY| over many
+/// FD ordering, candidate ranking (fd::ExtendByOne), discovery and the
+/// schema monitor ask for |π_X|, |π_XY|, |π_XA|, |π_XAY| over many
 /// overlapping sets; memoising the groupings turns each new query into one
-/// refinement pass.
+/// refinement pass. (The repair search counts on query::StrippedPartition
+/// instead.)
 ///
 /// Two tiers of memoisation:
 ///   * GroupFor() materializes and caches full groupings, indexed by
@@ -55,8 +57,7 @@ size_t DistinctCount(const relation::Relation& rel,
 ///   * Count() is count-only — the final refinement pass never writes ids.
 ///     It memoises the resulting cardinality, refines from the largest
 ///     cached grouping, and when more than one attribute is missing it
-///     materializes all but the last so sibling queries (the search's
-///     XA_iY pattern) share the base.
+///     materializes all but the last so sibling queries share the base.
 /// Scratch buffers are owned by the evaluator and reused across passes, so
 /// steady-state queries allocate only when a grouping enters the cache.
 ///
@@ -106,14 +107,11 @@ size_t DistinctCount(const relation::Relation& rel,
 /// parallelism and is safe: the evaluator stays the only writer to its
 /// caches while worker threads range-partition individual scans through
 /// chunk-private state, and all workers have finished (with a
-/// happens-before edge) when a query returns. Callers that parallelize
-/// *across* candidates (the repair search) instead snapshot
-/// `const Grouping&` references from GroupFor() up front and hand worker
-/// threads their own RefineScratch — cached groupings are stable (their
-/// addresses never change, and their contents only grow via Advance), so
-/// concurrent reads of them are safe as long as no thread is inside
-/// Count()/GroupFor()/Advance() at the same time, and no rows are appended
-/// to the relation while the snapshots are being read.
+/// happens-before edge) when a query returns. Cached groupings are stable:
+/// their addresses never change and their contents only grow via Advance,
+/// so a `const Grouping&` from GroupFor() may be read concurrently as long
+/// as no thread is inside Count()/GroupFor()/Advance() and no rows are
+/// appended meanwhile.
 class DistinctEvaluator {
  public:
   /// \param rel relation queried; must outlive the evaluator. Appends to

@@ -125,9 +125,9 @@ Grouping GroupBy(const relation::Relation& rel, const relation::AttrSet& attrs,
 
 /// \brief Refines an existing grouping by one extra attribute.
 ///
-/// This is the incremental step the repair search uses so that evaluating
-/// candidate FA : XA -> Y reuses the X grouping instead of regrouping from
-/// scratch.
+/// This is the incremental step the evaluator and the ε_EB ranking use so
+/// that evaluating candidate FA : XA -> Y reuses the X grouping instead of
+/// regrouping from scratch.
 Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
                   int attr);
 Grouping RefineBy(const relation::Relation& rel, const Grouping& base,

@@ -58,9 +58,9 @@
 // truncated or bit-flipped file fails with a clean error — never a crash,
 // never a silently wrong object. Version policy: the u32 after the magic
 // is bumped on any layout change; readers accept every version they know
-// how to parse (currently 1 and 2) and reject the rest (no silent
-// best-effort parsing of future formats). Writers always emit the
-// current version.
+// how to parse, [kMinFormatVersion, kFormatVersion], and reject the rest
+// (no silent best-effort parsing of future formats). Writers always emit
+// the current version, kFormatVersion.
 //
 // Bit-identity contract: a loaded snapshot reproduces the encoded state
 // exactly — same dictionary order, same codes, same watermark, same

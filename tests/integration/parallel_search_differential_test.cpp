@@ -12,6 +12,7 @@
 
 #include "clustering/eb_repair.h"
 #include "discovery/data_repair.h"
+#include "fd/measures.h"
 #include "fd/repair_search.h"
 #include "relation/relation.h"
 #include "support/fuzz_seed.h"
@@ -97,6 +98,25 @@ void ExpectSameResult(const fd::RepairResult& expected,
       << "threads=" << threads;
 }
 
+/// Every thread count shares one counting path, so the reference result
+/// is also checked against an independent recount of the original FD and
+/// of each repair.
+void ExpectRecountedMeasures(const Relation& rel, const fd::Fd& f,
+                             const fd::RepairResult& result) {
+  auto expect_equal = [](const fd::FdMeasures& got,
+                         const fd::FdMeasures& want) {
+    EXPECT_EQ(got.distinct_x, want.distinct_x);
+    EXPECT_EQ(got.distinct_xy, want.distinct_xy);
+    EXPECT_EQ(got.distinct_y, want.distinct_y);
+    EXPECT_EQ(got.confidence, want.confidence);
+    EXPECT_EQ(got.goodness, want.goodness);
+  };
+  expect_equal(result.original_measures, fd::ComputeMeasures(rel, f));
+  for (const fd::Repair& r : result.repairs) {
+    expect_equal(r.measures, fd::ComputeMeasures(rel, r.repaired));
+  }
+}
+
 class ParallelSearchFuzz : public ::testing::TestWithParam<int> {
  protected:
   uint64_t seed() const { return testsupport::DeriveSeed(GetParam()); }
@@ -118,6 +138,7 @@ TEST_P(ParallelSearchFuzz, ExtendBitIdenticalAcrossThreadCounts) {
       opts.max_added_attrs = 2;
       opts.threads = 1;
       fd::RepairResult expected = fd::Extend(rel, f, opts);
+      ExpectRecountedMeasures(rel, f, expected);
       for (int k : kThreadCounts) {
         opts.threads = k;
         ExpectSameResult(expected, fd::Extend(rel, f, opts), k);
@@ -159,6 +180,7 @@ TEST_P(ParallelSearchFuzz, ExtendGoodnessAndAfdPathsIdentical) {
       opts.goodness_threshold = threshold;
       opts.threads = 1;
       fd::RepairResult expected = fd::Extend(rel, f, opts);
+      ExpectRecountedMeasures(rel, f, expected);
       for (int k : kThreadCounts) {
         opts.threads = k;
         ExpectSameResult(expected, fd::Extend(rel, f, opts), k);
