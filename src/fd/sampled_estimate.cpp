@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <string>
-#include <unordered_map>
 
 namespace fdevolve::fd {
 namespace {
@@ -22,24 +19,14 @@ double ClampTo(double v, double lo, double hi) {
 
 SampleProjectionStats ProjectionStats(const relation::Relation& rel,
                                       const std::vector<uint32_t>& rows,
-                                      const relation::AttrSet& attrs) {
+                                      const relation::AttrSet& attrs,
+                                      query::RefineScratch& scratch) {
+  const query::Grouping g = query::GroupRows(rel, rows, attrs, scratch);
+  std::vector<uint32_t> sizes(g.group_count, 0);
+  for (uint32_t id : g.ids) ++sizes[id];
   SampleProjectionStats stats;
-  const std::vector<int> idx = attrs.ToVector();
-  // Keys are the concatenated dictionary codes of the projection —
-  // positionally comparable because codes identify values exactly
-  // (kNullCode included), and cheap to hash as raw bytes.
-  std::string key(idx.size() * sizeof(uint32_t), '\0');
-  std::unordered_map<std::string, size_t> counts;
-  counts.reserve(rows.size() * 2);
-  for (uint32_t row : rows) {
-    for (size_t a = 0; a < idx.size(); ++a) {
-      const uint32_t code = rel.column(idx[a]).code(row);
-      std::memcpy(key.data() + a * sizeof(uint32_t), &code, sizeof(uint32_t));
-    }
-    ++counts[key];
-  }
-  stats.distinct = counts.size();
-  for (const auto& [k, c] : counts) {
+  stats.distinct = g.group_count;
+  for (uint32_t c : sizes) {
     if (c == 1) ++stats.singletons;
   }
   return stats;
@@ -83,9 +70,13 @@ SampledMeasures EstimateMeasures(const relation::Relation& rel,
   const size_t m = rows.size();
   const size_t n = live_rows;
 
-  const SampleProjectionStats sx = ProjectionStats(rel, rows, fd.lhs());
-  const SampleProjectionStats sxy = ProjectionStats(rel, rows, fd.AllAttrs());
-  const SampleProjectionStats sy = ProjectionStats(rel, rows, fd.rhs());
+  query::RefineScratch scratch;
+  const SampleProjectionStats sx =
+      ProjectionStats(rel, rows, fd.lhs(), scratch);
+  const SampleProjectionStats sxy =
+      ProjectionStats(rel, rows, fd.AllAttrs(), scratch);
+  const SampleProjectionStats sy =
+      ProjectionStats(rel, rows, fd.rhs(), scratch);
 
   if (m >= n) {
     // Full coverage: route through the exact arithmetic so measures,

@@ -49,6 +49,7 @@
 
 #include "fd/fd.h"
 #include "fd/measures.h"
+#include "query/group_ids.h"
 #include "relation/relation.h"
 
 namespace fdevolve::fd {
@@ -90,10 +91,13 @@ struct SampledMeasures {
 
 /// Computes distinct/singleton counts of the sampled rows' projection
 /// onto `attrs` (dictionary codes compared positionally — same
-/// value <=> same code, including NULLs via kNullCode).
+/// value <=> same code, including NULLs via kNullCode). Groups the rows
+/// with query::GroupRows over `scratch`, then counts group sizes:
+/// O(|rows| * |attrs|).
 SampleProjectionStats ProjectionStats(const relation::Relation& rel,
                                       const std::vector<uint32_t>& rows,
-                                      const relation::AttrSet& attrs);
+                                      const relation::AttrSet& attrs,
+                                      query::RefineScratch& scratch);
 
 /// Good–Turing distinct-count estimate from sampled stats: `m` sampled
 /// rows of `n` live rows yielded `stats`. Requires m <= n. When m == n

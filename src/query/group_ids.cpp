@@ -228,32 +228,34 @@ size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
                            live, cells, dense);
 }
 
-/// Runs a whole refinement chain as a sequence of *fused* segments: each
-/// segment combines as many remaining levels as its packed mixed-radix key
-/// affords (see kernels.h) and sweeps the relation once, instead of one
-/// full-relation pass per level. Chains that fit one segment — the common
-/// case for the repair search's 2-4 attribute sets — touch every column
-/// exactly once.
+/// Runs the chain already described by `s.levels` as a sequence of *fused*
+/// segments over `n` tuples: each segment combines as many remaining
+/// levels as its packed mixed-radix key affords (see kernels.h) and sweeps
+/// the tuples once, instead of one pass per level. Chains that fit one
+/// segment — the common case for the repair search's 2-4 attribute sets —
+/// touch every column exactly once.
 ///
 /// `out == nullptr` is the count-only form: intermediate segments (if the
 /// chain needs more than one) materialize into `s.chain_ids`, and only the
 /// final segment applies `live` — dead rows are skipped there, so the
 /// result counts groups with at least one live row while every
 /// intermediate id stays append-stable over physical rows.
-size_t RunRefineChain(const uint32_t* base_ids, size_t base_groups,
-                      const int* cols, size_t ncols,
-                      const relation::Relation& rel, size_t n,
-                      RefineScratch& s, uint32_t* out, const uint8_t* live) {
-  BuildLevels(rel, cols, ncols, s.levels);
+///
+/// Its two callers differ only in what the levels point at: RunRefineChain
+/// points them at the relation's columns, GroupRows at per-attribute
+/// copies of the listed rows' codes.
+size_t RunSegments(const uint32_t* base_ids, size_t base_groups, size_t n,
+                   RefineScratch& s, uint32_t* out, const uint8_t* live) {
+  const size_t nlevels = s.levels.size();
   uint64_t groups = base_groups;
   const uint32_t* ids = base_ids;
   size_t j = 0;
-  while (j < ncols) {
+  while (j < nlevels) {
     uint64_t cells = 0;
     bool dense = false;
-    const size_t take =
-        PlanSegment(groups, s.levels.data() + j, ncols - j, n, &cells, &dense);
-    const bool last = (j + take == ncols);
+    const size_t take = PlanSegment(groups, s.levels.data() + j, nlevels - j,
+                                    n, &cells, &dense);
+    const bool last = (j + take == nlevels);
     uint32_t* seg_out = out;
     if (last) {
       // Final segment: `out` as requested (possibly null = count-only),
@@ -271,6 +273,15 @@ size_t RunRefineChain(const uint32_t* base_ids, size_t base_groups,
     j += take;
   }
   return static_cast<size_t>(groups);
+}
+
+/// Refinement chain over the relation's columns `cols[0..ncols)`.
+size_t RunRefineChain(const uint32_t* base_ids, size_t base_groups,
+                      const int* cols, size_t ncols,
+                      const relation::Relation& rel, size_t n,
+                      RefineScratch& s, uint32_t* out, const uint8_t* live) {
+  BuildLevels(rel, cols, ncols, s.levels);
+  return RunSegments(base_ids, base_groups, n, s, out, live);
 }
 
 /// Tombstone bitmap pointer for count-only passes: nullptr when every row
@@ -378,6 +389,41 @@ Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
                   const relation::AttrSet& attrs) {
   RefineScratch scratch;
   return RefineBy(rel, base, attrs, scratch);
+}
+
+Grouping GroupRows(const relation::Relation& rel,
+                   const std::vector<uint32_t>& rows,
+                   const relation::AttrSet& attrs, RefineScratch& scratch) {
+  Grouping g;
+  const size_t k = rows.size();
+  if (k == 0) return g;
+  const size_t n = rel.tuple_count();
+  for (uint32_t row : rows) {
+    if (row >= n) throw std::invalid_argument("GroupRows: row id out of range");
+  }
+  const auto cols = attrs.ToVector();
+  if (cols.empty()) {
+    g.ids.assign(k, 0);
+    g.group_count = 1;
+    return g;
+  }
+  // Gather each attribute's codes for the listed rows, then refine over
+  // the copies exactly as GroupBy refines over the columns. The levels
+  // keep their dictionary strides, so planning sees the same radix.
+  BuildLevels(rel, cols.data(), cols.size(), scratch.levels);
+  if (scratch.row_codes.size() < cols.size()) {
+    scratch.row_codes.resize(cols.size());
+  }
+  for (size_t j = 0; j < cols.size(); ++j) {
+    const uint32_t* codes = scratch.levels[j].codes;
+    std::vector<uint32_t>& copy = scratch.row_codes[j];
+    copy.resize(k);
+    for (size_t i = 0; i < k; ++i) copy[i] = codes[rows[i]];
+    scratch.levels[j].codes = copy.data();
+  }
+  g.ids.resize(k);
+  g.group_count = RunSegments(nullptr, 1, k, scratch, g.ids.data(), nullptr);
+  return g;
 }
 
 size_t GroupCountBy(const relation::Relation& rel,

@@ -32,6 +32,10 @@
 // (DistinctEvaluator, the EB ranking loop) reuse the scratch buffers across
 // passes; the overloads without one are conveniences that pay a fresh
 // allocation and always run sequentially.
+//
+// GroupRows drives the same segment loop over a list of rows instead of
+// the whole relation — the sampled monitor groups its reservoir with it —
+// by copying the listed rows' codes and refining over the copies.
 #pragma once
 
 #include <cstddef>
@@ -78,6 +82,8 @@ struct RefineScratch {
   util::FlatIdTable table;         ///< open-addressing fallback
   std::vector<uint32_t> chain_ids; ///< intermediate ids for count-only chains
   std::vector<kernels::Level> levels; ///< per-chain kernel level descriptors
+  /// GroupRows' per-attribute copies of the listed rows' codes.
+  std::vector<std::vector<uint32_t>> row_codes;
 
   /// Execution width for refinement passes over this scratch.
   /// 1 (the default) is the exact sequential code path; 0 resolves to
@@ -122,6 +128,24 @@ struct RefineScratch {
 Grouping GroupBy(const relation::Relation& rel, const relation::AttrSet& attrs);
 Grouping GroupBy(const relation::Relation& rel, const relation::AttrSet& attrs,
                  RefineScratch& scratch);
+
+/// \brief Groups the listed rows of `rel` by the attributes in `attrs`.
+///
+/// The sample-sized counterpart of GroupBy: `ids[i]` is the group of
+/// physical row `rows[i]`, so the result has one id per list entry (not
+/// per relation row). Rows may repeat and come in any order; ids are dense
+/// in order of first appearance along the list, and equal code tuples get
+/// equal ids (NULL equals NULL, as in GroupBy). GroupRows over every row
+/// in order reproduces GroupBy's ids and group count exactly. An empty
+/// list has no groups; an empty `attrs` puts a non-empty list in one.
+///
+/// Cost is O(|rows| * |attrs|): the listed rows' codes are copied into
+/// `scratch`, then the same fused segments as GroupBy run over the
+/// copies, with the same dense-or-flat planning and kernel tiers.
+/// Throws std::invalid_argument if a row id is >= rel.tuple_count().
+Grouping GroupRows(const relation::Relation& rel,
+                   const std::vector<uint32_t>& rows,
+                   const relation::AttrSet& attrs, RefineScratch& scratch);
 
 /// \brief Refines an existing grouping by one extra attribute.
 ///

@@ -16,6 +16,9 @@
 //   ERR <message>    parse or execution error (single line; embedded
 //                    newlines in the message are flattened to spaces)
 //
+// A request line longer than kMaxLineBytes gets one ERR reply, after
+// which the server closes the session.
+//
 // Pushes: sessions that issued SUBSCRIBE DRIFT ON t additionally receive
 // asynchronous lines
 //
@@ -39,6 +42,7 @@
 // the table schema and may contain spaces; it is always the final field.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -46,6 +50,11 @@
 #include "fd/schema_monitor.h"
 
 namespace fdevolve::server {
+
+/// Longest request line the server accepts, in bytes (the LF excluded).
+/// A session whose pending line grows past it gets one ERR reply and is
+/// closed, so no client can grow a session's buffer without bound.
+constexpr size_t kMaxLineBytes = size_t{16} << 20;
 
 /// Formats the one-line success reply (no trailing newline).
 std::string FormatOk(uint64_t value);

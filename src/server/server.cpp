@@ -6,9 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <iterator>
 
 #include "server/protocol.h"
 
@@ -117,6 +119,7 @@ void Server::AcceptLoop() {
       ::close(client);
       break;
     }
+    ReapFinished();
     auto conn = std::make_unique<Connection>();
     conn->fd = client;
     Connection* raw = conn.get();
@@ -125,6 +128,22 @@ void Server::AcceptLoop() {
       connections_.push_back(std::move(conn));
     }
     raw->thread = std::thread([this, raw] { SessionLoop(raw); });
+  }
+}
+
+void Server::ReapFinished() {
+  std::vector<std::unique_ptr<Connection>> finished;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    auto live = std::partition(
+        connections_.begin(), connections_.end(),
+        [](const std::unique_ptr<Connection>& c) { return !c->done.load(); });
+    std::move(live, connections_.end(), std::back_inserter(finished));
+    connections_.erase(live, connections_.end());
+  }
+  for (auto& conn : finished) {
+    conn->thread.join();
+    CloseFd(conn->fd);
   }
 }
 
@@ -147,10 +166,15 @@ void Server::SessionLoop(Connection* conn) {
     ssize_t n = ::read(conn->fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or error (including shutdown()'s wake-up)
+    // Everything already buffered is one partial line: scan only the new
+    // bytes for '\n', so a long line costs linear, not quadratic, time.
+    const size_t scan = buffer.size();
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    for (size_t nl = buffer.find('\n', scan); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      // An overlong line stays buffered and trips the cap check below.
+      if (nl - start > kMaxLineBytes) break;
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -167,9 +191,15 @@ void Server::SessionLoop(Connection* conn) {
       }
     }
     buffer.erase(0, start);
+    if (open && buffer.size() > kMaxLineBytes) {
+      WriteLine(conn, FormatError("request line exceeds " +
+                                  std::to_string(kMaxLineBytes) + " bytes"));
+      open = false;
+    }
   }
   service_.CloseSession(session);
   ::shutdown(conn->fd, SHUT_RDWR);
+  conn->done.store(true);
 }
 
 bool Server::Wait(std::string* error) {

@@ -18,6 +18,12 @@
 // before Wait() returns. The checkpoint-on-shutdown invariant: a server
 // with a checkpoint path never exits the serving loop without writing a
 // loadable snapshot of its final state.
+//
+// Resource bounds: a finished session is reaped (thread joined, fd
+// closed) by the acceptor before it stores the next connection, so a
+// long-lived server holds one fd and one thread per *open* connection,
+// not per connection ever accepted. A request line longer than
+// kMaxLineBytes (protocol.h) gets an ERR reply and closes its session.
 #pragma once
 
 #include <atomic>
@@ -70,9 +76,14 @@ class Server {
     int fd = -1;
     std::mutex write_mutex;  ///< replies vs. drift pushes on one socket
     std::thread thread;
+    /// Set as the session thread's last act: the thread is about to exit
+    /// and no push can reach the socket any more, so join + close is safe.
+    std::atomic<bool> done{false};
   };
 
   void AcceptLoop();
+  /// Joins and closes the connections whose sessions have ended.
+  void ReapFinished();
   void SessionLoop(Connection* conn);
   bool WriteLine(Connection* conn, const std::string& line);
 

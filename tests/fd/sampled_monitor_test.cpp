@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "fd/sampled_estimate.h"
 #include "fd/schema_monitor.h"
+#include "query/group_ids.h"
 #include "relation/relation.h"
+#include "util/rng.h"
 
 namespace fdevolve::fd {
 namespace {
@@ -250,6 +255,65 @@ TEST(SampledMonitorTest, CompactionOnCheckBoundaryKeepsEstimatesCoherent) {
   EXPECT_EQ(est.live_rows, rel.live_count());
   EXPECT_FALSE(mon.fds()[0].violated);  // stream stayed exact throughout
   EXPECT_TRUE(mon.drift_log().empty());
+}
+
+TEST(SampledMonitorTest, ProjectionStatsMatchesCodeTupleOracle) {
+  // Three columns over small domains with NULLs, a third of the rows
+  // tombstoned: projections have repeated, singleton and NULL keys.
+  Relation rel("t", Schema({{"x", DataType::kInt64},
+                            {"y", DataType::kInt64},
+                            {"z", DataType::kInt64}}));
+  util::Rng rng(41);
+  for (int i = 0; i < 600; ++i) {
+    std::vector<Value> row;
+    for (uint64_t domain : {30u, 7u, 400u}) {
+      if (rng.Chance(0.1)) {
+        row.push_back(Value::Null());
+      } else {
+        row.emplace_back(static_cast<int64_t>(rng.Below(domain)));
+      }
+    }
+    rel.AppendRow(row);
+  }
+  std::vector<uint32_t> live;
+  for (uint32_t t = 0; t < rel.tuple_count(); ++t) {
+    if (rng.Chance(0.3)) {
+      rel.DeleteRow(t);
+    } else {
+      live.push_back(t);
+    }
+  }
+  std::vector<uint32_t> sample;  // a sample-sized subset, shuffled
+  for (uint32_t t : live) {
+    if (rng.Chance(0.2)) sample.push_back(t);
+  }
+  for (size_t i = sample.size(); i > 1; --i) {
+    std::swap(sample[i - 1], sample[rng.Below(i)]);
+  }
+
+  query::RefineScratch scratch;
+  for (const std::vector<uint32_t>* rows : {&live, &sample}) {
+    for (const AttrSet& attrs :
+         {AttrSet(), AttrSet::Of({0}), AttrSet::Of({1}), AttrSet::Of({2}),
+          AttrSet::Of({0, 1}), AttrSet::Of({0, 2}), AttrSet::Of({0, 1, 2})}) {
+      std::map<std::vector<uint32_t>, size_t> oracle;
+      for (uint32_t t : *rows) {
+        std::vector<uint32_t> key;
+        for (int a : attrs.ToVector()) key.push_back(rel.column(a).code(t));
+        ++oracle[key];
+      }
+      size_t singletons = 0;
+      for (const auto& [key, count] : oracle) singletons += count == 1 ? 1 : 0;
+      const SampleProjectionStats stats =
+          ProjectionStats(rel, *rows, attrs, scratch);
+      EXPECT_EQ(stats.distinct, oracle.size()) << attrs.Count();
+      EXPECT_EQ(stats.singletons, singletons) << attrs.Count();
+    }
+  }
+  const SampleProjectionStats empty =
+      ProjectionStats(rel, {}, AttrSet::Of({0}), scratch);
+  EXPECT_EQ(empty.distinct, 0u);
+  EXPECT_EQ(empty.singletons, 0u);
 }
 
 }  // namespace

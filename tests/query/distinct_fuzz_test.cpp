@@ -6,14 +6,22 @@
 // evaluator's cache-refined groupings and count-only path match a from-
 // scratch GroupBy. The repair search's stripped partitions are one more
 // implementation under test: their counts and refinement chains must match
-// the refinement engine, with and without tombstones. Reproducible via
-// --seed=N / FDEVOLVE_SEED.
+// the refinement engine, with and without tombstones. GroupRows, which
+// groups a list of rows (the sampled monitor's reservoir) with the same
+// kernels, must reproduce GroupBy over every row and a std::map oracle
+// over code tuples on arbitrary row lists. Reproducible via --seed=N /
+// FDEVOLVE_SEED.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "query/distinct.h"
+#include "query/group_ids.h"
 #include "query/stripped_partition.h"
 #include "relation/relation.h"
 #include "support/fuzz_seed.h"
@@ -285,6 +293,143 @@ TEST_P(DistinctFuzz, StrippedPartitionEdgeCases) {
                std::invalid_argument);
   EXPECT_THROW(key.RefineCount(dead, 0, scratch), std::invalid_argument);
   EXPECT_THROW(key.Refine(dead, 0, scratch), std::invalid_argument);
+}
+
+/// Checks a GroupRows result against a std::map oracle over the listed
+/// rows' code tuples (kNullCode is just another code, so NULLs group
+/// together): ids dense in first-appearance order along `rows`, equal
+/// tuples sharing an id, and every group's size equal to the oracle's
+/// count of its tuple.
+void ExpectMatchesOracle(const Relation& rel, const std::vector<uint32_t>& rows,
+                         const AttrSet& attrs, const query::Grouping& g,
+                         const std::string& where) {
+  const std::vector<int> cols = attrs.ToVector();
+  ASSERT_EQ(g.ids.size(), rows.size()) << where;
+  std::map<std::vector<uint32_t>, uint32_t> first_id;
+  std::map<std::vector<uint32_t>, size_t> oracle_size;
+  size_t wrong_ids = 0;
+  std::vector<uint32_t> key(cols.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = 0; j < cols.size(); ++j) {
+      key[j] = rel.column(cols[j]).code(rows[i]);
+    }
+    ++oracle_size[key];
+    const uint32_t next = static_cast<uint32_t>(first_id.size());
+    const uint32_t want = first_id.emplace(key, next).first->second;
+    if (g.ids[i] != want) ++wrong_ids;
+  }
+  EXPECT_EQ(wrong_ids, 0u) << where;
+  ASSERT_EQ(g.group_count, first_id.size()) << where;
+  std::vector<size_t> sizes(g.group_count, 0);
+  for (uint32_t id : g.ids) {
+    if (id < sizes.size()) ++sizes[id];
+  }
+  for (const auto& [tuple, id] : first_id) {
+    EXPECT_EQ(sizes[id], oracle_size[tuple]) << where << " group=" << id;
+  }
+}
+
+/// Radix of the fused key over `attrs`: the product of dict_size +
+/// has_nulls, as a double so products past 2^64 still compare.
+double KeyRadix(const Relation& rel, const AttrSet& attrs) {
+  double radix = 1.0;
+  for (int a : attrs.ToVector()) {
+    const auto& col = rel.column(a);
+    radix *= static_cast<double>(col.dict_size() + (col.has_nulls() ? 1 : 0));
+  }
+  return radix;
+}
+
+TEST_P(DistinctFuzz, GroupRowsOverEveryRowReproducesGroupBy) {
+  util::Rng rng(seed() + 404);
+  // One scratch across every call: buffers from a wider or longer earlier
+  // call must not leak into a later grouping.
+  query::RefineScratch scratch;
+  for (int round = 0; round < 8; ++round) {
+    const int n_attrs = 2 + static_cast<int>(rng.Below(5));
+    // Odd rounds use wide domains, so most chains need a flat segment.
+    const bool wide = round % 2 == 1;
+    const size_t n_tuples = wide ? 1000 + rng.Below(2000) : rng.Below(300);
+    const size_t domain = wide ? 300 + rng.Below(3000) : 1 + rng.Below(8);
+    const double null_rate = round % 4 < 2 ? 0.0 : 0.2;
+    Relation rel =
+        RandomNullableRelation(seed() + 404 + static_cast<uint64_t>(round),
+                               n_attrs, n_tuples, domain, null_rate);
+    if (round >= 4) DeleteRandomRows(rel, rng, 0.3);
+    std::vector<uint32_t> every(rel.tuple_count());
+    std::iota(every.begin(), every.end(), 0u);
+    for (int trial = 0; trial < 6; ++trial) {
+      const AttrSet s = RandomSubset(rng, n_attrs, 0.5);  // may be empty
+      const query::Grouping want = query::GroupBy(rel, s);
+      const query::Grouping got = query::GroupRows(rel, every, s, scratch);
+      EXPECT_EQ(got.group_count, want.group_count)
+          << "round=" << round << " trial=" << trial;
+      EXPECT_EQ(got.ids, want.ids) << "round=" << round << " trial=" << trial;
+    }
+  }
+}
+
+TEST_P(DistinctFuzz, GroupRowsOverRowListsMatchesOracle) {
+  util::Rng rng(seed() + 505);
+  query::RefineScratch scratch;
+  constexpr int kAttrs = 8;
+  AttrSet all;
+  for (int a = 0; a < kAttrs; ++a) all.Add(a);
+  for (int round = 0; round < 4; ++round) {
+    // Eight attributes with dictionaries of a few hundred to a few
+    // thousand codes: two of them already overflow the dense array, and
+    // all eight overflow a u64 key, so chains span dense, flat and
+    // several segments.
+    const size_t n_tuples = 3000 + rng.Below(3000);
+    const size_t domain = 300 + rng.Below(3000);
+    const double null_rate = round % 2 == 0 ? 0.0 : 0.1;
+    Relation rel =
+        RandomNullableRelation(seed() + 505 + static_cast<uint64_t>(round),
+                               kAttrs, n_tuples, domain, null_rate);
+    if (round >= 2) DeleteRandomRows(rel, rng, 0.3);
+    ASSERT_GT(KeyRadix(rel, AttrSet::Of({0, 1})), 65536.0);
+    ASSERT_GT(KeyRadix(rel, all), 18446744073709551615.0);
+
+    const size_t n = rel.tuple_count();
+    std::vector<uint32_t> permuted(n);
+    std::iota(permuted.begin(), permuted.end(), 0u);
+    for (size_t i = n; i > 1; --i) {
+      std::swap(permuted[i - 1], permuted[rng.Below(i)]);
+    }
+    std::vector<uint32_t> subset;
+    for (uint32_t t = 0; t < n; ++t) {
+      if (rng.Chance(0.4)) subset.push_back(t);
+    }
+    std::vector<uint32_t> repeated;  // drawn with replacement
+    for (size_t i = 0; i < 4096; ++i) {
+      repeated.push_back(static_cast<uint32_t>(rng.Below(n)));
+    }
+    std::vector<uint32_t> few;  // a handful of distinct rows, each repeated
+    for (size_t i = 0; i < 2000; ++i) {
+      few.push_back(static_cast<uint32_t>(rng.Below(8)));
+    }
+    const std::vector<std::vector<uint32_t>> lists = {
+        {}, {static_cast<uint32_t>(rng.Below(n))}, permuted, subset,
+        repeated, few};
+
+    for (size_t l = 0; l < lists.size(); ++l) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const AttrSet s = trial == 0 ? all : RandomSubset(rng, kAttrs, 0.5);
+        const std::string where = "round=" + std::to_string(round) +
+                                  " list=" + std::to_string(l) +
+                                  " trial=" + std::to_string(trial);
+        ExpectMatchesOracle(rel, lists[l], s,
+                            query::GroupRows(rel, lists[l], s, scratch),
+                            where);
+      }
+      // The projection on zero attributes has one value: a non-empty
+      // list is one group, an empty list has none.
+      const query::Grouping none =
+          query::GroupRows(rel, lists[l], AttrSet(), scratch);
+      EXPECT_EQ(none.group_count, lists[l].empty() ? 0u : 1u);
+      EXPECT_EQ(none.ids, std::vector<uint32_t>(lists[l].size(), 0u));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DistinctFuzz, ::testing::Range(0, 8));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <vector>
 
 namespace fdevolve::query {
 namespace {
@@ -86,6 +88,39 @@ TEST(GroupByTest, NullsGroupTogether) {
   EXPECT_EQ(g.group_count, 2u);
   EXPECT_EQ(g.ids[0], g.ids[2]);
   EXPECT_NE(g.ids[0], g.ids[1]);
+}
+
+TEST(GroupRowsTest, GroupsTheListedRowsInListOrder) {
+  Relation r = MakeRel();
+  RefineScratch scratch;
+  // Rows 4, 0, 2, 3, 0 project on (a, b) to (2,x) (1,x) (2,x) (1,x) (1,x):
+  // ids follow first appearance along the list, repeats included.
+  Grouping g = GroupRows(r, {4, 0, 2, 3, 0}, AttrSet::Of({0, 1}), scratch);
+  EXPECT_EQ(g.group_count, 2u);
+  EXPECT_EQ(g.ids, (std::vector<uint32_t>{0, 1, 0, 1, 1}));
+  // Adding c splits row 3 (c = 30) from row 0 (c = 10).
+  g = GroupRows(r, {4, 0, 2, 3, 0}, AttrSet::Of({0, 1, 2}), scratch);
+  EXPECT_EQ(g.group_count, 3u);
+  EXPECT_EQ(g.ids, (std::vector<uint32_t>{0, 1, 0, 2, 1}));
+}
+
+TEST(GroupRowsTest, EmptyListAndEmptyAttrSet) {
+  Relation r = MakeRel();
+  RefineScratch scratch;
+  Grouping none = GroupRows(r, {}, AttrSet::Of({0}), scratch);
+  EXPECT_EQ(none.group_count, 0u);
+  EXPECT_TRUE(none.ids.empty());
+  Grouping one = GroupRows(r, {3, 1}, AttrSet(), scratch);
+  EXPECT_EQ(one.group_count, 1u);
+  EXPECT_EQ(one.ids, (std::vector<uint32_t>{0, 0}));
+}
+
+TEST(GroupRowsTest, OutOfRangeRowThrows) {
+  Relation r = MakeRel();
+  RefineScratch scratch;
+  EXPECT_THROW(GroupRows(r, {0, 5}, AttrSet::Of({0}), scratch),
+               std::invalid_argument);
+  EXPECT_THROW(GroupRows(r, {5}, AttrSet(), scratch), std::invalid_argument);
 }
 
 TEST(RefineByTest, MatchesDirectGroupBy) {

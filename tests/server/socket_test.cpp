@@ -2,17 +2,54 @@
 // bench driver and smoke script use.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "server/client.h"
+#include "server/protocol.h"
 #include "server/server.h"
 
 namespace fdevolve::server {
 namespace {
+
+/// Open file descriptors of this process, or -1 without /proc/self/fd.
+int OpenFdCount() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return -1;
+  int n = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++n;
+  }
+  ::closedir(dir);
+  return n - 1;  // the directory stream's own fd
+}
+
+/// A bare TCP connection to the server, for bytes Client cannot send.
+int ConnectRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
 TEST(ServerSocketTest, ScriptedSessionOverTcp) {
   Server server(Server::Options{});
@@ -171,6 +208,81 @@ TEST(ServerSocketTest, ManyConcurrentClientsOverTcp) {
   EXPECT_EQ(count.value,
             static_cast<uint64_t>(kClients * kInsertsEach));
   check.Request("SHUTDOWN");
+  EXPECT_TRUE(server.Wait(&error)) << error;
+}
+
+TEST(ServerSocketTest, FinishedSessionsAreReaped) {
+  Server server(Server::Options{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  {
+    Client admin;
+    ASSERT_TRUE(admin.Connect(server.port(), &error)) << error;
+    ASSERT_TRUE(admin.Request("CREATE TABLE t (a INT64)").ok);
+  }
+  const int start_fds = OpenFdCount();
+  if (start_fds < 0) GTEST_SKIP() << "no /proc/self/fd";
+  constexpr int kSessions = 200;
+  for (int i = 0; i < kSessions; ++i) {
+    Client client;
+    ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
+    ASSERT_TRUE(client.Request("SELECT COUNT(*) FROM t").ok);
+  }
+  // Each accept reaps every session that had ended by then, so only the
+  // last few sessions can still hold their socket.
+  EXPECT_LE(OpenFdCount(), start_fds + 8);
+
+  Client last;
+  ASSERT_TRUE(last.Connect(server.port(), &error)) << error;
+  EXPECT_TRUE(last.Request("SHUTDOWN").ok);
+  EXPECT_TRUE(server.Wait(&error)) << error;
+  last.Close();
+  EXPECT_LE(OpenFdCount(), start_fds);
+}
+
+TEST(ServerSocketTest, OverlongRequestLineGetsErrAndClose) {
+  Server server(Server::Options{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client other;
+  ASSERT_TRUE(other.Connect(server.port(), &error)) << error;
+  ASSERT_TRUE(other.Request("CREATE TABLE t (a INT64)").ok);
+
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;  // a server that never answers fails, not hangs
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const std::string line(kMaxLineBytes + 1, 'x');  // no newline
+  size_t sent = 0;
+  while (sent < line.size()) {
+    const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0) << "send failed after " << sent << " bytes";
+    sent += static_cast<size_t>(n);
+  }
+  std::string received;
+  bool eof = false;
+  char buf[256];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      eof = n == 0;
+      break;
+    }
+    received.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(received.rfind("ERR ", 0), 0u) << received;
+  EXPECT_EQ(std::count(received.begin(), received.end(), '\n'), 1)
+      << received;
+  EXPECT_TRUE(eof) << "the session stayed open";
+
+  auto count = other.Request("SELECT COUNT(*) FROM t");
+  EXPECT_TRUE(count.ok) << count.error;
+  other.Request("SHUTDOWN");
   EXPECT_TRUE(server.Wait(&error)) << error;
 }
 
