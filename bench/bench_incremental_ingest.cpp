@@ -125,8 +125,7 @@ RunResult RunIncremental(
     const std::vector<fd::Fd>& fds) {
   RunResult out;
   util::Timer timer;
-  fd::SchemaMonitor monitor(SeedRelation(rows, seed_rows), fds, interval,
-                            /*threads=*/1);
+  fd::SchemaMonitor monitor(SeedRelation(rows, seed_rows), fds, interval);
   monitor.OnDrift([&](const fd::DriftEvent& ev) {
     out.drift_at.push_back(ev.tuple_count);
   });
@@ -161,14 +160,14 @@ RunResult RunRebuild(
   Relation rel = SeedRelation(rows, seed_rows);
   std::vector<bool> violated(fds.size());
   {
-    query::DistinctEvaluator eval(rel, /*threads=*/1);
+    query::DistinctEvaluator eval(rel);
     for (size_t i = 0; i < fds.size(); ++i) {
       violated[i] = !ComputeMeasures(eval, fds[i]).exact;
     }
   }
   for (const auto& batch : batches) {
     rel.AppendRows(batch);
-    query::DistinctEvaluator eval(rel, /*threads=*/1);  // the O(n) rebuild
+    query::DistinctEvaluator eval(rel);  // the O(n) rebuild
     for (size_t i = 0; i < fds.size(); ++i) {
       fd::FdMeasures m = ComputeMeasures(eval, fds[i]);
       const bool was_violated = violated[i];

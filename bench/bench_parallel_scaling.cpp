@@ -1,6 +1,8 @@
 // Thread-scaling curves for the parallel execution layer: wall time at
-// 1/2/4/8 threads over (a) the repair-search macro workload, (b) the ε_EB
-// ranking loop, and (c) a raw range-partitioned COUNT(DISTINCT ...).
+// 1/2/4/8 threads over (a) the repair-search macro workload and (b) the
+// ε_EB ranking loop — the two places where threads fan out over
+// independent candidates (single refinement passes always run
+// sequentially).
 //
 // Besides the curves, this bench is a determinism check: every multi-thread
 // run is compared against the threads=1 output and the process exits
@@ -23,7 +25,6 @@
 #include "clustering/eb_repair.h"
 #include "datagen/synthetic.h"
 #include "fd/repair_search.h"
-#include "query/distinct.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 
@@ -125,7 +126,6 @@ bool SameRepairResult(const fd::RepairResult& a, const fd::RepairResult& b) {
 int main() {
   const bool fast = bench::FastMode();
   const size_t macro_tuples = fast ? 50000 : 200000;
-  const size_t distinct_tuples = fast ? 250000 : 1000000;
 
   std::cout << "cores: " << std::thread::hardware_concurrency()
             << (fast ? " (FDEVOLVE_BENCH_FAST)" : "") << "\n\n";
@@ -139,7 +139,7 @@ int main() {
   macro_spec.seed = 4242;
   const auto macro_rel = datagen::MakeSynthetic(macro_spec);
   const auto macro_fd = datagen::SyntheticFd(macro_rel.schema());
-  ScalingCurve repair_curve, eb_curve, distinct_curve;
+  ScalingCurve repair_curve, eb_curve;
   bool ok = Measure<fd::RepairResult>(
       "repair search (" + std::to_string(macro_tuples) +
           " tuples, 16 attrs, all repairs, depth 2)",
@@ -173,23 +173,6 @@ int main() {
       },
       &eb_curve);
 
-  // (c) Raw range-partitioned distinct count on a larger relation.
-  datagen::SyntheticSpec big_spec;
-  big_spec.n_attrs = 8;
-  big_spec.n_tuples = distinct_tuples;
-  big_spec.repair_length = 2;
-  big_spec.seed = 99;
-  const auto big_rel = datagen::MakeSynthetic(big_spec);
-  const auto attrs = relation::AttrSet::Of({0, 2, 3, 5});
-  ok &= Measure<size_t>(
-      "distinct count (" + std::to_string(distinct_tuples) +
-          " tuples, 4 attrs)",
-      [&](int threads) {
-        return query::DistinctCount(big_rel, attrs,
-                                    query::DistinctStrategy::kHash, threads);
-      },
-      [](size_t a, size_t b) { return a == b; }, &distinct_curve);
-
   const auto emit = [](std::ofstream& json, const char* name,
                        const ScalingCurve& c) {
     json << "  \"" << name << "\": {\n"
@@ -205,7 +188,6 @@ int main() {
        << "  \"cores\": " << std::thread::hardware_concurrency() << ",\n";
   emit(json, "repair_search", repair_curve);
   emit(json, "eb_ranking", eb_curve);
-  emit(json, "distinct_count", distinct_curve);
   json << "  \"determinism_failures\": " << (ok ? 0 : 1) << ",\n"
        << "  \"fast\": " << (fast ? "true" : "false") << "\n"
        << "}\n";

@@ -8,9 +8,10 @@
 //       --target=0.95             (AFD confidence target, default 1.0)
 //       --goodness-threshold=N    (prefer repairs with |g| <= N)
 //       --exclude-unique          (drop UNIQUE columns from the pool)
-//       --threads=N               (execution width; 0 = all cores, 1 =
-//                                  sequential; results are identical for
-//                                  every value, only wall time changes)
+//       --threads=N               (repair-search width: candidate batches
+//                                  fan out over N threads; 0 = all cores,
+//                                  1 = sequential; results are identical
+//                                  for every value, only wall time changes)
 //       --explain                 (print the repair-search plan — candidate
 //                                  order, cost estimates, cardinality
 //                                  bounds — without running the search)
@@ -43,7 +44,8 @@
 //       --batch=N                 (insert batch size, default and maximum:
 //                                  check-interval — larger batches would
 //                                  under-check)
-//       --threads=N               (as above)
+//       --threads=N               (width of the --suggest repair search,
+//                                  as above; checks always run sequentially)
 //       --suggest                 (print repair suggestions for drifted FDs)
 //       --snapshot=FILE           (write a monitor checkpoint when done)
 //       --stop-after=N            (stop after ~N streamed tuples — rounded
@@ -594,7 +596,7 @@ int RunMonitor(int argc, char** argv) {
     if (check_interval == 0) check_interval = 1;  // never divide below
     batch_hint = ckpt.checkpoint->stream_batch_hint;
     try {
-      monitor.emplace(std::move(*ckpt.checkpoint), threads);
+      monitor.emplace(std::move(*ckpt.checkpoint));
     } catch (const std::invalid_argument& e) {
       std::cerr << "cannot resume from " << resume_path << ": " << e.what()
                 << "\n";
@@ -616,8 +618,7 @@ int RunMonitor(int argc, char** argv) {
     }
     relation::Relation seed(full.name(), full.schema());
     for (size_t t = 0; t < initial; ++t) seed.AppendRow(RowOf(full, t));
-    monitor.emplace(std::move(seed), std::move(fds), check_interval,
-                    threads);
+    monitor.emplace(std::move(seed), std::move(fds), check_interval);
   }
 
   // Batch default: the checkpoint's recorded streaming batch when
@@ -651,8 +652,7 @@ int RunMonitor(int argc, char** argv) {
   std::cout << "Monitoring " << csv_path << ": " << n << " rows ("
             << start << (resuming ? " from checkpoint" : " seed") << " + "
             << (stop - start) << " streamed), check every " << check_interval
-            << " inserts, batch " << batch << ", threads "
-            << monitor->threads() << "\n";
+            << " inserts, batch " << batch << "\n";
   for (size_t i = 0; i < monitor->fds().size(); ++i) {
     const auto& m = monitor->fds()[i];
     std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())

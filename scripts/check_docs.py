@@ -5,7 +5,11 @@ Checks, over README.md and docs/*.md:
   1. every relative markdown link ([text](path), images included) resolves
      to an existing file or directory, anchors stripped;
   2. every bench binary named in docs/PAPER_MAPPING.md exists as a CMake
-     target in bench/CMakeLists.txt (fdevolve_add_bench(<name> ...)).
+     target in bench/CMakeLists.txt (fdevolve_add_bench(<name> ...));
+  3. every symbol docs/PAPER_MAPPING.md cites with a source file — written
+     "`Name` in `src/x.cpp`" or "`src/x.cpp` (`Name`, ...)" — occurs in
+     that file or its .h/.cpp sibling. Only the last `::` part of a name
+     is looked up, and "A/B" names both A and B.
 
 Exits non-zero with one line per problem, so a stale rename fails CI
 instead of rotting in the docs.
@@ -20,6 +24,10 @@ REPO = Path(__file__).resolve().parent.parent
 # [text](target) — skips images' leading '!' implicitly, captures target.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_RE = re.compile(r"\b(bench_[a-z0-9_]+)\b")
+SRC = r"`(src/[^`]+\.(?:h|cpp))`"
+# "`A`/`B` in `src/x.h`" and "`src/x.h` (`A`, `B`)": (names, path) pairs.
+NAMES_IN_RE = re.compile(r"((?:`[^`]+`/)*`[^`]+`) in " + SRC)
+PATH_NAMES_RE = re.compile(SRC + r" \(([^)]*)\)")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 
 
@@ -50,6 +58,32 @@ def check_bench_targets(mapping_path: Path, cmake_path: Path) -> list[str]:
     return problems
 
 
+def cited_symbols(text: str):
+    for names, path in NAMES_IN_RE.findall(text):
+        yield path, re.findall(r"`([^`]+)`", names)
+    for path, names in PATH_NAMES_RE.findall(text):
+        yield path, re.findall(r"`([^`]+)`", names)
+
+
+def check_symbols(mapping_path: Path) -> list[str]:
+    problems = []
+    for path, names in cited_symbols(mapping_path.read_text(encoding="utf-8")):
+        stem = (REPO / path).with_suffix("")
+        sources = [f for f in (stem.with_suffix(".h"), stem.with_suffix(".cpp"))
+                   if f.exists()]
+        code = "".join(f.read_text(encoding="utf-8") for f in sources)
+        for name in names:
+            for part in name.split("/"):
+                symbol = part.split("::")[-1]
+                if not re.search(rf"(?<!\w){re.escape(symbol)}(?!\w)", code):
+                    problems.append(
+                        f"{mapping_path.relative_to(REPO)}: cites '{name}' in "
+                        f"{path}, but '{symbol}' occurs in neither it nor its "
+                        f".h/.cpp sibling"
+                    )
+    return problems
+
+
 def main() -> int:
     problems = []
     doc_files = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
@@ -63,6 +97,8 @@ def main() -> int:
     cmake = REPO / "bench" / "CMakeLists.txt"
     if mapping.exists() and cmake.exists():
         problems.extend(check_bench_targets(mapping, cmake))
+    if mapping.exists():
+        problems.extend(check_symbols(mapping))
 
     for p in problems:
         print(f"check_docs: {p}", file=sys.stderr)

@@ -32,13 +32,14 @@ std::vector<EbCandidate> RankEb(const relation::Relation& rel,
                                 const fd::Fd& fd,
                                 const relation::AttrSet& pool,
                                 EbVariant variant, int threads) {
+  // The clusterings group physical rows, so a tombstoned relation would
+  // score its dead rows too.
+  relation::RequireNoTombstones(rel, "clustering::RankEb");
   // Ground truth: C_XY (§5). Built once; each candidate costs one
-  // refinement of C_X plus two entropy passes. The builds themselves
-  // range-partition through the scratch's threads knob; candidate scoring
-  // then fans out across the pool, one scratch arena per chunk.
+  // refinement of C_X plus two entropy passes. Candidate scoring fans out
+  // across the pool, one scratch arena per chunk.
   const int width = util::ResolveThreads(threads);
   query::RefineScratch scratch;
-  scratch.threads = width;
   const Clustering ground_truth(query::GroupBy(rel, fd.AllAttrs(), scratch));
   const query::Grouping base_x = query::GroupBy(rel, fd.lhs(), scratch);
 
@@ -58,7 +59,6 @@ std::vector<EbCandidate> RankEb(const relation::Relation& rel,
           }
         });
   } else {
-    scratch.threads = 1;  // candidate passes are small; reuse one arena
     for (size_t i = 0; i < attrs.size(); ++i) {
       out[i] = ScoreCandidate(rel, ground_truth, base_x, attrs[i], scratch);
     }

@@ -23,12 +23,8 @@ struct DataRepairResult {
 /// Minimum tuple deletions making X -> Y exact. For a single FD this is
 /// solvable exactly: within each X-cluster keep one majority XY-class and
 /// delete the rest (per-cluster optimum, independent across clusters).
-///
-/// `threads` is the execution width for the underlying grouping passes
-/// (0 = hardware_concurrency, 1 = exact sequential path); the deletion set
-/// is identical for every value.
 DataRepairResult RepairByDeletion(const relation::Relation& rel,
-                                  const fd::Fd& fd, int threads = 0);
+                                  const fd::Fd& fd);
 
 /// Applies a deletion set, producing the surviving instance.
 relation::Relation ApplyDeletion(const relation::Relation& rel,
@@ -37,14 +33,13 @@ relation::Relation ApplyDeletion(const relation::Relation& rel,
 /// Repairs several FDs by iterating single-FD deletion to a fixpoint.
 /// The multi-FD minimum-deletion problem is NP-hard; this converges (each
 /// pass only removes tuples) but may over-delete. `max_rounds` bounds the
-/// loop defensively. `threads` flows into each per-FD deletion pass.
+/// loop defensively.
 DataRepairResult RepairAllByDeletion(const relation::Relation& rel,
                                      const std::vector<fd::Fd>& fds,
-                                     int max_rounds = 16, int threads = 0);
+                                     int max_rounds = 16);
 
 /// Number of unordered tuple pairs violating Definition 2 — a direct
-/// violation count used by tests and monitors. `threads` as above.
-size_t CountViolatingPairs(const relation::Relation& rel, const fd::Fd& fd,
-                           int threads = 0);
+/// violation count used by tests and monitors.
+size_t CountViolatingPairs(const relation::Relation& rel, const fd::Fd& fd);
 
 }  // namespace fdevolve::discovery

@@ -19,9 +19,7 @@ double ConflictScore(const Fd& fd, const std::vector<Fd>& all) {
 std::vector<OrderedFd> OrderFds(const relation::Relation& rel,
                                 const std::vector<Fd>& fds,
                                 const OrderingOptions& opts) {
-  // Sequential: a handful of counts per FD, where range-partitioned
-  // refine passes cost more than they save.
-  query::DistinctEvaluator eval(rel, /*threads=*/1);
+  query::DistinctEvaluator eval(rel);
   std::vector<OrderedFd> out;
   out.reserve(fds.size());
   for (size_t i = 0; i < fds.size(); ++i) {

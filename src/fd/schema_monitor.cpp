@@ -18,10 +18,10 @@ bool SameMeasures(const FdMeasures& a, const FdMeasures& b) {
 }  // namespace
 
 SchemaMonitor::SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
-                             size_t check_interval, int threads)
+                             size_t check_interval)
     : owned_(std::make_unique<relation::Relation>(std::move(initial))),
       rel_(owned_.get()),
-      eval_(*rel_, threads),
+      eval_(*rel_),
       check_interval_(check_interval == 0 ? 1 : check_interval),
       observed_version_(rel_->version()),
       observed_mutations_(rel_->appends_ever() + rel_->deletes_ever()),
@@ -30,9 +30,9 @@ SchemaMonitor::SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
 }
 
 SchemaMonitor::SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
-                             size_t check_interval, int threads)
+                             size_t check_interval, int /*ignored*/)
     : rel_(shared),
-      eval_(*rel_, threads),
+      eval_(*rel_),
       check_interval_(check_interval == 0 ? 1 : check_interval),
       observed_version_(rel_->version()),
       observed_mutations_(rel_->appends_ever() + rel_->deletes_ever()),
@@ -41,9 +41,9 @@ SchemaMonitor::SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
 }
 
 SchemaMonitor::SchemaMonitor(relation::Relation* shared, MonitorState state,
-                             int threads)
+                             int /*ignored*/)
     : rel_(shared),
-      eval_(*rel_, threads),
+      eval_(*rel_),
       check_interval_(state.check_interval == 0 ? 1 : state.check_interval),
       inserts_since_check_(state.inserts_since_check),
       checks_run_(state.checks_run),
@@ -60,10 +60,10 @@ SchemaMonitor::SchemaMonitor(relation::Relation* shared, MonitorState state,
   RestoreMonitored(std::move(state.fds), std::move(state.drift_log));
 }
 
-SchemaMonitor::SchemaMonitor(MonitorCheckpoint checkpoint, int threads)
+SchemaMonitor::SchemaMonitor(MonitorCheckpoint checkpoint)
     : owned_(std::make_unique<relation::Relation>(std::move(checkpoint.rel))),
       rel_(owned_.get()),
-      eval_(*rel_, threads),
+      eval_(*rel_),
       check_interval_(checkpoint.check_interval == 0
                           ? 1
                           : checkpoint.check_interval),

@@ -145,16 +145,15 @@ struct MonitorState {
 class SchemaMonitor {
  public:
   /// `check_interval`: re-validate after this many inserts (>=1).
-  /// `threads`: execution width for the evaluator's refinement passes
-  /// (0 = hardware_concurrency, 1 = exact sequential path); results are
-  /// identical for every value.
   SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
-                size_t check_interval = 1, int threads = 0);
+                size_t check_interval = 1);
 
   /// External mode: monitors `*shared` without owning it (see class
   /// comment). Measures are computed at the relation's current watermark.
+  /// The trailing `int` of both external-mode constructors is ignored; it
+  /// is kept so that callers that still pass a thread count compile.
   SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
-                size_t check_interval = 1, int threads = 0);
+                size_t check_interval = 1, int /*ignored*/ = 0);
 
   /// External-mode restore: rebinds a captured MonitorState to `*shared`
   /// and re-materializes the evaluator groupings, recovering the exact
@@ -164,7 +163,7 @@ class SchemaMonitor {
   /// attributes outside the schema, or if the carried measures disagree
   /// with recomputation while comparable (inserts_since_check == 0).
   SchemaMonitor(relation::Relation* shared, MonitorState state,
-                int threads = 0);
+                int /*ignored*/ = 0);
 
   /// Resumes from a checkpoint: restores the relation, registered FDs,
   /// drift log, and interval position verbatim, and re-materializes the
@@ -176,7 +175,7 @@ class SchemaMonitor {
   /// the schema, or if the checkpointed measures disagree with the ones
   /// recomputed from the relation when they are comparable (no unchecked
   /// inserts pending — see MonitorCheckpoint).
-  explicit SchemaMonitor(MonitorCheckpoint checkpoint, int threads = 0);
+  explicit SchemaMonitor(MonitorCheckpoint checkpoint);
 
   SchemaMonitor(const SchemaMonitor&) = delete;
   SchemaMonitor& operator=(const SchemaMonitor&) = delete;
@@ -250,9 +249,6 @@ class SchemaMonitor {
 
   /// Number of validation passes run so far (instrumentation).
   size_t checks_run() const { return checks_run_; }
-
-  /// Resolved execution width of the underlying evaluator.
-  int threads() const { return eval_.threads(); }
 
  private:
   /// Materializes the FD's antecedent and full-attribute groupings in the

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/thread_pool.h"
-
 namespace fdevolve::query {
 namespace {
 
@@ -56,17 +54,13 @@ size_t SortDistinct(const relation::Relation& rel,
 
 size_t DistinctCount(const relation::Relation& rel,
                      const relation::AttrSet& attrs,
-                     DistinctStrategy strategy, int threads) {
+                     DistinctStrategy strategy, int /*ignored*/) {
   if (strategy == DistinctStrategy::kSort) return SortDistinct(rel, attrs);
-  RefineScratch scratch;
-  scratch.threads = util::ResolveThreads(threads);
-  return GroupCountBy(rel, attrs, scratch);
+  return GroupCountBy(rel, attrs);
 }
 
-DistinctEvaluator::DistinctEvaluator(const relation::Relation& rel,
-                                     int threads)
+DistinctEvaluator::DistinctEvaluator(const relation::Relation& rel)
     : rel_(rel), watermark_(rel.version()) {
-  scratch_.threads = util::ResolveThreads(threads);
   mutation_seen_ = rel.has_tombstones();
   tomb_pos_ = rel.deletion_log().size();
   epoch_seen_ = rel.mutation_epoch();
@@ -187,8 +181,8 @@ void DistinctEvaluator::AdvanceGrouping(CachedGrouping& cg, size_t n) {
     // First advance of this grouping: create the chain and replay the
     // prefix through it below (cg.tabled == 0). The replay reproduces the
     // exact ids the build assigned — every build path (dense, flat,
-    // parallel, dictionary fast path) assigns first-appearance ids in
-    // scan order, which is precisely what the chained table walk does.
+    // dictionary fast path) assigns first-appearance ids in scan order,
+    // which is precisely what the chained table walk does.
     cg.levels.resize(cg.gap.size());
     for (size_t j = 0; j < cg.gap.size(); ++j) cg.levels[j].attr = cg.gap[j];
     cg.tabled = 0;

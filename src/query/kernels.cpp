@@ -21,13 +21,8 @@ uint32_t BaselineFlat(const RefineArgs& a, util::FlatIdTable& table,
   return detail::FlatRefineRange(a, table, fresh, a.lo, a.hi);
 }
 
-void BaselineRemap(uint32_t* ids, size_t lo, size_t hi,
-                   const uint32_t* remap) {
-  detail::RemapRange(ids, lo, hi, remap);
-}
-
 constexpr KernelSet kBaselineKernels{util::CpuTier::kBaseline, BaselineDense,
-                                     BaselineFlat, BaselineRemap};
+                                     BaselineFlat};
 
 /// Tier -> kernel set, falling back to baseline when a tier is not
 /// compiled into this binary (non-x86 builds).

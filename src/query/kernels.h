@@ -19,11 +19,10 @@
 //
 // Identity contract (enforced by tests/query/kernel_tier_fuzz_test.cpp):
 // every tier — baseline scalar, SSE4.2, AVX2, AVX-512 — assigns exactly
-// the same first-appearance ids, records the same key list, and throws the
-// same exception on malformed bases. The SIMD variants may batch the
-// bounds check (an exception fires before any tuple of the offending batch
-// is processed, instead of mid-batch), which is only observable on the
-// exception path.
+// the same first-appearance ids and throws the same exception on
+// malformed bases. The SIMD variants may batch the bounds check (an
+// exception fires before any tuple of the offending batch is processed,
+// instead of mid-batch), which is only observable on the exception path.
 #pragma once
 
 #include <cstddef>
@@ -62,8 +61,6 @@ struct Level {
 ///   * `out` may alias `base_ids`: every slot is read before written.
 ///   * `live != nullptr` (tombstone bitmap; 0 = dead row skipped) implies
 ///     `out == nullptr` — only count-only passes filter.
-///   * `keys_out`, when set, receives the packed key of every fresh id in
-///     assignment order (the parallel merge consumes this).
 struct RefineArgs {
   const uint32_t* base_ids = nullptr;
   uint64_t base_groups = 1;
@@ -73,7 +70,6 @@ struct RefineArgs {
   size_t hi = 0;
   uint32_t* out = nullptr;
   const uint8_t* live = nullptr;
-  std::vector<uint64_t>* keys_out = nullptr;
 };
 
 /// Direct-indexed pass: `dense` has one cell per possible packed key,
@@ -90,17 +86,12 @@ using DenseRefineFn = uint32_t (*)(const RefineArgs& args, uint32_t* dense,
 using FlatRefineFn = uint32_t (*)(const RefineArgs& args,
                                   util::FlatIdTable& table, uint32_t fresh);
 
-/// Rewrite pass of the parallel path: ids[t] = remap[ids[t]] over [lo, hi).
-using RemapFn = void (*)(uint32_t* ids, size_t lo, size_t hi,
-                         const uint32_t* remap);
-
 /// One dispatch tier's kernels. Instances are immutable statics; the
 /// registry publishes a pointer to the active one.
 struct KernelSet {
   util::CpuTier tier;
   DenseRefineFn dense_refine;
   FlatRefineFn flat_refine;
-  RemapFn remap;
 };
 
 /// Largest dense array any driver may admit (cells). Bounded by 2^31 so

@@ -1,5 +1,5 @@
-// AVX2 kernel tier: 8-lane dense refinement with vpgatherdd probes, 4-lane
-// packed-u64 key + splitmix64 hashing for the flat path, gathered remap.
+// AVX2 kernel tier: 8-lane dense refinement with vpgatherdd probes, and
+// 4-lane packed-u64 key + splitmix64 hashing for the flat path.
 // Compiled with -mavx2 (per-file flag in src/query/CMakeLists.txt); only
 // ever called after runtime detection, so the rest of the binary stays
 // portable.
@@ -72,8 +72,7 @@ inline __m256i PackedKeys8(const RefineArgs& a, size_t t, __m256i livemask,
 /// first-appearance ids. `id == nullptr` is the count-only form — no id
 /// vector spill/reload.
 inline uint32_t FixupMisses8(uint32_t* dense, __m256i key, __m256i* id,
-                             uint32_t bits, uint32_t fresh,
-                             std::vector<uint64_t>* keys_out) {
+                             uint32_t bits, uint32_t fresh) {
   alignas(32) uint32_t kk[8];
   _mm256_store_si256(reinterpret_cast<__m256i*>(kk), key);
   if (id == nullptr) {
@@ -81,10 +80,7 @@ inline uint32_t FixupMisses8(uint32_t* dense, __m256i key, __m256i* id,
       const int l = __builtin_ctz(bits);
       bits &= bits - 1;
       const uint32_t cell = kk[l];
-      if (dense[cell] == kVacant) {
-        dense[cell] = fresh++;
-        if (keys_out != nullptr) keys_out->push_back(cell);
-      }
+      if (dense[cell] == kVacant) dense[cell] = fresh++;
     }
     return fresh;
   }
@@ -98,7 +94,6 @@ inline uint32_t FixupMisses8(uint32_t* dense, __m256i key, __m256i* id,
     if (cur == kVacant) {
       cur = fresh++;
       dense[cell] = cur;
-      if (keys_out != nullptr) keys_out->push_back(cell);
     }
     ii[l] = cur;
   }
@@ -113,17 +108,15 @@ inline uint32_t MissBits8(__m256i miss) {
 
 /// Single-level specialization of the dense loop. Refine-by-one-attribute
 /// is the hottest shape the repair search produces, and the generic loop
-/// pays dearly for it: the RefineArgs/Level indirection plus the
-/// (cold-path) push_back call make GCC re-load every field and re-test
-/// every runtime flag per 8-tuple batch — measured ~2.5x over this
-/// version, which hoists all batch constants into locals before the loop
-/// and resolves the masked/count-only shape at compile time.
-template <bool kMasked, bool kCountOnly, bool kKeys>
+/// pays dearly for it: the RefineArgs/Level indirection makes GCC re-load
+/// every field and re-test every runtime flag per 8-tuple batch. This
+/// version hoists all batch constants into locals before the loop and
+/// resolves the masked/count-only shape at compile time.
+template <bool kMasked, bool kCountOnly>
 uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
   const uint32_t* const base = a.base_ids;
   const uint8_t* const live = a.live;
   uint32_t* const out = a.out;
-  std::vector<uint64_t>* const keys_out = a.keys_out;
   const Level lv = a.levels[0];
   const uint32_t* const codes = lv.codes;
   const bool check = base != nullptr && a.base_groups <= 0xffffffffull;
@@ -195,9 +188,9 @@ uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
     if ((bits0 | bits1) != 0) {
       // Inline fixup over the combined 16-lane spill: ctz-walk in lane
       // (= tuple) order with a per-cell re-read, so duplicates within and
-      // across the pair still get first-appearance ids. `kKeys == false`
-      // removes the only call in the loop body, letting every batch
-      // constant live in a register across iterations.
+      // across the pair still get first-appearance ids. The loop body makes
+      // no call, so every batch constant lives in a register across
+      // iterations.
       alignas(32) uint32_t kk[16];
       _mm256_store_si256(reinterpret_cast<__m256i*>(kk), key0);
       _mm256_store_si256(reinterpret_cast<__m256i*>(kk + 8), key1);
@@ -207,10 +200,7 @@ uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
           const int l = __builtin_ctz(bits);
           bits &= bits - 1;
           const uint32_t cell = kk[l];
-          if (dense[cell] == kVacant) {
-            dense[cell] = fresh++;
-            if (kKeys) keys_out->push_back(cell);
-          }
+          if (dense[cell] == kVacant) dense[cell] = fresh++;
         }
       } else {
         alignas(32) uint32_t ii[16];
@@ -224,7 +214,6 @@ uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
           if (cur == kVacant) {
             cur = fresh++;
             dense[cell] = cur;
-            if (kKeys) keys_out->push_back(cell);
           }
           ii[l] = cur;
         }
@@ -261,10 +250,7 @@ uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
           const int l = __builtin_ctz(bits);
           bits &= bits - 1;
           const uint32_t cell = kk[l];
-          if (dense[cell] == kVacant) {
-            dense[cell] = fresh++;
-            if (kKeys) keys_out->push_back(cell);
-          }
+          if (dense[cell] == kVacant) dense[cell] = fresh++;
         }
       } else {
         alignas(32) uint32_t ii[8];
@@ -277,7 +263,6 @@ uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
           if (cur == kVacant) {
             cur = fresh++;
             dense[cell] = cur;
-            if (kKeys) keys_out->push_back(cell);
           }
           ii[l] = cur;
         }
@@ -291,23 +276,16 @@ uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
   return detail::DenseRefineRange(a, dense, fresh, t, a.hi);
 }
 
-template <bool kMasked, bool kCountOnly>
-uint32_t Dense1Level8K(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
-  return a.keys_out != nullptr
-             ? Dense1Level8<kMasked, kCountOnly, true>(a, dense, fresh)
-             : Dense1Level8<kMasked, kCountOnly, false>(a, dense, fresh);
-}
-
 uint32_t Avx2Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
   if (a.level_count == 1) {
     const bool masked = a.live != nullptr;
     const bool count_only = a.out == nullptr;
     if (masked) {
-      return count_only ? Dense1Level8K<true, true>(a, dense, fresh)
-                        : Dense1Level8K<true, false>(a, dense, fresh);
+      return count_only ? Dense1Level8<true, true>(a, dense, fresh)
+                        : Dense1Level8<true, false>(a, dense, fresh);
     }
-    return count_only ? Dense1Level8K<false, true>(a, dense, fresh)
-                      : Dense1Level8K<false, false>(a, dense, fresh);
+    return count_only ? Dense1Level8<false, true>(a, dense, fresh)
+                      : Dense1Level8<false, false>(a, dense, fresh);
   }
   const __m256i vvacant = _mm256_set1_epi32(-1);
   const bool masked = a.live != nullptr;
@@ -348,11 +326,11 @@ uint32_t Avx2Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
     const uint32_t bits1 = MissBits8(miss1);
     if (bits0 != 0) {
       fresh = FixupMisses8(dense, key0, count_only ? nullptr : &id0, bits0,
-                           fresh, a.keys_out);
+                           fresh);
     }
     if (bits1 != 0) {
       fresh = FixupMisses8(dense, key1, count_only ? nullptr : &id1, bits1,
-                           fresh, a.keys_out);
+                           fresh);
     }
     if (!count_only) {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + t), id0);
@@ -379,7 +357,7 @@ uint32_t Avx2Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
     const uint32_t bits = MissBits8(miss);
     if (bits != 0) {
       fresh = FixupMisses8(dense, key, count_only ? nullptr : &id, bits,
-                           fresh, a.keys_out);
+                           fresh);
     }
     if (!count_only) {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + t), id);
@@ -496,32 +474,16 @@ uint32_t Avx2Flat(const RefineArgs& a, util::FlatIdTable& table,
       const uint32_t id =
           table.FindOrInsertHashed(keys[t - b], hashes[t - b], fresh,
                                    &inserted);
-      if (inserted) {
-        if (a.keys_out != nullptr) a.keys_out->push_back(keys[t - b]);
-        ++fresh;
-      }
+      if (inserted) ++fresh;
       if (a.out != nullptr) a.out[t] = id;
     }
   }
   return fresh;
 }
 
-void Avx2Remap(uint32_t* ids, size_t lo, size_t hi, const uint32_t* remap) {
-  size_t t = lo;
-  for (; t + 8 <= hi; t += 8) {
-    const __m256i local =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + t));
-    const __m256i global = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(remap), local, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ids + t), global);
-  }
-  detail::RemapRange(ids, t, hi, remap);
-}
-
 }  // namespace
 
-const KernelSet kAvx2Kernels{util::CpuTier::kAvx2, Avx2Dense, Avx2Flat,
-                             Avx2Remap};
+const KernelSet kAvx2Kernels{util::CpuTier::kAvx2, Avx2Dense, Avx2Flat};
 
 }  // namespace fdevolve::query::kernels
 

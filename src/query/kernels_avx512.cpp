@@ -1,8 +1,8 @@
 // AVX-512 kernel tier (F+DQ+BW+VL): 16-lane dense refinement with masked
-// gathers and opmask liveness, 8-lane packed-u64 keys + vpmullq splitmix64
-// hashing for the flat path, 16-lane gathered remap. Compiled with
-// -mavx512{f,bw,dq,vl}; reached only after runtime detection confirms both
-// the instruction sets and OS zmm state.
+// gathers and opmask liveness, and 8-lane packed-u64 keys + vpmullq
+// splitmix64 hashing for the flat path. Compiled with -mavx512{f,bw,dq,vl};
+// reached only after runtime detection confirms both the instruction sets
+// and OS zmm state.
 #include "query/kernels.h"
 
 #if defined(FDEVOLVE_X86_KERNELS)
@@ -62,8 +62,7 @@ inline __m512i PackedKeys16(const RefineArgs& a, size_t t, __mmask16 m) {
 /// loop. When materializing (`id != nullptr`), the corrected id vector is
 /// rebuilt through a spill; count-only callers skip that entirely.
 inline uint32_t FixupMisses16(uint32_t* dense, __m512i key, __m512i* id,
-                              __mmask16 miss, uint32_t fresh,
-                              std::vector<uint64_t>* keys_out) {
+                              __mmask16 miss, uint32_t fresh) {
   alignas(64) uint32_t kk[16];
   _mm512_store_si512(kk, key);
   if (id == nullptr) {
@@ -72,10 +71,7 @@ inline uint32_t FixupMisses16(uint32_t* dense, __m512i key, __m512i* id,
       const int l = __builtin_ctz(mm);
       mm &= mm - 1;
       const uint32_t cell = kk[l];
-      if (dense[cell] == kVacant) {
-        dense[cell] = fresh++;
-        if (keys_out != nullptr) keys_out->push_back(cell);
-      }
+      if (dense[cell] == kVacant) dense[cell] = fresh++;
     }
     return fresh;
   }
@@ -90,7 +86,6 @@ inline uint32_t FixupMisses16(uint32_t* dense, __m512i key, __m512i* id,
     if (cur == kVacant) {
       cur = fresh++;
       dense[cell] = cur;
-      if (keys_out != nullptr) keys_out->push_back(cell);
     }
     ii[l] = cur;
   }
@@ -101,17 +96,16 @@ inline uint32_t FixupMisses16(uint32_t* dense, __m512i key, __m512i* id,
 /// Single-level specialization of the dense loop — the AVX-512 twin of
 /// the AVX2 tier's Dense1Level8. Refine-by-one-attribute is the hottest
 /// shape the repair search produces, and the generic loop's
-/// RefineArgs/Level indirection plus the (cold-path) push_back call make
-/// GCC re-load every field and re-test every runtime flag per 16-tuple
-/// batch. This version hoists all batch constants into locals before the
-/// loop and resolves the masked/count-only/keys shape at compile time, so
-/// the steady-state body is load + gather + opmask compare.
-template <bool kMasked, bool kCountOnly, bool kKeys>
+/// RefineArgs/Level indirection makes GCC re-load every field and re-test
+/// every runtime flag per 16-tuple batch. This version hoists all batch
+/// constants into locals before the loop and resolves the
+/// masked/count-only shape at compile time, so the steady-state body is
+/// load + gather + opmask compare.
+template <bool kMasked, bool kCountOnly>
 uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
   const uint32_t* const base = a.base_ids;
   const uint8_t* const live = a.live;
   uint32_t* const out = a.out;
-  std::vector<uint64_t>* const keys_out = a.keys_out;
   const Level lv = a.levels[0];
   const uint32_t* const codes = lv.codes;
   const bool check = base != nullptr && a.base_groups <= 0xffffffffull;
@@ -178,9 +172,9 @@ uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
     if ((miss0 | miss1) != 0) {
       // Inline fixup over the combined 32-lane spill: ctz-walk in lane
       // (= tuple) order with a per-cell re-read, so duplicates within and
-      // across the pair still get first-appearance ids. `kKeys == false`
-      // removes the only call in the loop body, letting every batch
-      // constant live in a register across iterations.
+      // across the pair still get first-appearance ids. The loop body makes
+      // no call, so every batch constant lives in a register across
+      // iterations.
       alignas(64) uint32_t kk[32];
       _mm512_store_si512(kk, key0);
       _mm512_store_si512(kk + 16, key1);
@@ -191,10 +185,7 @@ uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
           const int l = __builtin_ctz(bits);
           bits &= bits - 1;
           const uint32_t cell = kk[l];
-          if (dense[cell] == kVacant) {
-            dense[cell] = fresh++;
-            if (kKeys) keys_out->push_back(cell);
-          }
+          if (dense[cell] == kVacant) dense[cell] = fresh++;
         }
       } else {
         alignas(64) uint32_t ii[32];
@@ -208,7 +199,6 @@ uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
           if (cur == kVacant) {
             cur = fresh++;
             dense[cell] = cur;
-            if (kKeys) keys_out->push_back(cell);
           }
           ii[l] = cur;
         }
@@ -243,10 +233,7 @@ uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
           const int l = __builtin_ctz(bits);
           bits &= bits - 1;
           const uint32_t cell = kk[l];
-          if (dense[cell] == kVacant) {
-            dense[cell] = fresh++;
-            if (kKeys) keys_out->push_back(cell);
-          }
+          if (dense[cell] == kVacant) dense[cell] = fresh++;
         }
       } else {
         alignas(64) uint32_t ii[16];
@@ -259,7 +246,6 @@ uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
           if (cur == kVacant) {
             cur = fresh++;
             dense[cell] = cur;
-            if (kKeys) keys_out->push_back(cell);
           }
           ii[l] = cur;
         }
@@ -271,23 +257,16 @@ uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
   return detail::DenseRefineRange(a, dense, fresh, t, a.hi);
 }
 
-template <bool kMasked, bool kCountOnly>
-uint32_t Dense1Level16K(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
-  return a.keys_out != nullptr
-             ? Dense1Level16<kMasked, kCountOnly, true>(a, dense, fresh)
-             : Dense1Level16<kMasked, kCountOnly, false>(a, dense, fresh);
-}
-
 uint32_t Avx512Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
   if (a.level_count == 1) {
     const bool masked = a.live != nullptr;
     const bool count_only = a.out == nullptr;
     if (masked) {
-      return count_only ? Dense1Level16K<true, true>(a, dense, fresh)
-                        : Dense1Level16K<true, false>(a, dense, fresh);
+      return count_only ? Dense1Level16<true, true>(a, dense, fresh)
+                        : Dense1Level16<true, false>(a, dense, fresh);
     }
-    return count_only ? Dense1Level16K<false, true>(a, dense, fresh)
-                      : Dense1Level16K<false, false>(a, dense, fresh);
+    return count_only ? Dense1Level16<false, true>(a, dense, fresh)
+                      : Dense1Level16<false, false>(a, dense, fresh);
   }
   const __m512i vvacant = _mm512_set1_epi32(-1);
   const bool count_only = a.out == nullptr;
@@ -318,11 +297,11 @@ uint32_t Avx512Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
     // Fixups strictly in tuple order: batch 0 before batch 1.
     if (miss0 != 0) {
       fresh = FixupMisses16(dense, key0, count_only ? nullptr : &id0, miss0,
-                            fresh, a.keys_out);
+                            fresh);
     }
     if (miss1 != 0) {
       fresh = FixupMisses16(dense, key1, count_only ? nullptr : &id1, miss1,
-                            fresh, a.keys_out);
+                            fresh);
     }
     if (!count_only) {
       _mm512_storeu_si512(a.out + t, id0);
@@ -342,7 +321,7 @@ uint32_t Avx512Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
     const __mmask16 miss = _mm512_mask_cmpeq_epi32_mask(m, id, vvacant);
     if (miss != 0) {
       fresh = FixupMisses16(dense, key, count_only ? nullptr : &id, miss,
-                            fresh, a.keys_out);
+                            fresh);
     }
     if (!count_only) _mm512_storeu_si512(a.out + t, id);
   }
@@ -440,30 +419,17 @@ uint32_t Avx512Flat(const RefineArgs& a, util::FlatIdTable& table,
       const uint32_t id =
           table.FindOrInsertHashed(keys[t - b], hashes[t - b], fresh,
                                    &inserted);
-      if (inserted) {
-        if (a.keys_out != nullptr) a.keys_out->push_back(keys[t - b]);
-        ++fresh;
-      }
+      if (inserted) ++fresh;
       if (a.out != nullptr) a.out[t] = id;
     }
   }
   return fresh;
 }
 
-void Avx512Remap(uint32_t* ids, size_t lo, size_t hi, const uint32_t* remap) {
-  size_t t = lo;
-  for (; t + 16 <= hi; t += 16) {
-    const __m512i local = _mm512_loadu_si512(ids + t);
-    const __m512i global = _mm512_i32gather_epi32(local, remap, 4);
-    _mm512_storeu_si512(ids + t, global);
-  }
-  detail::RemapRange(ids, t, hi, remap);
-}
-
 }  // namespace
 
 const KernelSet kAvx512Kernels{util::CpuTier::kAvx512, Avx512Dense,
-                               Avx512Flat, Avx512Remap};
+                               Avx512Flat};
 
 }  // namespace fdevolve::query::kernels
 

@@ -61,7 +61,6 @@ uint32_t Sse42Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
       if (id == kVacant) {
         id = fresh++;
         dense[kk[l]] = id;
-        if (a.keys_out != nullptr) a.keys_out->push_back(kk[l]);
       }
       if (a.out != nullptr) a.out[t + static_cast<size_t>(l)] = id;
     }
@@ -95,24 +94,16 @@ uint32_t Sse42Flat(const RefineArgs& a, util::FlatIdTable& table,
       const uint32_t id =
           table.FindOrInsertHashed(keys[t - b], hashes[t - b], fresh,
                                    &inserted);
-      if (inserted) {
-        if (a.keys_out != nullptr) a.keys_out->push_back(keys[t - b]);
-        ++fresh;
-      }
+      if (inserted) ++fresh;
       if (a.out != nullptr) a.out[t] = id;
     }
   }
   return fresh;
 }
 
-void Sse42Remap(uint32_t* ids, size_t lo, size_t hi, const uint32_t* remap) {
-  detail::RemapRange(ids, lo, hi, remap);
-}
-
 }  // namespace
 
-const KernelSet kSse42Kernels{util::CpuTier::kSse42, Sse42Dense, Sse42Flat,
-                              Sse42Remap};
+const KernelSet kSse42Kernels{util::CpuTier::kSse42, Sse42Dense, Sse42Flat};
 
 }  // namespace fdevolve::query::kernels
 

@@ -48,11 +48,8 @@ void Service::BuildEntries(
   }
   for (const auto& m : monitors) {
     TableEntry* entry = tables_.at(m.table).get();
-    // threads=1: session threads provide the concurrency; a nested
-    // evaluator pool per table would oversubscribe the machine.
     entry->check_interval = m.state.check_interval;
-    entry->monitor = std::make_unique<fd::SchemaMonitor>(
-        entry->rel, m.state, /*threads=*/1);
+    entry->monitor = std::make_unique<fd::SchemaMonitor>(entry->rel, m.state);
     InstallDriftCallback(entry, m.table);
   }
   for (const auto& m : sampled) {
@@ -286,7 +283,7 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
                               ? declare->check_interval
                               : opts_.default_check_interval;
         entry->monitor = std::make_unique<fd::SchemaMonitor>(
-            entry->rel, std::vector<fd::Fd>{}, interval, /*threads=*/1);
+            entry->rel, std::vector<fd::Fd>{}, interval);
         entry->check_interval = interval;
         InstallDriftCallback(entry, declare->table);
       } else if (declare->check_interval != 0 &&

@@ -1,13 +1,13 @@
 // Shared thread pool and the `ParallelFor` range primitive — the execution
-// layer under the parallel refinement passes, the repair search's candidate
-// batches, and the ε_EB ranking loop.
+// layer under the repair search's candidate batches and the ε_EB ranking
+// loop.
 //
 // The design follows the morsel-driven shape of the DuckDB/Hyrise schedulers
 // the related-work set documents, shrunk to what this codebase needs:
 //
 //   * one long-lived pool (`ThreadPool::Global()`), workers spawned lazily
 //     and grown on demand, never per call;
-//   * a parallel-for over a tuple range, statically partitioned into `width`
+//   * a parallel-for over an index range, statically partitioned into `width`
 //     contiguous chunks; idle executors claim chunks through an atomic
 //     cursor, so a stalled worker never strands work;
 //   * the *chunk index* — not the OS thread — is the identity handed to the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "datagen/places.h"
 #include "datagen/synthetic.h"
 #include "fd/repair_search.h"
@@ -101,6 +104,38 @@ TEST(EbRepairTest, EntropiesNonNegative) {
     EXPECT_GE(c.h_xy_given_xa, 0.0);
     EXPECT_GE(c.h_a_given_xy, 0.0);
     EXPECT_GE(c.vi, 0.0);
+  }
+}
+
+TEST(EbRepairTest, TombstonedRelationThrowsAndCompactedCopyRanksLikeLiveRows) {
+  datagen::SyntheticSpec spec;
+  spec.n_attrs = 8;
+  spec.n_tuples = 2000;
+  spec.repair_length = 2;
+  spec.seed = 33;
+  auto rel = datagen::MakeSynthetic(spec);
+  const fd::Fd f = datagen::SyntheticFd(rel.schema());
+  for (size_t t = 0; t < rel.tuple_count(); t += 3) rel.DeleteRow(t);
+
+  // The clusterings group physical rows: ranking must refuse dead rows.
+  EXPECT_THROW(RankEb(rel, f), std::logic_error);
+
+  relation::Relation live_only(rel.name(), rel.schema());
+  for (size_t t = 0; t < rel.tuple_count(); ++t) {
+    if (!rel.is_live(t)) continue;
+    std::vector<relation::Value> row;
+    for (int a = 0; a < rel.attr_count(); ++a) row.push_back(rel.Get(t, a));
+    live_only.AppendRow(row);
+  }
+  const auto want = RankEb(live_only, f);
+  const auto got = RankEb(rel.CompactedCopy(), f);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_FALSE(got.empty());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].attr, want[i].attr) << "rank " << i;
+    EXPECT_EQ(got[i].h_xy_given_xa, want[i].h_xy_given_xa) << "rank " << i;
+    EXPECT_EQ(got[i].h_a_given_xy, want[i].h_a_given_xy) << "rank " << i;
+    EXPECT_EQ(got[i].vi, want[i].vi) << "rank " << i;
   }
 }
 

@@ -195,7 +195,7 @@ TEST_P(PlannerFuzz, BoundSoundnessOnRandomProjections) {
       }
     }
     const auto stats = query::ComputeColumnStats(rel);
-    query::DistinctEvaluator eval(rel, 1);
+    query::DistinctEvaluator eval(rel);
     const size_t live = rel.live_count();
     for (int trial = 0; trial < 20; ++trial) {
       AttrSet s;

@@ -274,19 +274,6 @@ TEST(SchemaMonitorTest, RestoreRejectsTamperedMeasures) {
   EXPECT_THROW(SchemaMonitor{std::move(ckpt)}, std::invalid_argument);
 }
 
-TEST(SchemaMonitorTest, ThreadsKnobDoesNotChangeResults) {
-  for (int threads : {1, 2, 4}) {
-    SchemaMonitor mon(CleanInstance(),
-                      {Fd::Parse("zip -> state", MonitorSchema())},
-                      /*check_interval=*/1, threads);
-    mon.Insert({"Hoboken", "10001", "NJ"});
-    EXPECT_TRUE(mon.fds()[0].violated) << "threads=" << threads;
-    ASSERT_EQ(mon.drift_log().size(), 1u) << "threads=" << threads;
-    EXPECT_EQ(mon.drift_log()[0].tuple_count, 3u);
-    EXPECT_GE(mon.threads(), 1);
-  }
-}
-
 TEST(SchemaMonitorTest, ExternalModePollMatchesOwningInsert) {
   // Owning monitor fed through Insert() vs. external monitor observing a
   // caller-owned relation through Poll(): identical checks, measures, and

@@ -1,5 +1,6 @@
 // Sequential-vs-parallel differential fuzzing of the repair-search stack:
-// Extend (CB method), RankEb (ε_EB baseline), and the deletion repair.
+// Extend (CB method) and RankEb (ε_EB baseline), the two places where
+// threads fan out over independent candidates.
 //
 // The `threads` knob documents that ranked output is bit-identical for
 // every thread count — repairs, their measures (including the floating-
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "clustering/eb_repair.h"
-#include "discovery/data_repair.h"
 #include "fd/measures.h"
 #include "fd/repair_search.h"
 #include "relation/relation.h"
@@ -207,22 +207,6 @@ TEST_P(ParallelSearchFuzz, RankEbBitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(got[i].vi, expected[i].vi);
       }
     }
-  }
-}
-
-TEST_P(ParallelSearchFuzz, DeletionRepairIdenticalAcrossThreadCounts) {
-  // Big enough that the default-grain grouping passes genuinely chunk.
-  Relation rel = RandomRelation(seed() + 41, 5, 70000, 12);
-  util::Rng rng(seed() + 41);
-  fd::Fd f = RandomFd(rng, 5);
-  auto expected = discovery::RepairByDeletion(rel, f, 1);
-  const size_t expected_pairs = discovery::CountViolatingPairs(rel, f, 1);
-  for (int k : {4, 8}) {
-    auto got = discovery::RepairByDeletion(rel, f, k);
-    EXPECT_EQ(got.deleted, expected.deleted) << "threads=" << k;
-    EXPECT_EQ(got.kept, expected.kept) << "threads=" << k;
-    EXPECT_EQ(discovery::CountViolatingPairs(rel, f, k), expected_pairs)
-        << "threads=" << k;
   }
 }
 

@@ -4,13 +4,14 @@
 // on randomized relations — including NULL-bearing columns (kNullCode),
 // empty attribute sets, and empty relations — and checks that the
 // evaluator's cache-refined groupings and count-only path match a from-
-// scratch GroupBy. The repair search's stripped partitions are one more
-// implementation under test: their counts and refinement chains must match
-// the refinement engine, with and without tombstones. GroupRows, which
-// groups a list of rows (the sampled monitor's reservoir) with the same
-// kernels, must reproduce GroupBy over every row and a std::map oracle
-// over code tuples on arbitrary row lists. Reproducible via --seed=N /
-// FDEVOLVE_SEED.
+// scratch GroupBy, and that refining a grouping of S by T reproduces
+// GroupBy of S ∪ T id for id. The repair search's stripped partitions are
+// one more implementation under test: their counts and refinement chains
+// must match the refinement engine, with and without tombstones.
+// GroupRows, which groups a list of rows (the sampled monitor's reservoir)
+// with the same kernels, must reproduce GroupBy over every row and a
+// std::map oracle over code tuples on arbitrary row lists. Reproducible
+// via --seed=N / FDEVOLVE_SEED.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -169,6 +170,40 @@ TEST_P(DistinctFuzz, CountOnlyAgreesWithMaterializingPath) {
     const size_t materialized = grouping.GroupFor(s).group_count;
     EXPECT_EQ(count_only, materialized) << "trial=" << trial;
     EXPECT_EQ(count_only, query::GroupCountBy(rel, s));
+  }
+}
+
+TEST_P(DistinctFuzz, RefinementFromSharedBaseMatchesGroupByOfUnion) {
+  util::Rng rng(seed() + 606);
+  // One scratch across every call, the way long-lived callers hold one.
+  query::RefineScratch scratch;
+  for (int round = 0; round < 8; ++round) {
+    const int n_attrs = 2 + static_cast<int>(rng.Below(5));
+    const size_t n_tuples = rng.Below(600);
+    // Odd rounds draw 400 values, so two-attribute chains overflow the
+    // dense array and finish on the flat path.
+    const size_t domain = round % 2 == 1 ? 400 : 1 + rng.Below(8);
+    Relation rel =
+        RandomNullableRelation(seed() + 606 + static_cast<uint64_t>(round),
+                               n_attrs, n_tuples, domain, 0.15);
+    if (round >= 4) DeleteRandomRows(rel, rng, 0.3);
+    for (int trial = 0; trial < 8; ++trial) {
+      const AttrSet s = RandomSubset(rng, n_attrs, 0.4);  // may be empty
+      const AttrSet t = RandomSubset(rng, n_attrs, 0.4);
+      const AttrSet both = s.Union(t);
+      const std::string ctx = "round=" + std::to_string(round) +
+                              " trial=" + std::to_string(trial);
+      const query::Grouping base = query::GroupBy(rel, s, scratch);
+      const query::Grouping refined = query::RefineBy(rel, base, t, scratch);
+      const query::Grouping want = query::GroupBy(rel, both, scratch);
+      EXPECT_EQ(refined.group_count, want.group_count) << ctx;
+      EXPECT_EQ(refined.ids, want.ids) << ctx;
+      const size_t count = query::RefineCountBy(rel, base, t, scratch);
+      EXPECT_EQ(count, query::GroupCountBy(rel, both, scratch)) << ctx;
+      if (!rel.has_tombstones() && !t.Empty()) {
+        EXPECT_EQ(count, refined.group_count) << ctx;
+      }
+    }
   }
 }
 
