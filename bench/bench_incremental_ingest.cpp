@@ -125,13 +125,15 @@ RunResult RunIncremental(
     const std::vector<fd::Fd>& fds) {
   RunResult out;
   util::Timer timer;
-  fd::SchemaMonitor monitor(SeedRelation(rows, seed_rows), fds, interval);
+  Relation rel = SeedRelation(rows, seed_rows);
+  fd::SchemaMonitor monitor(&rel, fds, interval);
   monitor.OnDrift([&](const fd::DriftEvent& ev) {
     out.drift_at.push_back(ev.tuple_count);
   });
   for (const auto& batch : batches) {
     const size_t checks_before = monitor.checks_run();
-    monitor.InsertBatch(batch);
+    rel.AppendRows(batch);
+    monitor.Poll();
     if (monitor.checks_run() == checks_before) {
       // A trailing batch shorter than the interval triggers no automatic
       // check; force one so the recorded sequence lines up with the

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "fd/sampled_monitor.h"
 #include "fd/schema_monitor.h"
 #include "relation/relation.h"
 #include "util/rng.h"
@@ -94,9 +93,9 @@ CheckLatency TimeChecks(Relation& rel, size_t capacity, int reps) {
     exact.CheckNow();
   }
   out.exact_ms = exact_timer.ElapsedMs() / reps;
-  fd::SampledSchemaMonitor sampled(&rel, {XtoY()},
-                                   /*check_interval=*/1, capacity,
-                                   /*seed=*/0x5eedbe9cULL);
+  fd::SchemaMonitor sampled(&rel, {XtoY()},
+                            /*check_interval=*/1, capacity,
+                            /*seed=*/0x5eedbe9cULL);
   sampled.CheckNow();  // warm: reservoir synced, estimate caches primed
   util::Timer sampled_timer;
   for (int i = 0; i < reps; ++i) sampled.CheckNow();
@@ -106,9 +105,9 @@ CheckLatency TimeChecks(Relation& rel, size_t capacity, int reps) {
 
 /// Confidence-interval width the monitor states at this capacity.
 double IntervalWidth(Relation& rel, size_t capacity) {
-  fd::SampledSchemaMonitor mon(&rel, {XtoY()},
-                               /*check_interval=*/1, capacity,
-                               /*seed=*/0x5eedbe9cULL);
+  fd::SchemaMonitor mon(&rel, {XtoY()},
+                        /*check_interval=*/1, capacity,
+                        /*seed=*/0x5eedbe9cULL);
   mon.CheckNow();
   const fd::SampledMeasures& est = mon.estimates()[0];
   return est.confidence_hi - est.confidence_lo;
@@ -118,10 +117,10 @@ double IntervalWidth(Relation& rel, size_t capacity) {
 void CheckFullCoverageIdentity(Relation& rel) {
   fd::SchemaMonitor exact(&rel, {XtoY()},
                           /*check_interval=*/1);
-  fd::SampledSchemaMonitor full(&rel, {XtoY()},
-                                /*check_interval=*/1,
-                                /*capacity=*/rel.tuple_count() + 1,
-                                /*seed=*/1);
+  fd::SchemaMonitor full(&rel, {XtoY()},
+                         /*check_interval=*/1,
+                         /*capacity=*/rel.tuple_count() + 1,
+                         /*seed=*/1);
   exact.CheckNow();
   full.CheckNow();
   const fd::FdMeasures& a = exact.fds()[0].measures;

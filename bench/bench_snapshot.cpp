@@ -12,9 +12,9 @@
 // verifies (a) the encoded layer matches the written relation exactly —
 // schema, dictionary order, codes, null counts — (b) distinct counts,
 // group ids, and measure doubles computed on the loaded relation equal the
-// original's bit for bit, and (c) a monitor checkpoint written mid-stream
-// resumes into the identical remaining check sequence. Any divergence
-// exits non-zero.
+// original's bit for bit, and (c) a monitor checkpointed mid-stream
+// through server-state bytes resumes into the identical remaining check
+// sequence. Any divergence exits non-zero.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +30,7 @@
 #include "query/distinct.h"
 #include "relation/csv.h"
 #include "relation/relation.h"
+#include "sql/database.h"
 #include "storage/snapshot.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
@@ -152,21 +153,35 @@ void CheckResumeIdentity(uint64_t seed) {
   for (int t = 0; t < 2000; ++t) stream.push_back(row());
 
   const std::vector<fd::Fd> fds = {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))};
-  Relation seed_copy = *storage::DeserializeRelation(
-                            storage::SerializeRelation(seed_rel))
-                            .relation;
-  fd::SchemaMonitor uninterrupted(std::move(seed_rel), fds, 25);
-  fd::SchemaMonitor first_leg(std::move(seed_copy), fds, 25);
+  sql::Database first_db;
+  first_db.AddRelation(seed_rel);
+  Relation& first_rel = first_db.GetMutable("mon");
+  fd::SchemaMonitor uninterrupted(&seed_rel, fds, 25);
+  fd::SchemaMonitor first_leg(&first_rel, fds, 25);
+  auto feed = [](Relation& rel, fd::SchemaMonitor& mon,
+                 const std::vector<Value>& r) {
+    rel.AppendRow(r);
+    mon.Poll();
+  };
   const size_t stop_at = stream.size() / 2;
-  for (size_t t = 0; t < stream.size(); ++t) uninterrupted.Insert(stream[t]);
-  for (size_t t = 0; t < stop_at; ++t) first_leg.Insert(stream[t]);
+  for (const auto& r : stream) feed(seed_rel, uninterrupted, r);
+  for (size_t t = 0; t < stop_at; ++t) feed(first_rel, first_leg, stream[t]);
 
-  auto loaded = storage::DeserializeCheckpoint(
-      storage::SerializeCheckpoint(first_leg.Checkpoint()));
-  Check(loaded.ok(), "checkpoint round trip: " + loaded.error);
-  if (!loaded.ok()) return;
-  fd::SchemaMonitor resumed(std::move(*loaded.checkpoint));
-  for (size_t t = stop_at; t < stream.size(); ++t) resumed.Insert(stream[t]);
+  // Round trip through the server-state payload — the format the server
+  // and the CLI checkpoint monitors in.
+  sql::Database db;
+  std::vector<storage::ServerMonitorState> monitors;
+  std::string error;
+  const bool ok = storage::DeserializeServerState(
+      storage::SerializeServerState(first_db, {{"mon", first_leg.State()}}),
+      &db, &monitors, &error);
+  Check(ok && monitors.size() == 1, "checkpoint round trip: " + error);
+  if (!ok || monitors.size() != 1) return;
+  Relation& resumed_rel = db.GetMutable("mon");
+  fd::SchemaMonitor resumed(&resumed_rel, std::move(monitors[0].state));
+  for (size_t t = stop_at; t < stream.size(); ++t) {
+    feed(resumed_rel, resumed, stream[t]);
+  }
 
   Check(resumed.checks_run() == uninterrupted.checks_run(), "checks_run");
   Check(resumed.drift_log().size() == uninterrupted.drift_log().size(),

@@ -36,22 +36,21 @@
 //
 // Monitor mode — stream a CSV through the incremental SchemaMonitor (the
 // paper's §1 drift scenario): seed it with the first rows, ingest the rest
-// in batches, and report every FD that drifts from exact to violated:
+// one check interval at a time, and report every FD that drifts from
+// exact to violated:
 //   $ ./fdevolve_cli monitor <data.csv> "A -> B" ["C -> D" ...] [options]
 //       --check-interval=N        (validate every N inserts, default 1000)
 //       --initial=N               (seed rows, default max(1, rows/10);
 //                                  0 streams everything from an empty seed)
-//       --batch=N                 (insert batch size, default and maximum:
-//                                  check-interval — larger batches would
-//                                  under-check)
 //       --threads=N               (width of the --suggest repair search,
 //                                  as above; checks always run sequentially)
 //       --suggest                 (print repair suggestions for drifted FDs)
-//       --snapshot=FILE           (write a monitor checkpoint when done)
-//       --stop-after=N            (stop after ~N streamed tuples — rounded
-//                                  down to a batch boundary so a later
-//                                  --resume continues the exact check
-//                                  cadence — and skip the final check)
+//       --snapshot=FILE           (write a checkpoint when done: a
+//                                  server-state snapshot, which
+//                                  fdevolve_serverd --resume also loads)
+//       --stop-after=N            (stop after N streamed tuples and skip the
+//                                  final check; a later --resume continues
+//                                  the exact check cadence)
 //       --sample=K                (monitor a K-slot reservoir sample
 //                                  instead of the full relation; measures
 //                                  become estimates with error intervals)
@@ -76,10 +75,10 @@
 #include "fd/planner.h"
 #include "fd/repair_report.h"
 #include "fd/repair_search.h"
-#include "fd/sampled_monitor.h"
 #include "fd/schema_monitor.h"
 #include "query/kernels.h"
 #include "relation/csv.h"
+#include "sql/database.h"
 #include "storage/snapshot.h"
 #include "util/cpu_features.h"
 #include "util/parse.h"
@@ -101,14 +100,14 @@ int Usage(const char* argv0) {
                "   or: " << argv0 << " load <snap.fdsnap> [--csv=<out.csv>]\n"
                "   or: " << argv0
             << " monitor <data.csv> \"A -> B\" [\"C -> D\" ...]\n"
-               "       [--check-interval=N] [--initial=N] [--batch=N]\n"
-               "       [--threads=N] [--suggest] [--snapshot=FILE]\n"
-               "       [--stop-after=N] [--sample=K] [--seed=S]\n"
+               "       [--check-interval=N] [--initial=N] [--threads=N]\n"
+               "       [--suggest] [--snapshot=FILE] [--stop-after=N]\n"
+               "       [--sample=K] [--seed=S]\n"
                "       [--cpu-features=baseline|sse42|avx2|avx512]\n"
                "   or: " << argv0
             << " monitor <data.csv> --resume=FILE\n"
-               "       [--batch=N] [--threads=N] [--suggest]\n"
-               "       [--snapshot=FILE] [--stop-after=N]\n";
+               "       [--threads=N] [--suggest] [--snapshot=FILE]\n"
+               "       [--stop-after=N]\n";
   return 2;
 }
 
@@ -273,177 +272,10 @@ bool SamePrefix(const relation::Relation& prefix,
   return true;
 }
 
-/// Sampled variant of the monitor loop: same batch grid and check cadence
-/// as the exact path, but measures come from a seeded reservoir and every
-/// report carries an error interval. Kept separate rather than templated —
-/// the summary and checkpoint shapes differ enough that sharing the loop
-/// would obscure both.
-int RunMonitorSampled(const std::string& csv_path,
-                      const relation::Relation& full,
-                      std::optional<fd::SampledMonitorCheckpoint> ckpt_opt,
-                      const std::vector<std::string>& fd_texts,
-                      size_t check_interval, size_t initial, size_t batch,
-                      size_t stop_after, size_t sample, uint64_t sample_seed,
-                      bool suggest, const std::string& snapshot_path,
-                      const std::string& resume_path) {
-  constexpr size_t kUnset = static_cast<size_t>(-1);
-  if (suggest) {
-    // Repair search ranks candidates by exact measures; estimates would
-    // rank by noise.
-    std::cerr << "monitor --sample: --suggest needs exact measures\n";
-    return 2;
-  }
-  const bool resuming = ckpt_opt.has_value();
-  const size_t n = full.tuple_count();
-
-  std::optional<fd::SampledSchemaMonitor> monitor;
-  size_t start = 0;
-  size_t batch_hint = 0;
-  if (resuming) {
-    fd::SampledMonitorCheckpoint ckpt = std::move(*ckpt_opt);
-    if (!SameSchema(ckpt.base.rel.schema(), full.schema())) {
-      std::cerr << "cannot resume: checkpoint schema does not match "
-                << csv_path << "\n";
-      return 1;
-    }
-    start = ckpt.base.rel.tuple_count();
-    if (start > n) {
-      std::cerr << "cannot resume: checkpoint holds " << start
-                << " tuples but " << csv_path << " has only " << n << "\n";
-      return 1;
-    }
-    if (!SamePrefix(ckpt.base.rel, full)) {
-      std::cerr << "cannot resume: the first " << start << " rows of "
-                << csv_path << " differ from the checkpointed stream\n";
-      return 1;
-    }
-    check_interval = ckpt.base.check_interval;
-    if (check_interval == 0) check_interval = 1;
-    batch_hint = ckpt.base.stream_batch_hint;
-    try {
-      monitor.emplace(std::move(ckpt));
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "cannot resume from " << resume_path << ": " << e.what()
-                << "\n";
-      return 1;
-    }
-  } else {
-    if (initial == kUnset) initial = std::max<size_t>(1, n / 10);
-    initial = std::min(initial, n);
-    start = initial;
-
-    std::vector<fd::Fd> fds;
-    for (const auto& text : fd_texts) {
-      try {
-        fds.push_back(fd::Fd::Parse(text, full.schema()));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << "bad FD '" << text << "': " << e.what() << "\n";
-        return 1;
-      }
-    }
-    relation::Relation seed_rel(full.name(), full.schema());
-    for (size_t t = 0; t < initial; ++t) seed_rel.AppendRow(RowOf(full, t));
-    monitor.emplace(std::move(seed_rel), std::move(fds), check_interval,
-                    sample, sample_seed);
-  }
-
-  // Batch/stop arithmetic identical to the exact path (see RunMonitor):
-  // the batch grid IS the check cadence, so resume must reproduce it.
-  if (batch == 0) batch = batch_hint != 0 ? batch_hint : check_interval;
-  batch = std::min(batch, check_interval);
-  size_t stop = n;
-  if (stop_after != kUnset) {
-    stop = std::min(n, start + (stop_after / batch) * batch);
-  }
-  const bool truncated = stop < n;
-
-  monitor->OnDrift([&](const fd::DriftEvent& ev) {
-    std::cout << "drift @ " << ev.tuple_count << " tuples: "
-              << monitor->fds()[ev.fd_index].fd.ToString(full.schema())
-              << "  confidence=" << ev.measures.confidence;
-    if (ev.approx) {
-      std::cout << " in [" << ev.confidence_lo << ", " << ev.confidence_hi
-                << "]";
-    }
-    std::cout << (ev.kind == fd::DriftKind::kRecovered ? "  [recovered]"
-                                                       : "  [violated]")
-              << "\n";
-  });
-
-  std::cout << "Monitoring " << csv_path << " (reservoir "
-            << monitor->sample_capacity() << ", seed "
-            << monitor->sample_seed() << "): " << n << " rows (" << start
-            << (resuming ? " from checkpoint" : " seed") << " + "
-            << (stop - start) << " streamed), check every " << check_interval
-            << " inserts, batch " << batch << "\n";
-  for (size_t i = 0; i < monitor->fds().size(); ++i) {
-    const auto& m = monitor->fds()[i];
-    std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())
-              << (m.was_exact_at_registration ? "  [no sampled witness]"
-                                              : "  [ALREADY VIOLATED]")
-              << "\n";
-  }
-
-  util::Timer timer;
-  std::vector<std::vector<relation::Value>> rows;
-  rows.reserve(batch);
-  for (size_t t = start; t < stop;) {
-    rows.clear();
-    const size_t batch_end = std::min(stop, t + batch);
-    for (; t < batch_end; ++t) rows.push_back(RowOf(full, t));
-    monitor->InsertBatch(rows);
-  }
-  if (!truncated) monitor->CheckNow();
-  const double ms = timer.ElapsedMs();
-
-  std::cout << "\nIngested " << (stop - start) << " tuples in " << ms
-            << " ms (" << monitor->checks_run() << " checks";
-  if (ms > 0) {
-    std::cout << ", " << static_cast<size_t>((stop - start) * 1000.0 / ms)
-              << " tuples/sec";
-  }
-  std::cout << ")\n";
-  if (truncated) {
-    std::cout << "Stopped at tuple " << stop << " (" << (n - stop)
-              << " remaining; resume with --resume)\n";
-  }
-  std::cout << "Drift events: " << monitor->drift_log().size() << "\n";
-  for (size_t i = 0; i < monitor->fds().size(); ++i) {
-    const auto& m = monitor->fds()[i];
-    const fd::SampledMeasures& est = monitor->estimates()[i];
-    std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())
-              << "  c~" << est.measures.confidence;
-    if (est.approx) {
-      std::cout << " in [" << est.confidence_lo << ", " << est.confidence_hi
-                << "]";
-    }
-    std::cout << "  g~" << est.measures.goodness;
-    if (est.approx) {
-      std::cout << " in [" << est.goodness_lo << ", " << est.goodness_hi
-                << "]";
-    }
-    std::cout << "  (sample " << est.sample_rows << "/" << est.live_rows
-              << " live rows)"
-              << (m.violated ? "  VIOLATED (since tuple " +
-                                   std::to_string(m.first_violation_at) + ")"
-                             : "  no sampled witness")
-              << "\n";
-  }
-
-  if (!snapshot_path.empty()) {
-    fd::SampledMonitorCheckpoint out_ckpt = monitor->Checkpoint();
-    out_ckpt.base.stream_batch_hint = batch;
-    std::string err;
-    if (!storage::SaveSampledCheckpoint(out_ckpt, snapshot_path, &err)) {
-      std::cerr << "cannot write checkpoint: " << err << "\n";
-      return 1;
-    }
-    std::cout << "Checkpoint written to " << snapshot_path << " ("
-              << monitor->rel().tuple_count() << " tuples)\n";
-  }
-  return 0;
-}
-
+/// Monitor loop: streams the rows of the input past a seed prefix (or
+/// past a checkpoint) into a one-table database under an exact or sampled
+/// fd::SchemaMonitor — the monitor the server drives — and checkpoints in
+/// the server's state format.
 int RunMonitor(int argc, char** argv) {
   if (argc < 4) return Usage(argv[0]);
   const std::string csv_path = argv[2];
@@ -452,7 +284,6 @@ int RunMonitor(int argc, char** argv) {
   size_t check_interval = kUnset;  // unset = 1000, or the checkpoint's
   size_t initial = kUnset;  // unset = derive from the input size below;
                             // an explicit --initial=0 (empty seed) is valid
-  size_t batch = 0;         // 0 = check_interval
   size_t stop_after = kUnset;  // unset = stream to the end
   size_t sample = 0;           // 0 = exact monitoring
   uint64_t sample_seed = 1;
@@ -469,8 +300,6 @@ int RunMonitor(int argc, char** argv) {
       if (!CheckedSize("check-interval", value, &check_interval)) return 2;
     } else if (ParseFlag(arg, "initial", &value)) {
       if (!CheckedSize("initial", value, &initial)) return 2;
-    } else if (ParseFlag(arg, "batch", &value)) {
-      if (!CheckedSize("batch", value, &batch)) return 2;
     } else if (ParseFlag(arg, "stop-after", &value)) {
       if (!CheckedSize("stop-after", value, &stop_after)) return 2;
     } else if (ParseFlag(arg, "sample", &value)) {
@@ -546,38 +375,35 @@ int RunMonitor(int argc, char** argv) {
   const relation::Relation& full = *loaded;
   const size_t n = full.tuple_count();
 
-  // Sampled monitoring takes its own path below: a fresh run with
-  // --sample, or a resume whose file holds a sampled (kind 5) checkpoint.
-  std::optional<fd::SampledMonitorCheckpoint> sampled_ckpt;
-  if (resuming) {
-    auto sc = storage::LoadSampledCheckpoint(resume_path);
-    if (sc.ok()) sampled_ckpt = std::move(sc.checkpoint);
-  }
-  if (sample != 0 || sampled_ckpt.has_value()) {
-    return RunMonitorSampled(csv_path, full, std::move(sampled_ckpt),
-                             fd_texts, check_interval, initial, batch,
-                             stop_after, sample, sample_seed, suggest,
-                             snapshot_path, resume_path);
-  }
-
   // Construct the monitor: fresh (seeded from the stream prefix) or
-  // resumed from a checkpoint.
+  // resumed from a checkpoint. Either way the streamed relation lives in
+  // a one-table database, as the server's tables do.
+  sql::Database db;
   std::optional<fd::SchemaMonitor> monitor;
   size_t start = 0;
-  size_t batch_hint = 0;
+  size_t pending = 0;  // rows appended since the monitor's last check
   if (resuming) {
-    auto ckpt = storage::LoadMonitorCheckpoint(resume_path);
-    if (!ckpt.ok()) {
-      std::cerr << "cannot resume from " << resume_path << ": " << ckpt.error
-                << "\n";
+    std::vector<storage::ServerMonitorState> exact;
+    std::vector<storage::ServerMonitorState> sampled;
+    std::string err;
+    if (!storage::LoadServerSnapshot(resume_path, &db, &exact, &err,
+                                     &sampled)) {
+      std::cerr << "cannot resume from " << resume_path << ": " << err << "\n";
       return 1;
     }
-    if (!SameSchema(ckpt.checkpoint->rel.schema(), full.schema())) {
+    if (db.TableNames().size() != 1 || exact.size() + sampled.size() != 1) {
+      std::cerr << "cannot resume from " << resume_path
+                << ": expected one table and one monitor\n";
+      return 1;
+    }
+    storage::ServerMonitorState& st = exact.empty() ? sampled[0] : exact[0];
+    const relation::Relation& prefix = db.Get(st.table);
+    if (!SameSchema(prefix.schema(), full.schema())) {
       std::cerr << "cannot resume: checkpoint schema does not match "
                 << csv_path << "\n";
       return 1;
     }
-    start = ckpt.checkpoint->rel.tuple_count();
+    start = prefix.tuple_count();
     if (start > n) {
       std::cerr << "cannot resume: checkpoint holds " << start
                 << " tuples but " << csv_path << " has only " << n << "\n";
@@ -587,21 +413,20 @@ int RunMonitor(int argc, char** argv) {
     // actually be the same stream, not merely schema-compatible —
     // resuming onto different data would monitor a hybrid stream that
     // never existed.
-    if (!SamePrefix(ckpt.checkpoint->rel, full)) {
+    if (!SamePrefix(prefix, full)) {
       std::cerr << "cannot resume: the first " << start << " rows of "
                 << csv_path << " differ from the checkpointed stream\n";
       return 1;
     }
-    check_interval = ckpt.checkpoint->check_interval;
-    if (check_interval == 0) check_interval = 1;  // never divide below
-    batch_hint = ckpt.checkpoint->stream_batch_hint;
+    pending = st.state.inserts_since_check;
     try {
-      monitor.emplace(std::move(*ckpt.checkpoint));
+      monitor.emplace(&db.GetMutable(st.table), std::move(st.state));
     } catch (const std::invalid_argument& e) {
       std::cerr << "cannot resume from " << resume_path << ": " << e.what()
                 << "\n";
       return 1;
     }
+    check_interval = monitor->check_interval();
   } else {
     if (initial == kUnset) initial = std::max<size_t>(1, n / 10);
     initial = std::min(initial, n);
@@ -618,57 +443,78 @@ int RunMonitor(int argc, char** argv) {
     }
     relation::Relation seed(full.name(), full.schema());
     for (size_t t = 0; t < initial; ++t) seed.AppendRow(RowOf(full, t));
-    monitor.emplace(std::move(seed), std::move(fds), check_interval);
+    db.AddRelation(std::move(seed));
+    relation::Relation* rel = &db.GetMutable(full.name());
+    if (sample != 0) {
+      monitor.emplace(rel, std::move(fds), check_interval, sample,
+                      sample_seed);
+    } else {
+      monitor.emplace(rel, std::move(fds), check_interval);
+    }
   }
-
-  // Batch default: the checkpoint's recorded streaming batch when
-  // resuming (so the check cadence continues on the original grid even
-  // if the first run used a non-default --batch), else the interval.
-  if (batch == 0) batch = batch_hint != 0 ? batch_hint : check_interval;
-  // SchemaMonitor::InsertBatch runs at most one check per batch, so a
-  // batch larger than the interval would silently under-check; cap it to
-  // honor "validate every N inserts" (the header line prints the
-  // effective value).
-  batch = std::min(batch, check_interval);
-
-  // Where to stop: --stop-after is rounded down to a whole number of
-  // batches so a later --resume (with the same --batch) replays the exact
-  // batch grid — and therefore the exact check sequence — of an
-  // uninterrupted run.
-  size_t stop = n;
-  if (stop_after != kUnset) {
-    stop = std::min(n, start + (stop_after / batch) * batch);
+  const bool sampled = monitor->sample_capacity() != 0;
+  if (sampled && suggest) {
+    // Repair search ranks candidates by exact measures; estimates would
+    // rank by noise.
+    std::cerr << "monitor --sample: --suggest needs exact measures\n";
+    return 2;
   }
+  relation::Relation& rel = db.GetMutable(db.TableNames().front());
+  const relation::Schema& schema = full.schema();
+
+  // Where to stop: after --stop-after streamed tuples, at any point —
+  // the checkpoint records how far the current interval has progressed,
+  // so a later --resume continues the exact check sequence.
+  const size_t stop = stop_after < n - start ? start + stop_after : n;
   const bool truncated = stop < n;
 
   monitor->OnDrift([&](const fd::DriftEvent& ev) {
     std::cout << "drift @ " << ev.tuple_count << " tuples: "
-              << monitor->fds()[ev.fd_index].fd.ToString(full.schema())
-              << "  confidence=" << ev.measures.confidence
-              << "  goodness=" << ev.measures.goodness << "\n";
+              << monitor->fds()[ev.fd_index].fd.ToString(schema)
+              << "  confidence=" << ev.measures.confidence;
+    if (!sampled) {
+      std::cout << "  goodness=" << ev.measures.goodness << "\n";
+      return;
+    }
+    if (ev.approx) {
+      std::cout << " in [" << ev.confidence_lo << ", " << ev.confidence_hi
+                << "]";
+    }
+    std::cout << (ev.kind == fd::DriftKind::kRecovered ? "  [recovered]"
+                                                       : "  [violated]")
+              << "\n";
   });
 
   LogKernelTier();
-  std::cout << "Monitoring " << csv_path << ": " << n << " rows ("
-            << start << (resuming ? " from checkpoint" : " seed") << " + "
+  std::cout << "Monitoring " << csv_path;
+  if (sampled) {
+    std::cout << " (reservoir " << monitor->sample_capacity() << ", seed "
+              << monitor->sample_seed() << ")";
+  }
+  std::cout << ": " << n << " rows (" << start
+            << (resuming ? " from checkpoint" : " seed") << " + "
             << (stop - start) << " streamed), check every " << check_interval
-            << " inserts, batch " << batch << "\n";
+            << " inserts\n";
   for (size_t i = 0; i < monitor->fds().size(); ++i) {
     const auto& m = monitor->fds()[i];
-    std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())
-              << (m.was_exact_at_registration ? "  [exact at registration]"
-                                              : "  [ALREADY VIOLATED]")
+    std::cout << "  FD#" << i << " " << m.fd.ToString(schema)
+              << (!m.was_exact_at_registration ? "  [ALREADY VIOLATED]"
+                  : sampled                    ? "  [no sampled witness]"
+                                               : "  [exact at registration]")
               << "\n";
   }
 
   util::Timer timer;
   std::vector<std::vector<relation::Value>> rows;
-  rows.reserve(batch);
   for (size_t t = start; t < stop;) {
+    // Each append ends on the next interval boundary, so every check
+    // lands on an exact multiple of the interval.
+    const size_t end = std::min(stop, t + (check_interval - pending));
     rows.clear();
-    const size_t batch_end = std::min(stop, t + batch);
-    for (; t < batch_end; ++t) rows.push_back(RowOf(full, t));
-    monitor->InsertBatch(rows);
+    for (; t < end; ++t) rows.push_back(RowOf(full, t));
+    rel.AppendRows(rows);
+    monitor->Poll();
+    pending = (pending + rows.size()) % check_interval;
   }
   if (!truncated) {
     // Final validation for a trailing partial interval. Skipped when
@@ -694,25 +540,46 @@ int RunMonitor(int argc, char** argv) {
   for (size_t i = 0; i < monitor->fds().size(); ++i) {
     const auto& m = monitor->fds()[i];
     if (m.violated) ++violated_count;
-    std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())
-              << "  c=" << m.measures.confidence
-              << "  g=" << m.measures.goodness
-              << (m.violated ? "  VIOLATED (since tuple " +
+    std::cout << "  FD#" << i << " " << m.fd.ToString(schema);
+    if (sampled) {
+      const fd::SampledMeasures& est = monitor->estimates()[i];
+      std::cout << "  c~" << est.measures.confidence;
+      if (est.approx) {
+        std::cout << " in [" << est.confidence_lo << ", "
+                  << est.confidence_hi << "]";
+      }
+      std::cout << "  g~" << est.measures.goodness;
+      if (est.approx) {
+        std::cout << " in [" << est.goodness_lo << ", " << est.goodness_hi
+                  << "]";
+      }
+      std::cout << "  (sample " << est.sample_rows << "/" << est.live_rows
+                << " live rows)";
+    } else {
+      std::cout << "  c=" << m.measures.confidence
+                << "  g=" << m.measures.goodness;
+    }
+    std::cout << (m.violated ? "  VIOLATED (since tuple " +
                                    std::to_string(m.first_violation_at) + ")"
+                  : sampled  ? "  no sampled witness"
                              : "  exact")
               << "\n";
   }
 
   if (!snapshot_path.empty()) {
-    fd::MonitorCheckpoint out_ckpt = monitor->Checkpoint();
-    out_ckpt.stream_batch_hint = batch;  // lets --resume keep the cadence
+    // A server-state snapshot: fdevolve_serverd --resume loads it too.
+    std::vector<storage::ServerMonitorState> exact;
+    std::vector<storage::ServerMonitorState> sampled_states;
+    (sampled ? sampled_states : exact)
+        .push_back({rel.name(), monitor->State()});
     std::string err;
-    if (!storage::SaveMonitorCheckpoint(out_ckpt, snapshot_path, &err)) {
+    if (!storage::SaveServerSnapshot(db, exact, snapshot_path, &err,
+                                     sampled_states)) {
       std::cerr << "cannot write checkpoint: " << err << "\n";
       return 1;
     }
     std::cout << "Checkpoint written to " << snapshot_path << " ("
-              << monitor->rel().tuple_count() << " tuples)\n";
+              << rel.tuple_count() << " tuples)\n";
   }
 
   if (suggest && violated_count > 0) {
@@ -722,7 +589,7 @@ int RunMonitor(int argc, char** argv) {
     opts.top_k = 3;
     opts.threads = threads;
     for (const auto& res : monitor->SuggestRepairs(opts)) {
-      std::cout << fd::DescribeResult(res, full.schema());
+      std::cout << fd::DescribeResult(res, schema);
     }
   }
   return 0;

@@ -25,20 +25,20 @@ int main() {
                            {"zip", DataType::kString}});
 
   // Seed data: one area code per (district, region).
-  relation::Relation initial("addresses", schema);
+  relation::Relation addresses("addresses", schema);
   const char* districts[] = {"Brookside", "Alexandria", "Riverdale"};
   const char* regions[] = {"Granville", "Moore Park", "Lakeview"};
   util::Rng rng(2024);
   for (int i = 0; i < 60; ++i) {
     int d = static_cast<int>(rng.Below(3));
-    initial.AppendRow({districts[d], regions[d],
+    addresses.AppendRow({districts[d], regions[d],
                        "M" + std::to_string(rng.Below(4) + 4ull * d),
                        static_cast<int64_t>(613 + d),
                        "Z" + std::to_string(rng.Below(30))});
   }
 
   fd::SchemaMonitor monitor(
-      std::move(initial),
+      &addresses,
       {fd::Fd::Parse("district, region -> areacode", schema, "F1")},
       /*check_interval=*/10);
 
@@ -58,10 +58,11 @@ int main() {
   for (int i = 0; i < 40; ++i) {
     // New municipal areas within Brookside get area code 343.
     bool new_plan = rng.Chance(0.5);
-    monitor.Insert({"Brookside", "Granville",
-                    new_plan ? Value("M_new") : Value("M0"),
-                    static_cast<int64_t>(new_plan ? 343 : 613),
-                    "Z" + std::to_string(rng.Below(30))});
+    addresses.AppendRow({"Brookside", "Granville",
+                         new_plan ? Value("M_new") : Value("M0"),
+                         static_cast<int64_t>(new_plan ? 343 : 613),
+                         "Z" + std::to_string(rng.Below(30))});
+    monitor.Poll();
   }
 
   auto violated = monitor.CheckNow();

@@ -1,160 +1,13 @@
-// Approximate FD monitoring under a fixed memory budget: the same
-// periodic-validation loop as SchemaMonitor, but measures are *estimated*
-// from a deterministic reservoir sample (query::ReservoirSampler) instead
-// of computed exactly, and every check reports an error interval with the
-// estimate (fd/sampled_estimate.h).
-//
-// Drift semantics differ from the exact monitor in one deliberate way:
-// a sampled monitor flags "violated" only on *certain* evidence — a
-// sampled witness pair (two sampled rows agreeing on X, differing on Y).
-// It therefore never raises a false drift alarm; what it can do is raise
-// one late (the witness pair must land in the reservoir). Recovery is the
-// mirror image: the FD is reported exact again when no sampled witness
-// remains.
-//
-// Bit-identity at full coverage: when the reservoir capacity is at least
-// the number of rows ever offered (so Algorithm R never evicts), the
-// sample is exactly the live row set at every check, estimation collapses
-// to the exact MeasuresFromCounts arithmetic, drift decisions coincide
-// with the exact monitor's, and the drift log + base checkpoint serialize
-// byte-identically to a SchemaMonitor fed the same stream. The
-// differential suite gates this.
-//
-// Determinism under seed: the estimate sequence is a pure function of
-// (seed, per-table statement order) — the sampler consumes a fixed number
-// of generator draws per offered row and rebuilds deterministically at
-// compactions. Checkpoints capture the full sampler state (slots + raw
-// generator state), so a resumed monitor replays the identical remaining
-// estimate sequence; the restore path re-estimates from the restored
-// reservoir and cross-checks the carried measures whenever they are
-// current (inserts_since_check == 0), the same tamper check the exact
-// monitor runs.
+// Former names of the sampled monitor, kept for the fdbench sources
+// (perfbench/) until they switch to fd::SchemaMonitor and
+// fd::MonitorState. Use nowhere else.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "fd/sampled_estimate.h"
 #include "fd/schema_monitor.h"
-#include "query/reservoir.h"
-#include "relation/relation.h"
 
 namespace fdevolve::fd {
 
-/// Complete resumable state of an owning SampledSchemaMonitor: the exact
-/// monitor's checkpoint (relation, FDs, drift log, interval position)
-/// plus the reservoir state. At full coverage `base` is bit-identical to
-/// the checkpoint an exact SchemaMonitor would produce.
-struct SampledMonitorCheckpoint {
-  MonitorCheckpoint base;
-  query::ReservoirState reservoir;
-};
-
-/// Relation-free form (external mode — the server pairs it with the
-/// catalog relation persisted alongside).
-struct SampledMonitorState {
-  MonitorState base;
-  query::ReservoirState reservoir;
-};
-
-/// Periodic validation loop over a reservoir sample. Mirrors
-/// SchemaMonitor's ownership modes and check cadence exactly (same
-/// counters, same interval arithmetic) so the two monitors stay in
-/// lockstep on identical streams. Not copyable or movable.
-class SampledSchemaMonitor {
- public:
-  /// Owning mode. `capacity` is the reservoir slot budget (>= 1);
-  /// `seed` drives every sampling decision.
-  SampledSchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
-                       size_t check_interval, size_t capacity, uint64_t seed);
-
-  /// External mode (see SchemaMonitor): observes `*shared` without owning
-  /// it; the caller mutates and then calls Poll() under quiescence.
-  SampledSchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
-                       size_t check_interval, size_t capacity, uint64_t seed);
-
-  /// External-mode restore. Throws std::invalid_argument on watermark /
-  /// compaction-count mismatch, on an FD outside the schema, or when the
-  /// carried measures disagree with re-estimation while comparable.
-  SampledSchemaMonitor(relation::Relation* shared, SampledMonitorState state);
-
-  /// Owning-mode restore from a checkpoint (same validation).
-  explicit SampledSchemaMonitor(SampledMonitorCheckpoint checkpoint);
-
-  SampledSchemaMonitor(const SampledSchemaMonitor&) = delete;
-  SampledSchemaMonitor& operator=(const SampledSchemaMonitor&) = delete;
-
-  SampledMonitorCheckpoint Checkpoint() const;
-  SampledMonitorState State() const;
-
-  const relation::Relation& rel() const { return *rel_; }
-  const std::vector<MonitoredFd>& fds() const { return monitored_; }
-  const std::vector<DriftEvent>& drift_log() const { return drift_log_; }
-
-  /// Latest per-FD estimate (parallel to fds(); refreshed at every check
-  /// and at registration).
-  const std::vector<SampledMeasures>& estimates() const { return estimates_; }
-
-  void OnDrift(std::function<void(const DriftEvent&)> cb) {
-    on_drift_ = std::move(cb);
-  }
-
-  /// Invoked once per monitored FD per check with the fresh estimate —
-  /// the estimate *sequence* the determinism and resume suites assert on.
-  void OnEstimate(std::function<void(size_t fd_index, const SampledMeasures&)> cb) {
-    on_estimate_ = std::move(cb);
-  }
-
-  /// Ingests one tuple; runs a check when the interval elapses (same
-  /// cadence as SchemaMonitor::Insert).
-  void Insert(const std::vector<relation::Value>& row);
-
-  /// Batch ingest; at most one check per batch (same cadence as
-  /// SchemaMonitor::InsertBatch).
-  void InsertBatch(const std::vector<std::vector<relation::Value>>& rows);
-
-  /// External-mode observation; same cadence as SchemaMonitor::Poll.
-  /// Also folds the relation's physical delta into the reservoir, so it
-  /// must be called at the same statement boundaries on a replay as on
-  /// the original run (the server calls it after every mutation
-  /// statement) for the sampler's draw sequence to reproduce.
-  void Poll();
-
-  /// Registers an additional FD; estimates it at the current reservoir.
-  /// Returns its index in fds().
-  size_t AddFd(Fd fd);
-
-  /// Forces a validation pass; returns indices of FDs with a currently
-  /// sampled witness (certainly violated).
-  std::vector<size_t> CheckNow();
-
-  size_t checks_run() const { return checks_run_; }
-  size_t sample_capacity() const { return sampler_->capacity(); }
-  uint64_t sample_seed() const { return sampler_->seed(); }
-
- private:
-  void RegisterFds(std::vector<Fd> fds);
-  void RestoreMonitored(std::vector<MonitoredFd> fds,
-                        std::vector<DriftEvent> drift_log);
-  void PushEvent(size_t fd_index, DriftKind kind, const SampledMeasures& est);
-  SampledMeasures Estimate(const Fd& fd,
-                           const std::vector<uint32_t>& live_members) const;
-
-  std::unique_ptr<relation::Relation> owned_;  ///< null in external mode
-  relation::Relation* rel_;
-  std::unique_ptr<query::ReservoirSampler> sampler_;
-  std::vector<MonitoredFd> monitored_;
-  std::vector<SampledMeasures> estimates_;
-  std::vector<DriftEvent> drift_log_;
-  std::function<void(const DriftEvent&)> on_drift_;
-  std::function<void(size_t, const SampledMeasures&)> on_estimate_;
-  size_t check_interval_;
-  size_t inserts_since_check_ = 0;
-  size_t checks_run_ = 0;
-  size_t observed_mutations_ = 0;
-};
+using SampledSchemaMonitor = SchemaMonitor;
+using SampledMonitorState = MonitorState;
 
 }  // namespace fdevolve::fd

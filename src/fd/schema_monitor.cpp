@@ -7,49 +7,56 @@ namespace fdevolve::fd {
 namespace {
 
 /// Field-exact equality, doubles compared bitwise-as-values: the restore
-/// path recomputes measures through the same integer counts and
-/// MeasuresFromCounts arithmetic, so an honest checkpoint matches exactly.
+/// path re-measures through the same integer counts (or the same
+/// estimation arithmetic over the restored reservoir), so an honest state
+/// matches exactly.
 bool SameMeasures(const FdMeasures& a, const FdMeasures& b) {
   return a.distinct_x == b.distinct_x && a.distinct_xy == b.distinct_xy &&
          a.distinct_y == b.distinct_y && a.confidence == b.confidence &&
          a.goodness == b.goodness && a.exact == b.exact;
 }
 
+void RequireInSchema(const relation::Relation& rel, const Fd& fd) {
+  if (!fd.AllAttrs().SubsetOf(rel.schema().AllAttrs())) {
+    throw std::invalid_argument(
+        "SchemaMonitor: FD references attributes outside the relation "
+        "schema");
+  }
+}
+
 }  // namespace
 
-SchemaMonitor::SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
-                             size_t check_interval)
-    : owned_(std::make_unique<relation::Relation>(std::move(initial))),
-      rel_(owned_.get()),
-      eval_(*rel_),
-      check_interval_(check_interval == 0 ? 1 : check_interval),
-      observed_version_(rel_->version()),
-      observed_mutations_(rel_->appends_ever() + rel_->deletes_ever()),
-      observed_compactions_(rel_->compactions()) {
-  RegisterFds(std::move(fds));
-}
-
-SchemaMonitor::SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
+SchemaMonitor::SchemaMonitor(relation::Relation* rel, std::vector<Fd> fds,
                              size_t check_interval, int /*ignored*/)
-    : rel_(shared),
-      eval_(*rel_),
+    : rel_(rel),
       check_interval_(check_interval == 0 ? 1 : check_interval),
-      observed_version_(rel_->version()),
-      observed_mutations_(rel_->appends_ever() + rel_->deletes_ever()),
-      observed_compactions_(rel_->compactions()) {
-  RegisterFds(std::move(fds));
+      observed_mutations_(rel->appends_ever() + rel->deletes_ever()),
+      observed_compactions_(rel->compactions()) {
+  eval_.emplace(*rel_);
+  for (auto& f : fds) AddFd(std::move(f));
 }
 
-SchemaMonitor::SchemaMonitor(relation::Relation* shared, MonitorState state,
+SchemaMonitor::SchemaMonitor(relation::Relation* rel, std::vector<Fd> fds,
+                             size_t check_interval, size_t capacity,
+                             uint64_t seed)
+    : rel_(rel),
+      check_interval_(check_interval == 0 ? 1 : check_interval),
+      observed_mutations_(rel->appends_ever() + rel->deletes_ever()),
+      observed_compactions_(rel->compactions()) {
+  sampler_.emplace(rel_, capacity, seed);
+  for (auto& f : fds) AddFd(std::move(f));
+}
+
+SchemaMonitor::SchemaMonitor(relation::Relation* rel, MonitorState state,
                              int /*ignored*/)
-    : rel_(shared),
-      eval_(*rel_),
+    : rel_(rel),
+      monitored_(std::move(state.fds)),
+      drift_log_(std::move(state.drift_log)),
       check_interval_(state.check_interval == 0 ? 1 : state.check_interval),
       inserts_since_check_(state.inserts_since_check),
       checks_run_(state.checks_run),
-      observed_version_(rel_->version()),
-      observed_mutations_(rel_->appends_ever() + rel_->deletes_ever()),
-      observed_compactions_(rel_->compactions()) {
+      observed_mutations_(rel->appends_ever() + rel->deletes_ever()),
+      observed_compactions_(rel->compactions()) {
   if (state.watermark != rel_->version()) {
     throw std::invalid_argument(
         "SchemaMonitor: monitor state was captured at watermark " +
@@ -57,155 +64,69 @@ SchemaMonitor::SchemaMonitor(relation::Relation* shared, MonitorState state,
         std::to_string(rel_->version()) +
         " (state paired with the wrong relation snapshot)");
   }
-  RestoreMonitored(std::move(state.fds), std::move(state.drift_log));
-}
-
-SchemaMonitor::SchemaMonitor(MonitorCheckpoint checkpoint)
-    : owned_(std::make_unique<relation::Relation>(std::move(checkpoint.rel))),
-      rel_(owned_.get()),
-      eval_(*rel_),
-      check_interval_(checkpoint.check_interval == 0
-                          ? 1
-                          : checkpoint.check_interval),
-      inserts_since_check_(checkpoint.inserts_since_check),
-      checks_run_(checkpoint.checks_run),
-      observed_version_(rel_->version()),
-      observed_mutations_(rel_->appends_ever() + rel_->deletes_ever()),
-      observed_compactions_(rel_->compactions()) {
-  RestoreMonitored(std::move(checkpoint.fds), std::move(checkpoint.drift_log));
-}
-
-void SchemaMonitor::RegisterFds(std::vector<Fd> fds) {
-  monitored_.reserve(fds.size());
-  for (auto& f : fds) {
-    AddFd(std::move(f));
+  if (state.reservoir) {
+    // The sampler's restore constructor validates the reservoir against
+    // the relation (watermark, compaction count, slot bounds).
+    sampler_.emplace(rel_, *state.reservoir);
+  } else {
+    eval_.emplace(*rel_);
   }
-}
-
-size_t SchemaMonitor::AddFd(Fd fd) {
-  const relation::AttrSet all = rel_->schema().AllAttrs();
-  if (!fd.AllAttrs().SubsetOf(all)) {
-    throw std::invalid_argument(
-        "SchemaMonitor: FD references attributes outside the relation "
-        "schema");
-  }
-  MonitoredFd m;
-  m.fd = std::move(fd);
-  Track(m.fd);
-  m.measures = ComputeMeasures(eval_, m.fd);
-  m.was_exact_at_registration = m.measures.exact;
-  m.violated = !m.measures.exact;
-  if (m.violated) m.first_violation_at = rel_->tuple_count();
-  monitored_.push_back(std::move(m));
-  return monitored_.size() - 1;
-}
-
-void SchemaMonitor::RestoreMonitored(std::vector<MonitoredFd> fds,
-                                     std::vector<DriftEvent> drift_log) {
-  monitored_ = std::move(fds);
-  drift_log_ = std::move(drift_log);
-  const relation::AttrSet all = rel_->schema().AllAttrs();
-  for (auto& m : monitored_) {
-    if (!m.fd.AllAttrs().SubsetOf(all)) {
-      throw std::invalid_argument(
-          "SchemaMonitor: checkpointed FD references attributes outside the "
-          "relation schema");
-    }
+  const std::vector<uint32_t> sample = LiveSample();
+  estimates_.reserve(monitored_.size());
+  for (const auto& m : monitored_) {
+    RequireInSchema(*rel_, m.fd);
     // Re-materializing from the relation recovers the exact groupings the
-    // checkpointed evaluator held (ids are append-stable first-appearance
-    // ids — see the bit-identity invariant in query/distinct.h).
+    // captured evaluator held (ids are append-stable first-appearance ids
+    // — see the bit-identity invariant in query/distinct.h); re-estimating
+    // is a pure function of (relation, reservoir slots).
     Track(m.fd);
-    // Cross-check the carried measures only when the checkpoint holds no
-    // unchecked inserts: with inserts_since_check == 0 the stored measures
-    // were computed at exactly the current watermark, so a recomputation
-    // must match bit for bit and a mismatch means a corrupt or mismatched
-    // checkpoint. With pending inserts the stored measures are legitimately
-    // stale (they date from the last check) and refresh at the next one.
-    if (inserts_since_check_ == 0) {
-      FdMeasures recomputed = ComputeMeasures(eval_, m.fd);
-      if (!SameMeasures(recomputed, m.measures)) {
-        throw std::invalid_argument(
-            "SchemaMonitor: checkpointed measures for " +
-            m.fd.ToString(rel_->schema()) +
-            " disagree with the relation (corrupt or mismatched checkpoint)");
-      }
+    SampledMeasures est = Measure(m.fd, sample);
+    // Cross-check the carried measures only when the state holds no
+    // unchecked mutations: then they were measured at exactly the current
+    // watermark and a mismatch means a corrupt or mismatched state. With
+    // pending mutations they are legitimately stale (they date from the
+    // last check) and refresh at the next one.
+    if (inserts_since_check_ == 0 && !SameMeasures(est.measures, m.measures)) {
+      throw std::invalid_argument(
+          "SchemaMonitor: checkpointed measures for " +
+          m.fd.ToString(rel_->schema()) +
+          " disagree with the relation (corrupt or mismatched checkpoint)");
     }
+    estimates_.push_back(std::move(est));
   }
-}
-
-MonitorCheckpoint SchemaMonitor::Checkpoint() const {
-  return MonitorCheckpoint{*rel_,
-                           monitored_,
-                           drift_log_,
-                           check_interval_,
-                           inserts_since_check_,
-                           checks_run_};
 }
 
 MonitorState SchemaMonitor::State() const {
+  std::optional<query::ReservoirState> reservoir;
+  if (sampler_) reservoir = sampler_->State();
   return MonitorState{monitored_,
                       drift_log_,
                       check_interval_,
                       inserts_since_check_,
                       checks_run_,
-                      rel_->version()};
+                      rel_->version(),
+                      std::move(reservoir)};
 }
 
 void SchemaMonitor::Track(const Fd& fd) {
+  if (!eval_) return;
   // Materializing |π_X| and |π_XY| gives Advance() a chain to maintain;
   // from then on each check costs one table lookup per appended tuple per
   // chain level. |π_Y| needs no grouping: a single consequent is answered
   // from the column dictionary in O(1), and a multi-attribute consequent
   // is worth maintaining too.
-  eval_.GroupFor(fd.lhs());
-  eval_.GroupFor(fd.AllAttrs());
-  if (fd.rhs().Count() > 1) eval_.GroupFor(fd.rhs());
+  eval_->GroupFor(fd.lhs());
+  eval_->GroupFor(fd.AllAttrs());
+  if (fd.rhs().Count() > 1) eval_->GroupFor(fd.rhs());
 }
 
-void SchemaMonitor::Insert(const std::vector<relation::Value>& row) {
-  rel_->AppendRow(row);
-  observed_version_ = rel_->version();
-  ++observed_mutations_;
-  if (++inserts_since_check_ >= check_interval_) {
-    inserts_since_check_ = 0;
-    CheckNow();
+void SchemaMonitor::Observe() {
+  if (sampler_) {
+    sampler_->Sync();
+    return;
   }
-}
-
-void SchemaMonitor::InsertBatch(
-    const std::vector<std::vector<relation::Value>>& rows) {
-  if (rows.empty()) return;
-  rel_->AppendRows(rows);
-  observed_version_ = rel_->version();
-  observed_mutations_ += rows.size();
-  inserts_since_check_ += rows.size();
-  if (inserts_since_check_ >= check_interval_) {
-    inserts_since_check_ %= check_interval_;
-    CheckNow();
-  }
-}
-
-void SchemaMonitor::Poll() {
-  ResyncAfterCompaction();
-  // Cadence counts through the lifetime counters, not version(): a delete
-  // leaves version() unchanged and a compaction shrinks it, but both must
-  // advance the monitor toward its next check without underflow.
-  const size_t mutations = rel_->appends_ever() + rel_->deletes_ever();
-  if (mutations == observed_mutations_) return;
-  const size_t delta = mutations - observed_mutations_;
-  observed_mutations_ = mutations;
-  observed_version_ = rel_->version();
-  inserts_since_check_ += delta;
-  if (inserts_since_check_ >= check_interval_) {
-    inserts_since_check_ %= check_interval_;
-    CheckNow();
-  }
-}
-
-void SchemaMonitor::ResyncAfterCompaction() {
   if (rel_->compactions() == observed_compactions_) return;
   observed_compactions_ = rel_->compactions();
-  observed_version_ = rel_->version();
   // The evaluator drops every cached grouping when it observes the
   // compaction; re-materialize the monitored chains immediately so the
   // next checks go back to O(Δ) instead of degrading to count-only
@@ -213,41 +134,112 @@ void SchemaMonitor::ResyncAfterCompaction() {
   for (const auto& m : monitored_) Track(m.fd);
 }
 
+std::vector<uint32_t> SchemaMonitor::LiveSample() const {
+  return sampler_ ? sampler_->LiveMembers() : std::vector<uint32_t>{};
+}
+
+SampledMeasures SchemaMonitor::Measure(const Fd& fd,
+                                       const std::vector<uint32_t>& sample) {
+  if (sampler_) {
+    return EstimateMeasures(*rel_, sample, rel_->live_count(), fd);
+  }
+  // The evaluator auto-advances over the appended suffix (and folds any
+  // pending deletions) on the first query; the counts are then O(1) reads
+  // off the maintained groupings.
+  SampledMeasures est;
+  est.measures = ComputeMeasures(*eval_, fd);
+  est.sample_rows = est.live_rows = rel_->live_count();
+  est.witnessed_violation = !est.measures.exact;
+  return est;
+}
+
+size_t SchemaMonitor::AddFd(Fd fd) {
+  RequireInSchema(*rel_, fd);
+  Observe();
+  monitored_.emplace_back();
+  estimates_.emplace_back();
+  Declare(monitored_.size() - 1, std::move(fd));
+  return monitored_.size() - 1;
+}
+
+void SchemaMonitor::AcceptRepair(size_t fd_index, const Repair& repair) {
+  if (fd_index >= monitored_.size()) {
+    throw std::out_of_range("SchemaMonitor: no FD at index " +
+                            std::to_string(fd_index));
+  }
+  Observe();
+  Declare(fd_index, repair.repaired);
+}
+
+void SchemaMonitor::Declare(size_t i, Fd fd) {
+  Track(fd);
+  SampledMeasures est = Measure(fd, LiveSample());
+  MonitoredFd& m = monitored_[i];
+  m.fd = std::move(fd);
+  m.measures = est.measures;
+  m.violated = est.witnessed_violation;
+  m.was_exact_at_registration = !m.violated;
+  m.first_violation_at = m.violated ? rel_->tuple_count() : 0;
+  estimates_[i] = std::move(est);
+}
+
+void SchemaMonitor::Poll() {
+  Observe();
+  // Cadence counts through the lifetime counters, not version(): a delete
+  // leaves version() unchanged and a compaction shrinks it, but both must
+  // advance the monitor toward its next check without underflow.
+  const size_t mutations = rel_->appends_ever() + rel_->deletes_ever();
+  if (mutations == observed_mutations_) return;
+  inserts_since_check_ += mutations - observed_mutations_;
+  observed_mutations_ = mutations;
+  if (inserts_since_check_ >= check_interval_) {
+    inserts_since_check_ %= check_interval_;
+    CheckNow();
+  }
+}
+
 void SchemaMonitor::PushEvent(size_t fd_index, DriftKind kind,
-                              const FdMeasures& measures) {
+                              const SampledMeasures& est) {
   DriftEvent ev;
   ev.fd_index = fd_index;
   ev.tuple_count = rel_->live_count();
-  ev.measures = measures;
+  ev.measures = est.measures;
   ev.kind = kind;
+  ev.approx = est.approx;
+  ev.confidence_lo = est.confidence_lo;
+  ev.confidence_hi = est.confidence_hi;
+  ev.goodness_lo = est.goodness_lo;
+  ev.goodness_hi = est.goodness_hi;
   drift_log_.push_back(ev);
   if (on_drift_) on_drift_(ev);
 }
 
 std::vector<size_t> SchemaMonitor::CheckNow() {
-  ResyncAfterCompaction();
+  Observe();
   ++checks_run_;
+  const std::vector<uint32_t> sample = LiveSample();
   std::vector<size_t> violated;
-  // The evaluator auto-advances over the appended suffix (and folds any
-  // pending deletions) on the first query; every monitored FD's counts
-  // are then O(1) reads off the maintained groupings.
   for (size_t i = 0; i < monitored_.size(); ++i) {
     MonitoredFd& m = monitored_[i];
-    bool was_violated = m.violated;
-    m.measures = ComputeMeasures(eval_, m.fd);
-    m.violated = !m.measures.exact;
+    const bool was_violated = m.violated;
+    SampledMeasures est = Measure(m.fd, sample);
+    m.measures = est.measures;
+    m.violated = est.witnessed_violation;
     if (m.violated) {
       violated.push_back(i);
       if (!was_violated) {
         m.first_violation_at = rel_->tuple_count();
-        PushEvent(i, DriftKind::kViolated, m.measures);
+        PushEvent(i, DriftKind::kViolated, est);
       }
     } else if (was_violated) {
-      // Deletes removed the last violating witness pair: the FD is exact
-      // again. Unreachable under an append-only workload.
+      // Deletes removed the last violating witness pair (or, sampled, the
+      // last witness left the reservoir): the FD is exact again.
+      // Unreachable for an exact monitor under an append-only workload.
       m.first_violation_at = 0;
-      PushEvent(i, DriftKind::kRecovered, m.measures);
+      PushEvent(i, DriftKind::kRecovered, est);
     }
+    estimates_[i] = std::move(est);
+    if (on_estimate_) on_estimate_(i, estimates_[i]);
   }
   return violated;
 }
@@ -270,16 +262,6 @@ std::vector<RepairResult> SchemaMonitor::SuggestRepairs(
     }
   }
   return out;
-}
-
-void SchemaMonitor::AcceptRepair(size_t fd_index, const Repair& repair) {
-  MonitoredFd& m = monitored_.at(fd_index);
-  m.fd = repair.repaired;
-  Track(m.fd);
-  m.measures = ComputeMeasures(eval_, m.fd);
-  m.violated = !m.measures.exact;
-  m.was_exact_at_registration = m.measures.exact;
-  m.first_violation_at = m.violated ? rel_->tuple_count() : 0;
 }
 
 }  // namespace fdevolve::fd

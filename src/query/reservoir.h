@@ -1,6 +1,6 @@
 // Deterministic, seed-driven reservoir sample over an evolving relation.
 //
-// The sampled monitoring mode (fd::SampledSchemaMonitor) needs a fixed
+// Sampled FD monitoring (fd::SchemaMonitor's sampled source) needs a fixed
 // memory budget regardless of stream length: a uniform sample of the live
 // rows, maintained under INSERT/DELETE/UPDATE through the same
 // version()/mutation_epoch()/compactions() contract the incremental
@@ -50,9 +50,9 @@
 
 namespace fdevolve::query {
 
-/// Complete serializable state of a ReservoirSampler — what an FDEV
-/// sampled-monitor checkpoint persists so resume continues the identical
-/// replacement sequence.
+/// Complete serializable state of a ReservoirSampler — what a sampled
+/// monitor's entry in an FDEV server-state snapshot persists so resume
+/// continues the identical replacement sequence.
 struct ReservoirState {
   uint64_t capacity = 0;
   uint64_t seed = 0;       ///< construction seed (diagnostic; state rules)

@@ -27,7 +27,7 @@ bool Service::Resume(std::string* error) {
   }
   sql::Database db;
   std::vector<storage::ServerMonitorState> monitors;
-  std::vector<storage::ServerSampledMonitorState> sampled;
+  std::vector<storage::ServerMonitorState> sampled;
   if (!storage::LoadServerSnapshot(opts_.checkpoint_path, &db, &monitors,
                                    error, &sampled)) {
     return false;
@@ -40,24 +40,21 @@ bool Service::Resume(std::string* error) {
 
 void Service::BuildEntries(
     const std::vector<storage::ServerMonitorState>& monitors,
-    const std::vector<storage::ServerSampledMonitorState>& sampled) {
+    const std::vector<storage::ServerMonitorState>& sampled) {
   for (const auto& name : db_.TableNames()) {
     auto entry = std::make_unique<TableEntry>();
     entry->rel = &db_.GetMutable(name);
     tables_[name] = std::move(entry);
   }
-  for (const auto& m : monitors) {
-    TableEntry* entry = tables_.at(m.table).get();
-    entry->check_interval = m.state.check_interval;
-    entry->monitor = std::make_unique<fd::SchemaMonitor>(entry->rel, m.state);
-    InstallDriftCallback(entry, m.table);
-  }
-  for (const auto& m : sampled) {
-    TableEntry* entry = tables_.at(m.table).get();
-    entry->sampled_interval = m.state.base.check_interval;
-    entry->sampled = std::make_unique<fd::SampledSchemaMonitor>(
-        entry->rel, m.state);
-    InstallSampledDriftCallback(entry, m.table);
+  // The snapshot reader guarantees each state names a known table, at
+  // most once per section.
+  for (const auto* section : {&monitors, &sampled}) {
+    for (const auto& m : *section) {
+      TableEntry* entry = tables_.at(m.table).get();
+      auto& slot = section == &sampled ? entry->sampled : entry->monitor;
+      slot = std::make_unique<fd::SchemaMonitor>(entry->rel, m.state);
+      InstallDriftCallback(entry, slot.get(), m.table);
+    }
   }
 }
 
@@ -128,25 +125,20 @@ void Service::MaybeCompact(TableEntry* entry) {
   }
 }
 
+void Service::PollMonitors(TableEntry* entry) {
+  if (entry->monitor) entry->monitor->Poll();
+  if (entry->sampled) entry->sampled->Poll();
+}
+
 void Service::InstallDriftCallback(TableEntry* entry,
+                                   fd::SchemaMonitor* monitor,
                                    const std::string& table) {
   // Invoked by the monitor during Poll(), i.e. under the table's
   // exclusive lock — the subscriber list is stable for the duration and
-  // pushes happen in commit order.
-  entry->monitor->OnDrift([entry, table](const fd::DriftEvent& ev) {
-    const fd::MonitoredFd& mfd = entry->monitor->fds()[ev.fd_index];
-    std::string line = FormatDrift(
-        table, ev, mfd.fd.ToString(entry->rel->schema()));
-    for (const auto& sub : entry->subscribers) sub->Push(line);
-  });
-}
-
-void Service::InstallSampledDriftCallback(TableEntry* entry,
-                                          const std::string& table) {
-  // Same critical section as the exact monitor's callback; FormatDrift
-  // adds the approx + interval fields for approximate events.
-  entry->sampled->OnDrift([entry, table](const fd::DriftEvent& ev) {
-    const fd::MonitoredFd& mfd = entry->sampled->fds()[ev.fd_index];
+  // pushes happen in commit order. FormatDrift adds the approx + interval
+  // fields for approximate (sampled) events.
+  monitor->OnDrift([entry, monitor, table](const fd::DriftEvent& ev) {
+    const fd::MonitoredFd& mfd = monitor->fds()[ev.fd_index];
     std::string line = FormatDrift(
         table, ev, mfd.fd.ToString(entry->rel->schema()));
     for (const auto& sub : entry->subscribers) sub->Push(line);
@@ -192,8 +184,7 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
       // Same critical section as the append: the monitor observes the
       // quiescent post-append relation and drift pushes follow commit
       // order (see class comment).
-      if (entry->monitor) entry->monitor->Poll();
-      if (entry->sampled) entry->sampled->Poll();
+      PollMonitors(entry);
       res.reply = FormatOk(n);
       return res;
     }
@@ -204,8 +195,7 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
       uint64_t n = sql::Execute(*del, db_);
       if (opts_.record_journal) entry->journal.push_back(del->ToString());
       MaybeCompact(entry);
-      if (entry->monitor) entry->monitor->Poll();
-      if (entry->sampled) entry->sampled->Poll();
+      PollMonitors(entry);
       res.reply = FormatOk(n);
       return res;
     }
@@ -216,8 +206,7 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
       uint64_t n = sql::Execute(*upd, db_);
       if (opts_.record_journal) entry->journal.push_back(upd->ToString());
       MaybeCompact(entry);
-      if (entry->monitor) entry->monitor->Poll();
-      if (entry->sampled) entry->sampled->Poll();
+      PollMonitors(entry);
       res.reply = FormatOk(n);
       return res;
     }
@@ -238,63 +227,38 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
       // Resolve throws on unknown columns; the Fd constructor rejects
       // overlapping sides — both before any state changes.
       fd::Fd fd(schema.Resolve(declare->lhs), schema.Resolve(declare->rhs));
-      if (declare->sample_size != 0) {
-        // SAMPLE k [SEED s] routes the FD to the table's sampled monitor
-        // (one reservoir per table — interval, capacity, and seed must
-        // agree across every sampled DECLARE on it).
-        if (!entry->sampled) {
-          size_t interval = declare->check_interval != 0
-                                ? declare->check_interval
-                                : opts_.default_check_interval;
-          entry->sampled = std::make_unique<fd::SampledSchemaMonitor>(
-              entry->rel, std::vector<fd::Fd>{}, interval,
-              declare->sample_size, declare->sample_seed);
-          entry->sampled_interval = interval;
-          InstallSampledDriftCallback(entry, declare->table);
-        } else {
-          if (declare->check_interval != 0 &&
-              declare->check_interval != entry->sampled_interval) {
-            throw std::invalid_argument(
-                "sampled monitor on '" + declare->table +
-                "' already checks EVERY " +
-                std::to_string(entry->sampled_interval) +
-                "; one interval per table");
-          }
-          if (declare->sample_size != entry->sampled->sample_capacity() ||
-              declare->sample_seed != entry->sampled->sample_seed()) {
-            throw std::invalid_argument(
-                "sampled monitor on '" + declare->table +
-                "' already uses SAMPLE " +
-                std::to_string(entry->sampled->sample_capacity()) + " SEED " +
-                std::to_string(entry->sampled->sample_seed()) +
-                "; one reservoir per table");
-          }
-        }
-        db_.DeclareFd(declare->table, fd);
-        entry->sampled->AddFd(std::move(fd));
-        if (opts_.record_journal) {
-          entry->journal.push_back(declare->ToString());
-        }
-        res.reply = FormatOk(0);
-        return res;
-      }
-      if (!entry->monitor) {
-        size_t interval = declare->check_interval != 0
-                              ? declare->check_interval
-                              : opts_.default_check_interval;
-        entry->monitor = std::make_unique<fd::SchemaMonitor>(
-            entry->rel, std::vector<fd::Fd>{}, interval);
-        entry->check_interval = interval;
-        InstallDriftCallback(entry, declare->table);
+      // SAMPLE k [SEED s] routes the FD to the table's sampled monitor.
+      const bool sampled = declare->sample_size != 0;
+      std::unique_ptr<fd::SchemaMonitor>& monitor =
+          sampled ? entry->sampled : entry->monitor;
+      const std::string what =
+          (sampled ? "sampled monitor on '" : "monitor on '") +
+          declare->table + "' already ";
+      if (!monitor) {
+        const size_t interval = declare->check_interval != 0
+                                    ? declare->check_interval
+                                    : opts_.default_check_interval;
+        monitor = sampled ? std::make_unique<fd::SchemaMonitor>(
+                                entry->rel, std::vector<fd::Fd>{}, interval,
+                                declare->sample_size, declare->sample_seed)
+                          : std::make_unique<fd::SchemaMonitor>(
+                                entry->rel, std::vector<fd::Fd>{}, interval);
+        InstallDriftCallback(entry, monitor.get(), declare->table);
       } else if (declare->check_interval != 0 &&
-                 declare->check_interval != entry->check_interval) {
+                 declare->check_interval != monitor->check_interval()) {
         throw std::invalid_argument(
-            "monitor on '" + declare->table + "' already checks EVERY " +
-            std::to_string(entry->check_interval) +
+            what + "checks EVERY " + std::to_string(monitor->check_interval()) +
             "; one interval per table");
+      } else if (sampled &&
+                 (declare->sample_size != monitor->sample_capacity() ||
+                  declare->sample_seed != monitor->sample_seed())) {
+        throw std::invalid_argument(
+            what + "uses SAMPLE " + std::to_string(monitor->sample_capacity()) +
+            " SEED " + std::to_string(monitor->sample_seed()) +
+            "; one reservoir per table");
       }
       db_.DeclareFd(declare->table, fd);
-      entry->monitor->AddFd(std::move(fd));
+      monitor->AddFd(std::move(fd));
       if (opts_.record_journal) entry->journal.push_back(declare->ToString());
       res.reply = FormatOk(0);
       return res;
@@ -328,6 +292,15 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
   }
 }
 
+void Service::CaptureMonitors(
+    std::vector<storage::ServerMonitorState>* monitors,
+    std::vector<storage::ServerMonitorState>* sampled) const {
+  for (const auto& [name, entry] : tables_) {
+    if (entry->monitor) monitors->push_back({name, entry->monitor->State()});
+    if (entry->sampled) sampled->push_back({name, entry->sampled->State()});
+  }
+}
+
 bool Service::SaveCheckpoint(std::string* error) {
   if (opts_.checkpoint_path.empty()) {
     if (error) *error = "no checkpoint path configured";
@@ -337,11 +310,8 @@ bool Service::SaveCheckpoint(std::string* error) {
   // hold it shared), so the snapshot is a consistent cut.
   std::unique_lock cat(catalog_mutex_);
   std::vector<storage::ServerMonitorState> monitors;
-  std::vector<storage::ServerSampledMonitorState> sampled;
-  for (const auto& [name, entry] : tables_) {
-    if (entry->monitor) monitors.push_back({name, entry->monitor->State()});
-    if (entry->sampled) sampled.push_back({name, entry->sampled->State()});
-  }
+  std::vector<storage::ServerMonitorState> sampled;
+  CaptureMonitors(&monitors, &sampled);
   return storage::SaveServerSnapshot(db_, monitors, opts_.checkpoint_path,
                                      error, sampled);
 }
@@ -349,11 +319,8 @@ bool Service::SaveCheckpoint(std::string* error) {
 std::string Service::SerializeState() const {
   std::unique_lock cat(catalog_mutex_);
   std::vector<storage::ServerMonitorState> monitors;
-  std::vector<storage::ServerSampledMonitorState> sampled;
-  for (const auto& [name, entry] : tables_) {
-    if (entry->monitor) monitors.push_back({name, entry->monitor->State()});
-    if (entry->sampled) sampled.push_back({name, entry->sampled->State()});
-  }
+  std::vector<storage::ServerMonitorState> sampled;
+  CaptureMonitors(&monitors, &sampled);
   return storage::SerializeServerState(db_, monitors, sampled);
 }
 

@@ -20,8 +20,8 @@
 //   table locks at once (CHECKPOINT quiesces via the exclusive catalog
 //   lock alone, which every data path acquires shared).
 //
-// Monitors run in external mode (fd::SchemaMonitor's shared-relation
-// constructors): each write path mutates through the SQL engine and then
+// Monitors (fd::SchemaMonitor, exact or sampled) observe the catalog's
+// relations: each write path mutates through the SQL engine and then
 // calls Poll() under the same exclusive table lock, so the monitor always
 // observes a quiescent relation. Drift events (violated AND recovered)
 // are pushed to subscribed sessions from inside that critical section —
@@ -50,7 +50,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fd/sampled_monitor.h"
 #include "fd/schema_monitor.h"
 #include "sql/database.h"
 #include "storage/snapshot.h"
@@ -145,14 +144,13 @@ class Service {
   struct TableEntry {
     relation::Relation* rel = nullptr;  ///< stable pointer into db_
     mutable std::shared_mutex mutex;
-    std::unique_ptr<fd::SchemaMonitor> monitor;  ///< external mode; may be null
-    size_t check_interval = 0;  ///< the monitor's EVERY (0 = no monitor)
-    /// Sampled monitor (DECLARE FD ... SAMPLE k [SEED s]); external mode,
-    /// polled right after the exact monitor under the same exclusive
-    /// table lock. One reservoir per table: every sampled DECLARE must
-    /// agree on interval, capacity, and seed.
-    std::unique_ptr<fd::SampledSchemaMonitor> sampled;
-    size_t sampled_interval = 0;
+    /// The exact monitor (DECLARE FD) and the sampled one (DECLARE FD ...
+    /// SAMPLE k [SEED s]), either may be null; polled in that order under
+    /// the same exclusive table lock. One monitor per slot: every DECLARE
+    /// routed to a slot must agree on the interval (and, sampled, on
+    /// capacity and seed) with the one that created it.
+    std::unique_ptr<fd::SchemaMonitor> monitor;
+    std::unique_ptr<fd::SchemaMonitor> sampled;
     std::vector<std::shared_ptr<SessionRec>> subscribers;
     std::vector<std::string> journal;
   };
@@ -172,18 +170,27 @@ class Service {
   /// thrashing tiny tables where a rebuild outcosts the scan it saves).
   static constexpr size_t kCompactMinRows = 64;
 
-  /// Wires the monitor's drift callback to push to subscribers. Runs
-  /// under the table's exclusive lock (Poll is only called there).
-  void InstallDriftCallback(TableEntry* entry, const std::string& table);
-  void InstallSampledDriftCallback(TableEntry* entry,
+  /// Folds a committed mutation into the table's monitors, exact first.
+  /// Runs under the table's exclusive lock.
+  static void PollMonitors(TableEntry* entry);
+
+  /// Wires the drift callback of one of the entry's monitors to push to
+  /// subscribers. Runs under the table's exclusive lock (Poll is only
+  /// called there).
+  static void InstallDriftCallback(TableEntry* entry,
+                                   fd::SchemaMonitor* monitor,
                                    const std::string& table);
 
   /// Builds entries (and monitors, when `monitors`/`sampled` has state
   /// for them) for every table in db_. Caller holds the exclusive
   /// catalog lock.
-  void BuildEntries(
-      const std::vector<storage::ServerMonitorState>& monitors,
-      const std::vector<storage::ServerSampledMonitorState>& sampled);
+  void BuildEntries(const std::vector<storage::ServerMonitorState>& monitors,
+                    const std::vector<storage::ServerMonitorState>& sampled);
+
+  /// Captures every monitor's state, exact and sampled sections apart.
+  /// Caller holds the exclusive catalog lock.
+  void CaptureMonitors(std::vector<storage::ServerMonitorState>* monitors,
+                       std::vector<storage::ServerMonitorState>* sampled) const;
 
   std::shared_ptr<SessionRec> FindSession(SessionId id);
 

@@ -119,7 +119,7 @@ struct CreateTableStatement {
 /// table's monitor. Columns are stored by name; the engine resolves them
 /// against the table's schema at execution time. With SAMPLE, validation
 /// runs on a seeded reservoir sample of k rows instead of the full
-/// relation (fd::SampledSchemaMonitor) and drift events carry estimates
+/// relation (a sampled fd::SchemaMonitor) and drift events carry estimates
 /// with error intervals.
 struct DeclareFdStatement {
   std::string table;

@@ -1,6 +1,7 @@
 #include "storage/snapshot.h"
 
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -16,12 +17,13 @@ constexpr char kMagic[4] = {'F', 'D', 'E', 'V'};
 constexpr size_t kHeaderSize = 4 + 4 + 4;  // magic + version + kind
 constexpr size_t kTrailerSize = 8;         // FNV-1a checksum
 
+/// Kinds 3 (monitor checkpoint) and 5 (sampled monitor checkpoint) are
+/// retired: never reused, and still named by KindName so that loading an
+/// old file fails with an error that says what the file is.
 enum PayloadKind : uint32_t {
   kKindRelation = 1,
   kKindDatabase = 2,
-  kKindMonitor = 3,
   kKindServer = 4,
-  kKindSampledMonitor = 5,
 };
 
 const char* KindName(uint32_t kind) {
@@ -30,12 +32,12 @@ const char* KindName(uint32_t kind) {
       return "relation";
     case kKindDatabase:
       return "database";
-    case kKindMonitor:
-      return "monitor checkpoint";
+    case 3:
+      return "monitor checkpoint (retired kind 3)";
     case kKindServer:
       return "server state";
-    case kKindSampledMonitor:
-      return "sampled monitor checkpoint";
+    case 5:
+      return "sampled monitor checkpoint (retired kind 5)";
   }
   return "unknown";
 }
@@ -163,14 +165,27 @@ void WriteRelationPayload(BinaryWriter& w, const relation::Relation& rel) {
   w.U64(rel.compactions());
 }
 
-/// Replays a v2 deletion log through DeleteRow so the loaded relation's
+/// Reads the mutation history that follows a relation's rows. The v2
+/// deletion log replays through DeleteRow, so the loaded relation's
 /// tombstone bitmap, deletion log, and mutation counters are rebuilt the
-/// same deterministic way the live writer built them. DeleteRow itself
-/// rejects out-of-range and duplicate ids, so a corrupt log fails the
-/// load instead of fabricating state.
-void ReplayDeletionLog(BinaryReader& r, relation::Relation* rel) {
-  std::vector<uint32_t> log = r.U32Array();
-  for (uint32_t id : log) rel->DeleteRow(id);
+/// same deterministic way the live writer built them; DeleteRow itself
+/// rejects out-of-range and duplicate ids, so a corrupt log fails the load
+/// instead of fabricating state. The v3 lifetime counters follow;
+/// RestoreLifetimeCounters throws std::invalid_argument on impossible
+/// counters — the same corrupt-payload path FromEncoded's structural
+/// checks take.
+void ReadMutationHistory(BinaryReader& r, uint32_t version,
+                         relation::Relation* rel) {
+  if (version >= 2) {
+    for (uint32_t id : r.U32Array()) rel->DeleteRow(id);
+  }
+  if (version < 3) return;
+  const uint64_t appends = r.U64();
+  const uint64_t deletes = r.U64();
+  const uint64_t compactions = r.U64();
+  rel->RestoreLifetimeCounters(static_cast<size_t>(appends),
+                               static_cast<size_t>(deletes),
+                               static_cast<size_t>(compactions));
 }
 
 relation::Relation ReadRelationPayload(BinaryReader& r, uint32_t version) {
@@ -198,15 +213,7 @@ relation::Relation ReadRelationPayload(BinaryReader& r, uint32_t version) {
     }
     relation::Relation rel(std::move(name), std::move(schema));
     for (uint64_t t = 0; t < tuples; ++t) rel.AppendRow({});
-    if (version >= 2) ReplayDeletionLog(r, &rel);
-    if (version >= 3) {
-      const uint64_t appends = r.U64();
-      const uint64_t deletes = r.U64();
-      const uint64_t compactions = r.U64();
-      rel.RestoreLifetimeCounters(static_cast<size_t>(appends),
-                                  static_cast<size_t>(deletes),
-                                  static_cast<size_t>(compactions));
-    }
+    ReadMutationHistory(r, version, &rel);
     return rel;
   }
 
@@ -254,22 +261,12 @@ relation::Relation ReadRelationPayload(BinaryReader& r, uint32_t version) {
   }
   relation::Relation rel = relation::Relation::FromEncoded(
       std::move(name), std::move(schema), std::move(columns));
-  if (version >= 2) ReplayDeletionLog(r, &rel);
-  if (version >= 3) {
-    const uint64_t appends = r.U64();
-    const uint64_t deletes = r.U64();
-    const uint64_t compactions = r.U64();
-    // Throws std::invalid_argument on impossible counters — the same
-    // corrupt-payload path FromEncoded's structural checks take.
-    rel.RestoreLifetimeCounters(static_cast<size_t>(appends),
-                                static_cast<size_t>(deletes),
-                                static_cast<size_t>(compactions));
-  }
+  ReadMutationHistory(r, version, &rel);
   return rel;
 }
 
-// Monitored-FD list + drift log — the relation-free core shared by the
-// monitor checkpoint and the server-state payloads.
+// Monitored-FD list + drift log — the core of a server-state monitor
+// entry.
 
 void WriteFdsAndDrift(BinaryWriter& w, const std::vector<fd::MonitoredFd>& fds,
                       const std::vector<fd::DriftEvent>& drift_log) {
@@ -349,35 +346,6 @@ void ReadFdsAndDrift(BinaryReader& r, uint32_t version,
   }
 }
 
-void WriteCheckpointPayload(BinaryWriter& w,
-                            const fd::MonitorCheckpoint& ckpt) {
-  WriteRelationPayload(w, ckpt.rel);
-  w.U64(ckpt.check_interval);
-  w.U64(ckpt.inserts_since_check);
-  w.U64(ckpt.checks_run);
-  w.U64(ckpt.stream_batch_hint);
-  WriteFdsAndDrift(w, ckpt.fds, ckpt.drift_log);
-}
-
-fd::MonitorCheckpoint ReadCheckpointPayload(BinaryReader& r,
-                                            uint32_t version) {
-  relation::Relation rel = ReadRelationPayload(r, version);
-  uint64_t check_interval = r.U64();
-  uint64_t inserts_since_check = r.U64();
-  uint64_t checks_run = r.U64();
-  uint64_t stream_batch_hint = r.U64();
-  std::vector<fd::MonitoredFd> fds;
-  std::vector<fd::DriftEvent> drift;
-  ReadFdsAndDrift(r, version, &fds, &drift);
-  return fd::MonitorCheckpoint{std::move(rel),
-                               std::move(fds),
-                               std::move(drift),
-                               static_cast<size_t>(check_interval),
-                               static_cast<size_t>(inserts_since_check),
-                               static_cast<size_t>(checks_run),
-                               static_cast<size_t>(stream_batch_hint)};
-}
-
 void WriteMonitorStatePayload(BinaryWriter& w, const fd::MonitorState& s) {
   w.U64(s.check_interval);
   w.U64(s.inserts_since_check);
@@ -427,33 +395,6 @@ query::ReservoirState ReadReservoirState(BinaryReader& r) {
         "reservoir state holds " + std::to_string(s.rows.size()) +
         " slots for capacity " + std::to_string(s.capacity));
   }
-  return s;
-}
-
-void WriteSampledCheckpointPayload(BinaryWriter& w,
-                                   const fd::SampledMonitorCheckpoint& ckpt) {
-  WriteCheckpointPayload(w, ckpt.base);
-  WriteReservoirState(w, ckpt.reservoir);
-}
-
-fd::SampledMonitorCheckpoint ReadSampledCheckpointPayload(BinaryReader& r,
-                                                          uint32_t version) {
-  fd::MonitorCheckpoint base = ReadCheckpointPayload(r, version);
-  query::ReservoirState reservoir = ReadReservoirState(r);
-  return fd::SampledMonitorCheckpoint{std::move(base), std::move(reservoir)};
-}
-
-void WriteSampledMonitorStatePayload(BinaryWriter& w,
-                                     const fd::SampledMonitorState& s) {
-  WriteMonitorStatePayload(w, s.base);
-  WriteReservoirState(w, s.reservoir);
-}
-
-fd::SampledMonitorState ReadSampledMonitorStatePayload(BinaryReader& r,
-                                                       uint32_t version) {
-  fd::SampledMonitorState s;
-  s.base = ReadMonitorStatePayload(r, version);
-  s.reservoir = ReadReservoirState(r);
   return s;
 }
 
@@ -650,19 +591,25 @@ bool DeserializeDatabase(std::string_view bytes, sql::Database* db,
 
 std::string SerializeServerState(
     const sql::Database& db, const std::vector<ServerMonitorState>& monitors,
-    const std::vector<ServerSampledMonitorState>& sampled) {
+    const std::vector<ServerMonitorState>& sampled) {
   BinaryWriter w = OpenWriter(kKindServer);
   WriteDatabasePayload(w, db);
-  w.U32(static_cast<uint32_t>(monitors.size()));
-  for (const auto& m : monitors) {
-    w.Str(m.table);
-    WriteMonitorStatePayload(w, m.state);
-  }
-  // v3 sampled-monitor section (one u32 of overhead when empty).
-  w.U32(static_cast<uint32_t>(sampled.size()));
-  for (const auto& m : sampled) {
-    w.Str(m.table);
-    WriteSampledMonitorStatePayload(w, m.state);
+  // The exact section, then the v3 sampled section (one u32 of overhead
+  // when empty), whose entries additionally carry their reservoir.
+  for (const auto* section : {&monitors, &sampled}) {
+    const bool is_sampled = section == &sampled;
+    w.U32(static_cast<uint32_t>(section->size()));
+    for (const auto& m : *section) {
+      if (m.state.reservoir.has_value() != is_sampled) {
+        throw std::invalid_argument(
+            "monitor state for '" + m.table + "' " +
+            (is_sampled ? "has no reservoir but is in the sampled section"
+                        : "has a reservoir but is in the exact section"));
+      }
+      w.Str(m.table);
+      WriteMonitorStatePayload(w, m.state);
+      if (is_sampled) WriteReservoirState(w, *m.state.reservoir);
+    }
   }
   return Seal(std::move(w));
 }
@@ -670,57 +617,49 @@ std::string SerializeServerState(
 bool DeserializeServerState(std::string_view bytes, sql::Database* db,
                             std::vector<ServerMonitorState>* monitors,
                             std::string* error,
-                            std::vector<ServerSampledMonitorState>* sampled) {
+                            std::vector<ServerMonitorState>* sampled) {
   uint32_t version = 0;
   auto payload = OpenEnvelope(bytes, kKindServer, &version, error);
   if (!payload) return false;
   try {
     BinaryReader r(*payload);
     ReadDatabasePayload(r, version, db);
-    uint32_t monitor_count = r.U32();
-    for (uint32_t i = 0; i < monitor_count; ++i) {
-      ServerMonitorState m;
-      m.table = r.Str();
-      m.state = ReadMonitorStatePayload(r, version);
-      if (!db->Has(m.table)) {
-        throw util::BinaryIoError("monitor state references unknown table '" +
-                                  m.table + "'");
-      }
-      // The restore constructor re-checks this too, but failing at load
-      // time pins the blame on the file rather than on server wiring.
-      if (m.state.watermark != db->Get(m.table).version()) {
-        throw util::BinaryIoError(
-            "monitor state for '" + m.table + "' captured at watermark " +
-            std::to_string(m.state.watermark) + " but the table holds " +
-            std::to_string(db->Get(m.table).version()) + " tuples");
-      }
-      monitors->push_back(std::move(m));
-    }
-    if (version >= 3) {
-      uint32_t sampled_count = r.U32();
-      if (sampled_count > 0 && sampled == nullptr) {
+    // v1/v2 payloads end after the exact section.
+    const int sections = version >= 3 ? 2 : 1;
+    for (int section = 0; section < sections; ++section) {
+      const bool is_sampled = section == 1;
+      const std::string what =
+          is_sampled ? "sampled monitor state" : "monitor state";
+      std::vector<ServerMonitorState>* out = is_sampled ? sampled : monitors;
+      const uint32_t count = r.U32();
+      if (count > 0 && out == nullptr) {
         throw util::BinaryIoError(
             "snapshot carries sampled monitors but the caller cannot "
             "restore them");
       }
-      for (uint32_t i = 0; i < sampled_count; ++i) {
-        ServerSampledMonitorState m;
+      std::set<std::string> tables;
+      for (uint32_t i = 0; i < count; ++i) {
+        ServerMonitorState m;
         m.table = r.Str();
-        m.state = ReadSampledMonitorStatePayload(r, version);
+        m.state = ReadMonitorStatePayload(r, version);
+        if (is_sampled) m.state.reservoir = ReadReservoirState(r);
         if (!db->Has(m.table)) {
-          throw util::BinaryIoError(
-              "sampled monitor state references unknown table '" + m.table +
-              "'");
+          throw util::BinaryIoError(what + " references unknown table '" +
+                                    m.table + "'");
         }
-        if (m.state.base.watermark != db->Get(m.table).version()) {
+        if (!tables.insert(m.table).second) {
+          throw util::BinaryIoError("two monitor states for table '" +
+                                    m.table + "'");
+        }
+        // The restore constructor re-checks this too, but failing at load
+        // time pins the blame on the file rather than on server wiring.
+        if (m.state.watermark != db->Get(m.table).version()) {
           throw util::BinaryIoError(
-              "sampled monitor state for '" + m.table +
-              "' captured at watermark " +
-              std::to_string(m.state.base.watermark) +
-              " but the table holds " +
+              what + " for '" + m.table + "' captured at watermark " +
+              std::to_string(m.state.watermark) + " but the table holds " +
               std::to_string(db->Get(m.table).version()) + " tuples");
         }
-        sampled->push_back(std::move(m));
+        out->push_back(std::move(m));
       }
     }
     if (!r.AtEnd()) {
@@ -734,59 +673,6 @@ bool DeserializeServerState(std::string_view bytes, sql::Database* db,
     return false;
   }
   return true;
-}
-
-std::string SerializeCheckpoint(const fd::MonitorCheckpoint& ckpt) {
-  BinaryWriter w = OpenWriter(kKindMonitor);
-  WriteCheckpointPayload(w, ckpt);
-  return Seal(std::move(w));
-}
-
-std::string SerializeSampledCheckpoint(
-    const fd::SampledMonitorCheckpoint& ckpt) {
-  BinaryWriter w = OpenWriter(kKindSampledMonitor);
-  WriteSampledCheckpointPayload(w, ckpt);
-  return Seal(std::move(w));
-}
-
-SampledCheckpointResult DeserializeSampledCheckpoint(std::string_view bytes) {
-  SampledCheckpointResult result;
-  uint32_t version = 0;
-  auto payload =
-      OpenEnvelope(bytes, kKindSampledMonitor, &version, &result.error);
-  if (!payload) return result;
-  try {
-    BinaryReader r(*payload);
-    fd::SampledMonitorCheckpoint ckpt = ReadSampledCheckpointPayload(r, version);
-    if (!r.AtEnd()) {
-      result.error = "trailing bytes after sampled checkpoint payload";
-      return result;
-    }
-    result.checkpoint.emplace(std::move(ckpt));
-  } catch (const std::exception& e) {
-    result.error = std::string("corrupt sampled monitor checkpoint: ") +
-                   e.what();
-  }
-  return result;
-}
-
-CheckpointResult DeserializeCheckpoint(std::string_view bytes) {
-  CheckpointResult result;
-  uint32_t version = 0;
-  auto payload = OpenEnvelope(bytes, kKindMonitor, &version, &result.error);
-  if (!payload) return result;
-  try {
-    BinaryReader r(*payload);
-    fd::MonitorCheckpoint ckpt = ReadCheckpointPayload(r, version);
-    if (!r.AtEnd()) {
-      result.error = "trailing bytes after checkpoint payload";
-      return result;
-    }
-    result.checkpoint.emplace(std::move(ckpt));
-  } catch (const std::exception& e) {
-    result.error = std::string("corrupt monitor checkpoint: ") + e.what();
-  }
-  return result;
 }
 
 bool SaveRelationSnapshot(const relation::Relation& rel,
@@ -813,40 +699,10 @@ bool LoadDatabaseSnapshot(const std::string& path, sql::Database* db,
   return DeserializeDatabase(*bytes, db, error);
 }
 
-bool SaveMonitorCheckpoint(const fd::SchemaMonitor& monitor,
-                           const std::string& path, std::string* error) {
-  return WriteFileBytes(SerializeCheckpoint(monitor.Checkpoint()), path,
-                        error);
-}
-
-bool SaveMonitorCheckpoint(const fd::MonitorCheckpoint& ckpt,
-                           const std::string& path, std::string* error) {
-  return WriteFileBytes(SerializeCheckpoint(ckpt), path, error);
-}
-
-CheckpointResult LoadMonitorCheckpoint(const std::string& path) {
-  CheckpointResult result;
-  auto bytes = ReadFileBytes(path, &result.error);
-  if (!bytes) return result;
-  return DeserializeCheckpoint(*bytes);
-}
-
-bool SaveSampledCheckpoint(const fd::SampledMonitorCheckpoint& ckpt,
-                           const std::string& path, std::string* error) {
-  return WriteFileBytes(SerializeSampledCheckpoint(ckpt), path, error);
-}
-
-SampledCheckpointResult LoadSampledCheckpoint(const std::string& path) {
-  SampledCheckpointResult result;
-  auto bytes = ReadFileBytes(path, &result.error);
-  if (!bytes) return result;
-  return DeserializeSampledCheckpoint(*bytes);
-}
-
 bool SaveServerSnapshot(const sql::Database& db,
                         const std::vector<ServerMonitorState>& monitors,
                         const std::string& path, std::string* error,
-                        const std::vector<ServerSampledMonitorState>& sampled) {
+                        const std::vector<ServerMonitorState>& sampled) {
   return WriteFileBytes(SerializeServerState(db, monitors, sampled), path,
                         error);
 }
@@ -854,7 +710,7 @@ bool SaveServerSnapshot(const sql::Database& db,
 bool LoadServerSnapshot(const std::string& path, sql::Database* db,
                         std::vector<ServerMonitorState>* monitors,
                         std::string* error,
-                        std::vector<ServerSampledMonitorState>* sampled) {
+                        std::vector<ServerMonitorState>* sampled) {
   auto bytes = ReadFileBytes(path, error);
   if (!bytes) return false;
   return DeserializeServerState(*bytes, db, monitors, error, sampled);

@@ -4,21 +4,17 @@
 // every restart; snapshots instead serialize the *encoded* layer directly
 // (per-column dictionary + dense codes + row watermark, no per-cell Value
 // boxing), in the spirit of DuckDB's persisted column segments and
-// Hyrise's binary table export. Four payload kinds share one envelope:
+// Hyrise's binary table export. Three payload kinds share one envelope:
 //
 //   * Relation          — one dictionary-encoded relation;
 //   * Database catalog  — named relations + declared FDs;
-//   * Monitor checkpoint — a SchemaMonitor's complete resumable state
-//     (relation, registered FDs, accepted repairs, per-FD maintained
-//     counters, drift log, interval position), so a monitoring process can
-//     stop and resume mid-stream without replaying it;
-//   * Server state      — a server::Service's durable state: the whole
-//     catalog plus one relation-free MonitorState per monitored table
-//     (the relations live in the catalog section; embedding a copy per
-//     monitor would double the file);
-//   * Sampled monitor checkpoint — a SampledSchemaMonitor's resumable
-//     state: the monitor-checkpoint payload plus its reservoir (slots and
-//     raw generator state), so a resumed sampled monitor replays the
+//   * Server state      — the durable state of a server::Service (or of
+//     the CLI's monitor loop, which checkpoints in the same format): the
+//     whole catalog plus one relation-free fd::MonitorState per monitor,
+//     in an exact section and a sampled section (the relations live in
+//     the catalog section; embedding a copy per monitor would double the
+//     file). Sampled entries carry their reservoir (slots and raw
+//     generator state), so a resumed sampled monitor replays the
 //     identical remaining estimate sequence.
 //
 // File layout (all integers little-endian, see util/binary_io.h):
@@ -26,9 +22,8 @@
 //   offset 0: magic "FDEV"            (4 bytes)
 //             format version u32     (currently 3; v1/v2 files still load)
 //             payload kind u32       (1 = relation, 2 = database,
-//                                     3 = monitor checkpoint,
-//                                     4 = server state,
-//                                     5 = sampled monitor checkpoint)
+//                                     4 = server state; 3 and 5 are
+//                                     retired and never reused)
 //             payload bytes
 //   trailer:  FNV-1a u64 over everything before the trailer
 //
@@ -46,10 +41,14 @@
 //        fd::DriftEvent — all-default for exact events), the server-state
 //        payload ends with a sampled-monitor section (count + per-entry
 //        table name, monitor state, reservoir state; empty when no
-//        sampled monitors exist), and the new kind 5 serializes a
-//        standalone sampled monitor checkpoint. v1/v2 files load with
-//        exact-event defaults and an empty sampled section — exactly what
-//        their writers could express.
+//        sampled monitors exist). v1/v2 files load with exact-event
+//        defaults and an empty sampled section — exactly what their
+//        writers could express.
+//
+// Retired kinds: v1–v3 writers also produced standalone monitor
+// checkpoints (kind 3, relation + one exact monitor) and sampled monitor
+// checkpoints (kind 5, v3 only). Readers no longer parse them; loading one
+// fails with a kind-mismatch error that names the retired kind.
 //
 // Integrity policy: loads verify size, magic, version, kind, and checksum
 // before parsing, then parse with bounds-checked reads and validate every
@@ -75,7 +74,6 @@
 #include <string_view>
 #include <vector>
 
-#include "fd/sampled_monitor.h"
 #include "fd/schema_monitor.h"
 #include "relation/relation.h"
 #include "sql/database.h"
@@ -101,22 +99,6 @@ struct RelationSnapshotResult {
   bool ok() const { return relation.has_value(); }
 };
 
-/// Result of loading a monitor checkpoint.
-struct CheckpointResult {
-  std::optional<fd::MonitorCheckpoint> checkpoint;
-  std::string error;
-
-  bool ok() const { return checkpoint.has_value(); }
-};
-
-/// Result of loading a sampled monitor checkpoint (kind 5).
-struct SampledCheckpointResult {
-  std::optional<fd::SampledMonitorCheckpoint> checkpoint;
-  std::string error;
-
-  bool ok() const { return checkpoint.has_value(); }
-};
-
 /// One monitored table's relation-free monitor state, keyed by table name
 /// into the catalog persisted alongside it (see the server-state kind).
 struct ServerMonitorState {
@@ -124,12 +106,9 @@ struct ServerMonitorState {
   fd::MonitorState state;
 };
 
-/// Sampled counterpart: one table's sampled monitor state (monitor state
-/// + reservoir), persisted in the server payload's v3 sampled section.
-struct ServerSampledMonitorState {
-  std::string table;
-  fd::SampledMonitorState state;
-};
+/// Former name of a sampled-section entry, kept for the fdbench sources
+/// (perfbench/) until they switch to ServerMonitorState. Use nowhere else.
+using ServerSampledMonitorState = ServerMonitorState;
 
 // --- Buffer-level API (the file functions are thin wrappers; tests use
 // --- these to corrupt bytes in memory).
@@ -137,33 +116,34 @@ struct ServerSampledMonitorState {
 /// Serializes to a complete snapshot byte string (envelope + checksum).
 std::string SerializeRelation(const relation::Relation& rel);
 std::string SerializeDatabase(const sql::Database& db);
-std::string SerializeCheckpoint(const fd::MonitorCheckpoint& ckpt);
-std::string SerializeSampledCheckpoint(const fd::SampledMonitorCheckpoint& ckpt);
 
+/// Writes the catalog, then `monitors` as the exact section and `sampled`
+/// as the sampled section. Throws std::invalid_argument when an entry's
+/// state does not match its section (a reservoir in the exact section, or
+/// none in the sampled one).
 std::string SerializeServerState(
     const sql::Database& db, const std::vector<ServerMonitorState>& monitors,
-    const std::vector<ServerSampledMonitorState>& sampled = {});
+    const std::vector<ServerMonitorState>& sampled = {});
 
 /// Parses a complete snapshot byte string of the matching kind.
 RelationSnapshotResult DeserializeRelation(std::string_view bytes);
 bool DeserializeDatabase(std::string_view bytes, sql::Database* db,
                          std::string* error);
-CheckpointResult DeserializeCheckpoint(std::string_view bytes);
-SampledCheckpointResult DeserializeSampledCheckpoint(std::string_view bytes);
 
 /// Adds the snapshot's catalog into `db` (normally empty) and fills
-/// `monitors` (and, when non-null, `sampled`) with the per-table monitor
-/// states. Structural validation: every monitor state must reference a
-/// table present in the snapshot and its watermark must equal that
-/// table's tuple count (the pairing guarantee SchemaMonitor's restore
-/// constructor relies on); sampled states additionally carry their
-/// reservoir, validated on restore by ReservoirSampler. A v3 file with a
-/// sampled section fails the load when `sampled` is null rather than
-/// silently dropping monitors. On failure `*db` may hold a partial load.
+/// `monitors` with the exact section and, when non-null, `sampled` with
+/// the sampled section. Structural validation: every monitor state must
+/// reference a table present in the snapshot, at most once per section,
+/// and its watermark must equal that table's tuple count (the pairing
+/// guarantee SchemaMonitor's restore constructor relies on); sampled
+/// states additionally carry their reservoir, validated on restore by
+/// ReservoirSampler. A v3 file with a sampled section fails the load when
+/// `sampled` is null rather than silently dropping monitors. On failure
+/// `*db` may hold a partial load.
 bool DeserializeServerState(std::string_view bytes, sql::Database* db,
                             std::vector<ServerMonitorState>* monitors,
                             std::string* error,
-                            std::vector<ServerSampledMonitorState>* sampled =
+                            std::vector<ServerMonitorState>* sampled =
                                 nullptr);
 
 // --- File-level API. Writers flush before reporting success so
@@ -181,29 +161,13 @@ bool SaveDatabaseSnapshot(const sql::Database& db, const std::string& path,
 bool LoadDatabaseSnapshot(const std::string& path, sql::Database* db,
                           std::string* error);
 
-/// Checkpoints a monitor (calls SchemaMonitor::Checkpoint()).
-bool SaveMonitorCheckpoint(const fd::SchemaMonitor& monitor,
-                           const std::string& path, std::string* error);
-/// Saves an explicit checkpoint — for drivers that annotate it (e.g. the
-/// CLI filling MonitorCheckpoint::stream_batch_hint) before persisting.
-bool SaveMonitorCheckpoint(const fd::MonitorCheckpoint& ckpt,
-                           const std::string& path, std::string* error);
-CheckpointResult LoadMonitorCheckpoint(const std::string& path);
-
-/// Sampled-monitor counterparts (kind 5).
-bool SaveSampledCheckpoint(const fd::SampledMonitorCheckpoint& ckpt,
-                           const std::string& path, std::string* error);
-SampledCheckpointResult LoadSampledCheckpoint(const std::string& path);
-
 bool SaveServerSnapshot(const sql::Database& db,
                         const std::vector<ServerMonitorState>& monitors,
                         const std::string& path, std::string* error,
-                        const std::vector<ServerSampledMonitorState>& sampled =
-                            {});
+                        const std::vector<ServerMonitorState>& sampled = {});
 bool LoadServerSnapshot(const std::string& path, sql::Database* db,
                         std::vector<ServerMonitorState>* monitors,
                         std::string* error,
-                        std::vector<ServerSampledMonitorState>* sampled =
-                            nullptr);
+                        std::vector<ServerMonitorState>* sampled = nullptr);
 
 }  // namespace fdevolve::storage

@@ -1,4 +1,4 @@
-#include "fd/sampled_monitor.h"
+#include "fd/schema_monitor.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fd/sampled_estimate.h"
-#include "fd/schema_monitor.h"
 #include "query/group_ids.h"
 #include "relation/relation.h"
 #include "util/rng.h"
@@ -33,6 +32,12 @@ Fd XtoY() { return Fd(AttrSet::Of({0}), AttrSet::Of({1})); }
 
 std::vector<Value> Row(int64_t x, int64_t y) { return {Value(x), Value(y)}; }
 
+/// Appends (x, y) behind the monitor's back, then lets it observe.
+void Append(Relation& rel, SchemaMonitor& mon, int64_t x, int64_t y) {
+  rel.AppendRow(Row(x, y));
+  mon.Poll();
+}
+
 /// Records every estimate callback as (fd_index, confidence, lo, hi) for
 /// sequence comparison — the resume gate compares these bitwise.
 struct EstimateLog {
@@ -44,7 +49,7 @@ struct EstimateLog {
   };
   std::vector<Entry> entries;
 
-  void Attach(SampledSchemaMonitor* mon) {
+  void Attach(SchemaMonitor* mon) {
     mon->OnEstimate([this](size_t i, const SampledMeasures& est) {
       entries.push_back({i, est.measures.confidence, est.confidence_lo,
                          est.confidence_hi, est.approx});
@@ -69,15 +74,17 @@ TEST(SampledMonitorTest, FullCoverageMatchesExactMonitorBitIdentically) {
   // Capacity above everything ever appended: Algorithm R never evicts,
   // the sample IS the relation, and the sampled monitor must agree with
   // the exact one measure for measure, event for event.
-  SchemaMonitor exact(XyRelation(), {XtoY()}, /*check_interval=*/3);
-  SampledSchemaMonitor sampled(XyRelation(), {XtoY()}, /*check_interval=*/3,
-                               /*capacity=*/1000, /*seed=*/42);
+  Relation rel = XyRelation();
+  SchemaMonitor exact(&rel, {XtoY()}, /*check_interval=*/3);
+  SchemaMonitor sampled(&rel, {XtoY()}, /*check_interval=*/3,
+                        /*capacity=*/1000, /*seed=*/42);
   for (int i = 0; i < 30; ++i) {
     // x repeats every 5, y breaks the FD at i=17 and repairs nothing.
     const int64_t x = i % 5;
     const int64_t y = (i == 17) ? 99 : x * 10;
-    exact.Insert(Row(x, y));
-    sampled.Insert(Row(x, y));
+    rel.AppendRow(Row(x, y));
+    exact.Poll();
+    sampled.Poll();
   }
   exact.CheckNow();
   sampled.CheckNow();
@@ -112,9 +119,10 @@ TEST(SampledMonitorTest, FullCoverageMatchesExactMonitorBitIdentically) {
 TEST(SampledMonitorTest, NeverRaisesFalseAlarmOnExactStream) {
   // X -> Y holds for the whole stream; whatever 5-row subset the
   // reservoir lands on, no witness pair exists, so no drift fires.
-  SampledSchemaMonitor mon(XyRelation(), {XtoY()}, /*check_interval=*/1,
-                           /*capacity=*/5, /*seed=*/7);
-  for (int i = 0; i < 400; ++i) mon.Insert(Row(i % 20, (i % 20) * 3));
+  Relation rel = XyRelation();
+  SchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/1,
+                    /*capacity=*/5, /*seed=*/7);
+  for (int i = 0; i < 400; ++i) Append(rel, mon, i % 20, (i % 20) * 3);
   EXPECT_TRUE(mon.drift_log().empty());
   EXPECT_FALSE(mon.fds()[0].violated);
   EXPECT_FALSE(mon.estimates()[0].witnessed_violation);
@@ -125,10 +133,11 @@ TEST(SampledMonitorTest, WitnessedViolationFlagsApproxDriftWithIntervals) {
   // x=1 with fresh y's: any two sampled suffix rows witness the
   // violation, and because coverage is partial by the time one does, the
   // drift event must carry approx=true and a coherent interval.
-  SampledSchemaMonitor mon(XyRelation(), {XtoY()}, /*check_interval=*/1,
-                           /*capacity=*/5, /*seed=*/11);
-  for (int i = 0; i < 50; ++i) mon.Insert(Row(100 + i, i * 2));  // exact
-  for (int i = 0; i < 100; ++i) mon.Insert(Row(1, i));  // violating flood
+  Relation rel = XyRelation();
+  SchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/1,
+                    /*capacity=*/5, /*seed=*/11);
+  for (int i = 0; i < 50; ++i) Append(rel, mon, 100 + i, i * 2);  // exact
+  for (int i = 0; i < 100; ++i) Append(rel, mon, 1, i);  // violating flood
   ASSERT_FALSE(mon.drift_log().empty());
   const DriftEvent& ev = mon.drift_log()[0];
   EXPECT_EQ(ev.kind, DriftKind::kViolated);
@@ -149,12 +158,10 @@ TEST(SampledMonitorTest, WitnessedViolationFlagsApproxDriftWithIntervals) {
 
 TEST(SampledMonitorTest, DeleteOfWitnessRecoversAtFullCoverage) {
   Relation rel = XyRelation();
-  SampledSchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/1,
-                           /*capacity=*/100, /*seed=*/3);
-  rel.AppendRow(Row(1, 10));
-  mon.Poll();
-  rel.AppendRow(Row(1, 20));  // witness pair
-  mon.Poll();
+  SchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/1,
+                    /*capacity=*/100, /*seed=*/3);
+  Append(rel, mon, 1, 10);
+  Append(rel, mon, 1, 20);  // witness pair
   ASSERT_EQ(mon.drift_log().size(), 1u);
   EXPECT_EQ(mon.drift_log()[0].kind, DriftKind::kViolated);
   rel.DeleteRow(1);  // remove the second y — FD exact again
@@ -168,8 +175,8 @@ TEST(SampledMonitorTest, AddFdOnViolatedSampleRegistersViolated) {
   Relation initial = XyRelation();
   initial.AppendRow(Row(1, 10));
   initial.AppendRow(Row(1, 20));
-  SampledSchemaMonitor mon(std::move(initial), {}, /*check_interval=*/1,
-                           /*capacity=*/10, /*seed=*/5);
+  SchemaMonitor mon(&initial, std::vector<Fd>{}, /*check_interval=*/1,
+                    /*capacity=*/10, /*seed=*/5);
   const size_t idx = mon.AddFd(XtoY());
   EXPECT_FALSE(mon.fds()[idx].was_exact_at_registration);
   EXPECT_TRUE(mon.fds()[idx].violated);
@@ -179,19 +186,20 @@ TEST(SampledMonitorTest, AddFdOnViolatedSampleRegistersViolated) {
 }
 
 TEST(SampledMonitorTest, CheckpointResumeReplaysIdenticalEstimateSequence) {
-  SampledSchemaMonitor a(XyRelation(), {XtoY()}, /*check_interval=*/4,
-                         /*capacity=*/6, /*seed=*/99);
-  for (int i = 0; i < 50; ++i) a.Insert(Row(i % 7, i % 13));
+  Relation rel_a = XyRelation();
+  SchemaMonitor a(&rel_a, {XtoY()}, /*check_interval=*/4,
+                  /*capacity=*/6, /*seed=*/99);
+  for (int i = 0; i < 50; ++i) Append(rel_a, a, i % 7, i % 13);
 
-  SampledMonitorCheckpoint ckpt = a.Checkpoint();
-  SampledSchemaMonitor b(std::move(ckpt));
+  Relation rel_b = rel_a;
+  SchemaMonitor b(&rel_b, a.State());
 
   EstimateLog la, lb;
   la.Attach(&a);
   lb.Attach(&b);
   for (int i = 50; i < 120; ++i) {
-    a.Insert(Row(i % 7, i % 13));
-    b.Insert(Row(i % 7, i % 13));
+    Append(rel_a, a, i % 7, i % 13);
+    Append(rel_b, b, i % 7, i % 13);
   }
   a.CheckNow();
   b.CheckNow();
@@ -204,16 +212,14 @@ TEST(SampledMonitorTest, CheckpointResumeReplaysIdenticalEstimateSequence) {
 
 TEST(SampledMonitorTest, ExternalStateRestoreCrossChecksMeasures) {
   Relation rel = XyRelation();
-  SampledSchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/1,
-                           /*capacity=*/8, /*seed=*/21);
-  for (int i = 0; i < 30; ++i) {
-    rel.AppendRow(Row(i % 4, i % 9));
-    mon.Poll();
-  }
-  SampledMonitorState state = mon.State();
+  SchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/1,
+                    /*capacity=*/8, /*seed=*/21);
+  for (int i = 0; i < 30; ++i) Append(rel, mon, i % 4, i % 9);
+  MonitorState state = mon.State();
+  ASSERT_TRUE(state.reservoir.has_value());
 
   // Clean restore reproduces the estimates.
-  SampledSchemaMonitor restored(&rel, state);
+  SchemaMonitor restored(&rel, state);
   ASSERT_EQ(restored.estimates().size(), mon.estimates().size());
   EXPECT_EQ(restored.estimates()[0].measures.confidence,
             mon.estimates()[0].measures.confidence);
@@ -221,31 +227,31 @@ TEST(SampledMonitorTest, ExternalStateRestoreCrossChecksMeasures) {
             mon.estimates()[0].confidence_lo);
 
   // Tampered carried measures fail the re-estimation cross-check.
-  SampledMonitorState tampered = mon.State();
-  ASSERT_FALSE(tampered.base.fds.empty());
-  tampered.base.fds[0].measures.distinct_x += 5;
-  EXPECT_THROW(SampledSchemaMonitor(&rel, tampered), std::invalid_argument);
+  MonitorState tampered = mon.State();
+  ASSERT_FALSE(tampered.fds.empty());
+  tampered.fds[0].measures.distinct_x += 5;
+  EXPECT_THROW(SchemaMonitor(&rel, tampered), std::invalid_argument);
 }
 
-TEST(SampledMonitorTest, InsertBatchChecksAtMostOncePerBatch) {
-  SampledSchemaMonitor mon(XyRelation(), {XtoY()}, /*check_interval=*/5,
-                           /*capacity=*/100, /*seed=*/2);
+TEST(SampledMonitorTest, PollChecksAtMostOncePerAppendedBatch) {
+  Relation rel = XyRelation();
+  SchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/5,
+                    /*capacity=*/100, /*seed=*/2);
   std::vector<std::vector<Value>> batch;
   for (int i = 0; i < 12; ++i) batch.push_back(Row(i, i));
-  mon.InsertBatch(batch);  // 12 inserts, interval 5 -> exactly one check
+  rel.AppendRows(batch);
+  mon.Poll();  // 12 appends, interval 5 -> exactly one check
   EXPECT_EQ(mon.checks_run(), 1u);
-  mon.InsertBatch({Row(100, 100), Row(101, 101), Row(102, 102)});
+  rel.AppendRows({Row(100, 100), Row(101, 101), Row(102, 102)});
+  mon.Poll();
   EXPECT_EQ(mon.checks_run(), 2u);  // 2 carried + 3 = 5 -> check
 }
 
 TEST(SampledMonitorTest, CompactionOnCheckBoundaryKeepsEstimatesCoherent) {
   Relation rel = XyRelation();
-  SampledSchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/1,
-                           /*capacity=*/10, /*seed=*/13);
-  for (int i = 0; i < 80; ++i) {
-    rel.AppendRow(Row(i % 6, (i % 6) * 2));
-    mon.Poll();
-  }
+  SchemaMonitor mon(&rel, {XtoY()}, /*check_interval=*/1,
+                    /*capacity=*/10, /*seed=*/13);
+  for (int i = 0; i < 80; ++i) Append(rel, mon, i % 6, (i % 6) * 2);
   for (size_t t = 0; t < 40; ++t) rel.DeleteRow(t);
   mon.Poll();
   rel.Compact();  // exactly at a poll boundary

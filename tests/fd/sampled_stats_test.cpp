@@ -19,7 +19,7 @@
 
 #include "datagen/churn.h"
 #include "fd/measures.h"
-#include "fd/sampled_monitor.h"
+#include "fd/schema_monitor.h"
 #include "relation/relation.h"
 #include "support/fuzz_seed.h"
 #include "support/stats.h"
@@ -60,9 +60,9 @@ bool IntervalCoversTruth(ChurnScenario scenario, uint64_t seed,
   const ChurnStream stream = MakeChurn(spec);
 
   Relation rel = stream.initial;
-  SampledSchemaMonitor mon(&rel, {ChurnFd(rel.schema())},
-                           /*check_interval=*/64, capacity,
-                           /*seed=*/seed ^ 0x5a5a5a5a5a5a5a5aULL);
+  SchemaMonitor mon(&rel, {ChurnFd(rel.schema())},
+                    /*check_interval=*/64, capacity,
+                    /*seed=*/seed ^ 0x5a5a5a5a5a5a5a5aULL);
   for (const datagen::ChurnOp& op : stream.ops) {
     ApplyChurnOp(&rel, op);
     mon.Poll();
@@ -121,9 +121,9 @@ TEST(SampledStats, WitnessedViolationsAreNeverFalsePositives) {
       spec.violation_rate = 0.15;  // plant plenty of witnesses
       const ChurnStream stream = MakeChurn(spec);
       Relation rel = stream.initial;
-      SampledSchemaMonitor mon(&rel, {ChurnFd(rel.schema())},
-                               /*check_interval=*/16, /*capacity=*/24,
-                               /*seed=*/seed + 1);
+      SchemaMonitor mon(&rel, {ChurnFd(rel.schema())},
+                        /*check_interval=*/16, /*capacity=*/24,
+                        /*seed=*/seed + 1);
       for (const datagen::ChurnOp& op : stream.ops) {
         ApplyChurnOp(&rel, op);
         mon.Poll();

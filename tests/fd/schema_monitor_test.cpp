@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace fdevolve::fd {
 namespace {
 
@@ -25,18 +27,25 @@ Relation CleanInstance() {
       .Build();
 }
 
+/// Appends one row behind the monitor's back, then lets it observe.
+void Append(Relation& rel, SchemaMonitor& mon,
+            const std::vector<Value>& row) {
+  rel.AppendRow(row);
+  mon.Poll();
+}
+
 TEST(SchemaMonitorTest, ExactAtRegistration) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
   ASSERT_EQ(mon.fds().size(), 1u);
   EXPECT_TRUE(mon.fds()[0].was_exact_at_registration);
   EXPECT_FALSE(mon.fds()[0].violated);
 }
 
 TEST(SchemaMonitorTest, DriftDetectedOnInsert) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
-  mon.Insert({"Hoboken", "10001", "NJ"});  // 10001 now maps to NY and NJ
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
+  Append(rel, mon, {"Hoboken", "10001", "NJ"});  // 10001 -> {NY, NJ}
   EXPECT_TRUE(mon.fds()[0].violated);
   ASSERT_EQ(mon.drift_log().size(), 1u);
   EXPECT_EQ(mon.drift_log()[0].fd_index, 0u);
@@ -44,45 +53,45 @@ TEST(SchemaMonitorTest, DriftDetectedOnInsert) {
 }
 
 TEST(SchemaMonitorTest, DriftCallbackFires) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
   int fired = 0;
   mon.OnDrift([&](const DriftEvent& ev) {
     ++fired;
     EXPECT_FALSE(ev.measures.exact);
   });
-  mon.Insert({"Hoboken", "10001", "NJ"});
+  Append(rel, mon, {"Hoboken", "10001", "NJ"});
   EXPECT_EQ(fired, 1);
   // Further violating inserts do not re-fire for an already-violated FD.
-  mon.Insert({"Newark", "10001", "PA"});
+  Append(rel, mon, {"Newark", "10001", "PA"});
   EXPECT_EQ(fired, 1);
 }
 
 TEST(SchemaMonitorTest, CheckIntervalBatchesValidation) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())},
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())},
                     /*check_interval=*/3);
-  mon.Insert({"Hoboken", "10001", "NJ"});  // violates, but not checked yet
+  Append(rel, mon, {"Hoboken", "10001", "NJ"});  // violates, not checked yet
   EXPECT_FALSE(mon.fds()[0].violated);
-  mon.Insert({"X", "90001", "CA"});
+  Append(rel, mon, {"X", "90001", "CA"});
   EXPECT_FALSE(mon.fds()[0].violated);
-  mon.Insert({"Y", "90002", "CA"});  // third insert triggers the check
+  Append(rel, mon, {"Y", "90002", "CA"});  // third insert triggers the check
   EXPECT_TRUE(mon.fds()[0].violated);
 }
 
 TEST(SchemaMonitorTest, SuggestRepairsCoversViolatedOnly) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema()),
-                     Fd::Parse("zip -> city", MonitorSchema())});
-  mon.Insert({"Hoboken", "10001", "NJ"});  // breaks both? city NY->Hoboken yes
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema()),
+                           Fd::Parse("zip -> city", MonitorSchema())});
+  Append(rel, mon, {"Hoboken", "10001", "NJ"});  // breaks both FDs
   auto suggestions = mon.SuggestRepairs();
   EXPECT_EQ(suggestions.size(), 2u);
 }
 
 TEST(SchemaMonitorTest, AcceptRepairReplacesFdAndClearsViolation) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
-  mon.Insert({"Hoboken", "10001", "NJ"});
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
+  Append(rel, mon, {"Hoboken", "10001", "NJ"});
   RepairOptions opts;
   opts.mode = SearchMode::kFirstRepair;
   auto suggestions = mon.SuggestRepairs(opts);
@@ -94,8 +103,8 @@ TEST(SchemaMonitorTest, AcceptRepairReplacesFdAndClearsViolation) {
 }
 
 TEST(SchemaMonitorTest, AcceptRepairBadIndexThrows) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
   Repair r;
   r.repaired = Fd::Parse("city -> state", MonitorSchema());
   EXPECT_THROW(mon.AcceptRepair(5, r), std::out_of_range);
@@ -106,71 +115,74 @@ TEST(SchemaMonitorTest, ViolatedAtRegistrationIsRecorded) {
                        .Row({"NY", "10001", "NY"})
                        .Row({"Hoboken", "10001", "NJ"})
                        .Build();
-  SchemaMonitor mon(std::move(dirty),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
+  SchemaMonitor mon(&dirty, {Fd::Parse("zip -> state", MonitorSchema())});
   EXPECT_TRUE(mon.fds()[0].violated);
   EXPECT_FALSE(mon.fds()[0].was_exact_at_registration);
 }
 
 TEST(SchemaMonitorTest, CheckNowReturnsViolatedIndices) {
-  SchemaMonitor mon(CleanInstance(),
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel,
                     {Fd::Parse("zip -> state", MonitorSchema()),
                      Fd::Parse("city -> zip", MonitorSchema())},
                     /*check_interval=*/1000);  // manual checks only
-  mon.Insert({"Hoboken", "10001", "NJ"});
+  Append(rel, mon, {"Hoboken", "10001", "NJ"});
   auto violated = mon.CheckNow();
   ASSERT_EQ(violated.size(), 1u);
   EXPECT_EQ(violated[0], 0u);
 }
 
-TEST(SchemaMonitorTest, InsertBatchRunsOneCheckPerBatch) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())},
+TEST(SchemaMonitorTest, PollRunsOneCheckPerAppendedBatch) {
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())},
                     /*check_interval=*/3);
-  // 4 inserts cross the interval once: exactly one check, at the end of
-  // the batch, sees the violating row.
+  // 4 appends folded by one Poll cross the interval once: exactly one
+  // check, after the whole batch, sees the violating row.
   const size_t before = mon.checks_run();
-  mon.InsertBatch({{"Hoboken", "10001", "NJ"},
-                   {"X", "90001", "CA"},
-                   {"Y", "90002", "CA"},
-                   {"Z", "90003", "CA"}});
+  rel.AppendRows({{"Hoboken", "10001", "NJ"},
+                  {"X", "90001", "CA"},
+                  {"Y", "90002", "CA"},
+                  {"Z", "90003", "CA"}});
+  mon.Poll();
   EXPECT_EQ(mon.checks_run(), before + 1);
   EXPECT_TRUE(mon.fds()[0].violated);
   ASSERT_EQ(mon.drift_log().size(), 1u);
   EXPECT_EQ(mon.drift_log()[0].tuple_count, 6u);
 }
 
-TEST(SchemaMonitorTest, InsertBatchBelowIntervalDefersCheck) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())},
+TEST(SchemaMonitorTest, PollBelowIntervalDefersCheck) {
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())},
                     /*check_interval=*/10);
-  mon.InsertBatch({{"Hoboken", "10001", "NJ"}});
+  rel.AppendRows({{"Hoboken", "10001", "NJ"}});
+  mon.Poll();
   EXPECT_FALSE(mon.fds()[0].violated);  // not checked yet
-  mon.InsertBatch({});  // empty batch: no check, no state change
+  mon.Poll();  // nothing appended: no check, no state change
   EXPECT_FALSE(mon.fds()[0].violated);
   auto violated = mon.CheckNow();
   ASSERT_EQ(violated.size(), 1u);
 }
 
 TEST(SchemaMonitorTest, BatchValidationIsAllOrNothing) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
-  // Second row has a type mismatch: the whole batch must be rejected and
-  // the monitor's relation stay intact.
-  EXPECT_THROW(mon.InsertBatch({{"Hoboken", "10001", "NJ"},
-                                {"X", relation::Value(int64_t{5}), "CA"}}),
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
+  // Second row has a type mismatch: the whole batch must be rejected, so
+  // the monitor observes no mutation at all.
+  EXPECT_THROW(rel.AppendRows({{"Hoboken", "10001", "NJ"},
+                               {"X", relation::Value(int64_t{5}), "CA"}}),
                std::invalid_argument);
+  mon.Poll();
   EXPECT_EQ(mon.rel().tuple_count(), 2u);
+  EXPECT_EQ(mon.checks_run(), 0u);
   EXPECT_FALSE(mon.fds()[0].violated);
 }
 
 TEST(SchemaMonitorTest, IncrementalChecksMatchScratchRecomputation) {
-  // Drive the same stream through the monitor and through from-scratch
-  // measures; flags and counts must agree at every check.
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema()),
-                     Fd::Parse("zip -> city", MonitorSchema())});
-  Relation shadow = CleanInstance();
+  // Drive a stream through the monitor; its incrementally maintained
+  // flags and counts must agree with from-scratch measures at every check.
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema()),
+                           Fd::Parse("zip -> city", MonitorSchema())});
   const std::vector<std::vector<Value>> stream = {
       {"NY", "10001", "NY"},      // duplicate zip, same state
       {"Albany", "12201", "NY"},  // new zip
@@ -178,10 +190,9 @@ TEST(SchemaMonitorTest, IncrementalChecksMatchScratchRecomputation) {
       {"Newark", "07101", "NJ"},
   };
   for (const auto& row : stream) {
-    mon.Insert(row);
-    shadow.AppendRow(row);
+    Append(rel, mon, row);
     for (size_t i = 0; i < mon.fds().size(); ++i) {
-      FdMeasures expect = ComputeMeasures(shadow, mon.fds()[i].fd);
+      FdMeasures expect = ComputeMeasures(rel, mon.fds()[i].fd);
       EXPECT_EQ(mon.fds()[i].measures.distinct_x, expect.distinct_x);
       EXPECT_EQ(mon.fds()[i].measures.distinct_xy, expect.distinct_xy);
       EXPECT_EQ(mon.fds()[i].violated, !expect.exact);
@@ -190,9 +201,9 @@ TEST(SchemaMonitorTest, IncrementalChecksMatchScratchRecomputation) {
 }
 
 TEST(SchemaMonitorTest, AcceptRepairKeepsSubsequentChecksIncremental) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
-  mon.Insert({"Hoboken", "10001", "NJ"});
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
+  Append(rel, mon, {"Hoboken", "10001", "NJ"});
   auto suggestions = mon.SuggestRepairs();
   ASSERT_FALSE(suggestions.empty());
   ASSERT_TRUE(suggestions[0].found());
@@ -200,7 +211,7 @@ TEST(SchemaMonitorTest, AcceptRepairKeepsSubsequentChecksIncremental) {
   EXPECT_FALSE(mon.fds()[0].violated);
   // The repaired FD is tracked in the same evaluator: further inserts keep
   // validating it (and agree with a scratch computation).
-  mon.Insert({"Quincy", "02169", "MA"});
+  Append(rel, mon, {"Quincy", "02169", "MA"});
   FdMeasures expect = ComputeMeasures(mon.rel(), mon.fds()[0].fd);
   EXPECT_EQ(mon.fds()[0].violated, !expect.exact);
   EXPECT_EQ(mon.fds()[0].measures.distinct_x, expect.distinct_x);
@@ -211,25 +222,31 @@ TEST(SchemaMonitorTest, CheckpointRestoreContinuesCadence) {
   // Interrupt mid-interval: the restored monitor must keep the interval
   // phase (inserts_since_check) so the next check fires at the same insert
   // the uninterrupted monitor would check at.
-  SchemaMonitor a(CleanInstance(),
-                  {Fd::Parse("zip -> state", MonitorSchema())},
+  Relation rel_a = CleanInstance();
+  Relation rel_b = CleanInstance();
+  SchemaMonitor a(&rel_a, {Fd::Parse("zip -> state", MonitorSchema())},
                   /*check_interval=*/3);
-  SchemaMonitor b(CleanInstance(),
-                  {Fd::Parse("zip -> state", MonitorSchema())},
-                  /*check_interval=*/3);
-  a.Insert({"Hoboken", "07030", "NJ"});
-  b.Insert({"Hoboken", "07030", "NJ"});
-  a.Insert({"Hoboken", "10001", "NJ"});  // drift, detected at next check
-  b.Insert({"Hoboken", "10001", "NJ"});
+  std::optional<SchemaMonitor> b;
+  b.emplace(&rel_b, std::vector<Fd>{Fd::Parse("zip -> state", MonitorSchema())},
+            /*check_interval=*/3);
+  auto both = [&](const std::vector<Value>& row) {
+    Append(rel_a, a, row);
+    rel_b.AppendRow(row);
+    b->Poll();
+  };
+  both({"Hoboken", "07030", "NJ"});
+  both({"Hoboken", "10001", "NJ"});  // drift, detected at next check
 
-  SchemaMonitor resumed(b.Checkpoint());
-  EXPECT_EQ(resumed.checks_run(), b.checks_run());
-  EXPECT_EQ(resumed.rel().tuple_count(), b.rel().tuple_count());
+  MonitorState state = b->State();
+  b.reset();
+  SchemaMonitor resumed(&rel_b, std::move(state));
+  EXPECT_EQ(resumed.checks_run(), a.checks_run());
+  EXPECT_EQ(resumed.rel().tuple_count(), a.rel().tuple_count());
   ASSERT_EQ(resumed.fds().size(), 1u);
   EXPECT_FALSE(resumed.fds()[0].violated);  // not yet checked
 
-  a.Insert({"Albany", "12207", "NY"});  // third insert: interval check
-  resumed.Insert({"Albany", "12207", "NY"});
+  Append(rel_a, a, {"Albany", "12207", "NY"});  // third insert: check
+  Append(rel_b, resumed, {"Albany", "12207", "NY"});
   EXPECT_EQ(resumed.checks_run(), a.checks_run());
   EXPECT_TRUE(resumed.fds()[0].violated);
   ASSERT_EQ(resumed.drift_log().size(), 1u);
@@ -239,77 +256,53 @@ TEST(SchemaMonitorTest, CheckpointRestoreContinuesCadence) {
 }
 
 TEST(SchemaMonitorTest, CheckpointCarriesAcceptedRepair) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
-  mon.Insert({"Hoboken", "10001", "NJ"});
-  ASSERT_TRUE(mon.fds()[0].violated);
+  Relation rel = CleanInstance();
+  std::optional<SchemaMonitor> mon;
+  mon.emplace(&rel,
+              std::vector<Fd>{Fd::Parse("zip -> state", MonitorSchema())});
+  rel.AppendRow({"Hoboken", "10001", "NJ"});
+  mon->Poll();
+  ASSERT_TRUE(mon->fds()[0].violated);
   Repair r;
   r.repaired = Fd::Parse("zip, city -> state", MonitorSchema());
-  mon.AcceptRepair(0, r);
-  ASSERT_FALSE(mon.fds()[0].violated);
+  mon->AcceptRepair(0, r);
+  ASSERT_FALSE(mon->fds()[0].violated);
 
-  SchemaMonitor resumed(mon.Checkpoint());
+  MonitorState state = mon->State();
+  mon.reset();
+  SchemaMonitor resumed(&rel, std::move(state));
   ASSERT_EQ(resumed.fds().size(), 1u);
   EXPECT_EQ(resumed.fds()[0].fd, r.repaired);
   EXPECT_FALSE(resumed.fds()[0].violated);
   // The repaired FD stays incrementally tracked across the resume.
-  resumed.Insert({"Hoboken", "10001", "NY"});  // (zip, city) seen with NJ
+  // (zip, city) was seen with NJ:
+  Append(rel, resumed, {"Hoboken", "10001", "NY"});
   EXPECT_TRUE(resumed.fds()[0].violated);
 }
 
 TEST(SchemaMonitorTest, RestoreRejectsFdOutsideSchema) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
-  MonitorCheckpoint ckpt = mon.Checkpoint();
-  ckpt.fds[0].fd = Fd(AttrSet::Of({7}), AttrSet::Of({9}));
-  EXPECT_THROW(SchemaMonitor{std::move(ckpt)}, std::invalid_argument);
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
+  MonitorState state = mon.State();
+  state.fds[0].fd = Fd(AttrSet::Of({7}), AttrSet::Of({9}));
+  EXPECT_THROW(SchemaMonitor(&rel, std::move(state)), std::invalid_argument);
 }
 
 TEST(SchemaMonitorTest, RestoreRejectsTamperedMeasures) {
-  SchemaMonitor mon(CleanInstance(),
-                    {Fd::Parse("zip -> state", MonitorSchema())});
-  MonitorCheckpoint ckpt = mon.Checkpoint();
-  ASSERT_EQ(ckpt.inserts_since_check, 0u);  // measures are current
-  ckpt.fds[0].measures.distinct_xy += 1;
-  EXPECT_THROW(SchemaMonitor{std::move(ckpt)}, std::invalid_argument);
-}
-
-TEST(SchemaMonitorTest, ExternalModePollMatchesOwningInsert) {
-  // Owning monitor fed through Insert() vs. external monitor observing a
-  // caller-owned relation through Poll(): identical checks, measures, and
-  // drift events.
-  SchemaMonitor owning(CleanInstance(),
-                       {Fd::Parse("zip -> state", MonitorSchema())},
-                       /*check_interval=*/2);
-  Relation shared = CleanInstance();
-  SchemaMonitor external(&shared,
-                         {Fd::Parse("zip -> state", MonitorSchema())},
-                         /*check_interval=*/2);
-  const std::vector<std::vector<Value>> rows = {
-      {"Hoboken", "07030", "NJ"},
-      {"Weehawken", "10001", "NJ"},  // 10001 -> {NY, NJ}: drift
-      {"Camden", "08101", "NJ"},
-      {"Newark", "07101", "NJ"},
-  };
-  for (const auto& row : rows) {
-    owning.Insert(row);
-    shared.AppendRow(row);
-    external.Poll();
-    ASSERT_EQ(external.checks_run(), owning.checks_run());
-    ASSERT_EQ(external.fds()[0].violated, owning.fds()[0].violated);
-  }
-  ASSERT_EQ(external.drift_log().size(), owning.drift_log().size());
-  ASSERT_EQ(external.drift_log().size(), 1u);
-  EXPECT_EQ(external.drift_log()[0].tuple_count,
-            owning.drift_log()[0].tuple_count);
+  Relation rel = CleanInstance();
+  SchemaMonitor mon(&rel, {Fd::Parse("zip -> state", MonitorSchema())});
+  MonitorState state = mon.State();
+  ASSERT_EQ(state.inserts_since_check, 0u);  // measures are current
+  state.fds[0].measures.distinct_xy += 1;
+  EXPECT_THROW(SchemaMonitor(&rel, std::move(state)), std::invalid_argument);
 }
 
 TEST(SchemaMonitorTest, ExternalModePollFoldsWholeAppendedSuffix) {
   Relation shared = CleanInstance();
   SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", MonitorSchema())},
                     /*check_interval=*/3);
-  // Three rows appended behind the monitor's back, one Poll: exactly one
-  // check (same cadence an InsertBatch of three would give).
+  // Three rows appended one by one behind the monitor's back, one Poll:
+  // exactly one check, the cadence of a single three-row append.
   shared.AppendRow({"Hoboken", "07030", "NJ"});
   shared.AppendRow({"Weehawken", "10001", "NJ"});
   shared.AppendRow({"Camden", "08101", "NJ"});
@@ -329,8 +322,7 @@ TEST(SchemaMonitorTest, AddFdRegistersOnLiveMonitor) {
   EXPECT_EQ(idx, 0u);
   ASSERT_EQ(mon.fds().size(), 1u);
   EXPECT_TRUE(mon.fds()[0].measures.exact);
-  shared.AppendRow({"Hoboken", "10001", "NJ"});
-  mon.Poll();
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});
   EXPECT_TRUE(mon.fds()[0].violated);
   // Out-of-schema FDs are rejected up front.
   AttrSet bad;
@@ -344,16 +336,15 @@ TEST(SchemaMonitorTest, MonitorStateRoundTripContinuesCadence) {
   Relation shared = CleanInstance();
   SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", MonitorSchema())},
                     /*check_interval=*/3);
-  shared.AppendRow({"Hoboken", "07030", "NJ"});
-  mon.Poll();  // counter at 1, below interval: no check yet
+  // Counter at 1, below the interval: no check yet.
+  Append(shared, mon, {"Hoboken", "07030", "NJ"});
   EXPECT_EQ(mon.checks_run(), 0u);
 
   MonitorState state = mon.State();
   EXPECT_EQ(state.watermark, shared.version());
   SchemaMonitor restored(&shared, state);
   shared.AppendRow({"Weehawken", "10001", "NJ"});
-  shared.AppendRow({"Camden", "08101", "NJ"});
-  mon.Poll();
+  Append(shared, mon, {"Camden", "08101", "NJ"});
   restored.Poll();
   EXPECT_EQ(restored.checks_run(), mon.checks_run());
   ASSERT_EQ(restored.drift_log().size(), mon.drift_log().size());
@@ -365,8 +356,7 @@ TEST(SchemaMonitorTest, MonitorStateRoundTripContinuesCadence) {
 TEST(SchemaMonitorTest, DeletionRecoversViolatedFd) {
   Relation shared = CleanInstance();
   SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", MonitorSchema())});
-  shared.AppendRow({"Hoboken", "10001", "NJ"});  // 10001 -> {NY, NJ}
-  mon.Poll();
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});  // 10001 -> {NY, NJ}
   ASSERT_TRUE(mon.fds()[0].violated);
   ASSERT_EQ(mon.drift_log().size(), 1u);
   EXPECT_EQ(mon.drift_log()[0].kind, DriftKind::kViolated);
@@ -386,12 +376,10 @@ TEST(SchemaMonitorTest, RecoveryCallbackFiresOnce) {
   SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", MonitorSchema())});
   std::vector<DriftKind> kinds;
   mon.OnDrift([&](const DriftEvent& ev) { kinds.push_back(ev.kind); });
-  shared.AppendRow({"Hoboken", "10001", "NJ"});
-  mon.Poll();
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});
   shared.DeleteRow(2);
   mon.Poll();
-  shared.AppendRow({"Camden", "08101", "NJ"});  // clean append: no event
-  mon.Poll();
+  Append(shared, mon, {"Camden", "08101", "NJ"});  // clean append: no event
   ASSERT_EQ(kinds.size(), 2u);
   EXPECT_EQ(kinds[0], DriftKind::kViolated);
   EXPECT_EQ(kinds[1], DriftKind::kRecovered);
@@ -400,12 +388,10 @@ TEST(SchemaMonitorTest, RecoveryCallbackFiresOnce) {
 TEST(SchemaMonitorTest, ReViolationAfterRecoveryFiresAgain) {
   Relation shared = CleanInstance();
   SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", MonitorSchema())});
-  shared.AppendRow({"Hoboken", "10001", "NJ"});
-  mon.Poll();
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});
   shared.DeleteRow(2);
   mon.Poll();
-  shared.AppendRow({"Weehawken", "10001", "NJ"});  // violate again
-  mon.Poll();
+  Append(shared, mon, {"Weehawken", "10001", "NJ"});  // violate again
   ASSERT_EQ(mon.drift_log().size(), 3u);
   EXPECT_EQ(mon.drift_log()[2].kind, DriftKind::kViolated);
   EXPECT_TRUE(mon.fds()[0].violated);
@@ -429,8 +415,7 @@ TEST(SchemaMonitorTest, MeasuresTrackLiveRowsUnderDeletion) {
 TEST(SchemaMonitorTest, PollResyncsAfterCompaction) {
   Relation shared = CleanInstance();
   SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", MonitorSchema())});
-  shared.AppendRow({"Hoboken", "10001", "NJ"});
-  mon.Poll();
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});
   ASSERT_TRUE(mon.fds()[0].violated);
   shared.DeleteRow(2);
   shared.Compact();  // row ids and codes reassigned wholesale
@@ -438,8 +423,7 @@ TEST(SchemaMonitorTest, PollResyncsAfterCompaction) {
   EXPECT_FALSE(mon.fds()[0].violated);
   // Still incremental afterwards: appends against the compacted relation
   // keep validating.
-  shared.AppendRow({"Weehawken", "10001", "NJ"});
-  mon.Poll();
+  Append(shared, mon, {"Weehawken", "10001", "NJ"});
   EXPECT_TRUE(mon.fds()[0].violated);
   FdMeasures expect = ComputeMeasures(shared, mon.fds()[0].fd);
   EXPECT_EQ(mon.fds()[0].measures.distinct_x, expect.distinct_x);
@@ -475,14 +459,12 @@ TEST(SchemaMonitorTest, DeleteThenReinsertIdenticalTupleReViolates) {
   // boundary crossings and the log must record both.
   Relation shared = CleanInstance();
   SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", MonitorSchema())});
-  shared.AppendRow({"Hoboken", "10001", "NJ"});  // witness: 10001 -> NY, NJ
-  mon.Poll();
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});  // 10001 -> {NY, NJ}
   ASSERT_TRUE(mon.fds()[0].violated);
   shared.DeleteRow(2);
   mon.Poll();
   ASSERT_FALSE(mon.fds()[0].violated);
-  shared.AppendRow({"Hoboken", "10001", "NJ"});  // same values, new row
-  mon.Poll();
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});  // same values, new row
   EXPECT_TRUE(mon.fds()[0].violated);
   ASSERT_EQ(mon.drift_log().size(), 3u);
   EXPECT_EQ(mon.drift_log()[0].kind, DriftKind::kViolated);
@@ -513,8 +495,7 @@ TEST(SchemaMonitorTest, SelfUpdateIsDriftNeutral) {
       row.push_back(shared.Get(t, a));
     }
     shared.DeleteRow(t);
-    shared.AppendRow(row);
-    mon.Poll();
+    Append(shared, mon, row);
   };
   const FdMeasures clean = mon.fds()[0].measures;
   self_update(0);  // exact regime
@@ -523,8 +504,7 @@ TEST(SchemaMonitorTest, SelfUpdateIsDriftNeutral) {
   EXPECT_EQ(mon.fds()[0].measures.confidence, clean.confidence);
   EXPECT_TRUE(mon.drift_log().empty());
 
-  shared.AppendRow({"Hoboken", "10001", "NJ"});
-  mon.Poll();
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});
   ASSERT_TRUE(mon.fds()[0].violated);
   const FdMeasures dirty = mon.fds()[0].measures;
   self_update(shared.tuple_count() - 1);  // violated regime
@@ -542,8 +522,7 @@ TEST(SchemaMonitorTest, CompactionExactlyOnCheckBoundaryStaysConsistent) {
   Relation shared = CleanInstance();
   SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", MonitorSchema())},
                     /*check_interval=*/3);
-  shared.AppendRow({"Hoboken", "10001", "NJ"});
-  mon.Poll();  // 1 mutation since last check
+  Append(shared, mon, {"Hoboken", "10001", "NJ"});  // 1 mutation since check
   shared.DeleteRow(0);
   mon.Poll();  // 2
   shared.AppendRow({"Albany", "12201", "NY"});

@@ -99,16 +99,17 @@ TEST(EndToEndTest, MonitorDriftThenRepairThenStable) {
                            {"region", relation::DataType::kString},
                            {"municipal", relation::DataType::kString},
                            {"areacode", relation::DataType::kInt64}});
-  relation::Relation initial("places_live", schema);
-  initial.AppendRow({"Brookside", "Granville", "Glendale", int64_t{613}});
-  initial.AppendRow({"Alexandria", "Moore Park", "NapaHill", int64_t{415}});
+  relation::Relation places("places_live", schema);
+  places.AppendRow({"Brookside", "Granville", "Glendale", int64_t{613}});
+  places.AppendRow({"Alexandria", "Moore Park", "NapaHill", int64_t{415}});
 
-  fd::SchemaMonitor mon(std::move(initial),
+  fd::SchemaMonitor mon(&places,
                         {fd::Fd::Parse("district, region -> areacode", schema)});
   EXPECT_FALSE(mon.fds()[0].violated);
 
   // Reality changes: the same district/region acquires a second area code.
-  mon.Insert({"Brookside", "Granville", "Guildwood", int64_t{515}});
+  places.AppendRow({"Brookside", "Granville", "Guildwood", int64_t{515}});
+  mon.Poll();
   ASSERT_TRUE(mon.fds()[0].violated);
 
   fd::RepairOptions opts;
@@ -120,7 +121,8 @@ TEST(EndToEndTest, MonitorDriftThenRepairThenStable) {
   EXPECT_FALSE(mon.fds()[0].violated);
 
   // Inserts consistent with the evolved FD keep it satisfied.
-  mon.Insert({"Brookside", "Granville", "Glendale", int64_t{613}});
+  places.AppendRow({"Brookside", "Granville", "Glendale", int64_t{613}});
+  mon.Poll();
   EXPECT_FALSE(mon.fds()[0].violated);
 }
 

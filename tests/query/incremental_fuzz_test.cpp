@@ -194,7 +194,7 @@ TEST_P(IncrementalFuzz, MonitorFlagsMatchFromScratchRecomputation) {
       fd::Fd::Parse("a2 -> a3", schema),
       fd::Fd::Parse("a0, a2 -> a3", schema)};
   const size_t interval = 1 + rng.Below(5);
-  fd::SchemaMonitor mon(std::move(seed_rel), fds, interval);
+  fd::SchemaMonitor mon(&seed_rel, fds, interval);
 
   for (int round = 0; round < 8; ++round) {
     const size_t batch = round % 4 == 3 ? 0 : rng.Below(25);
@@ -204,7 +204,8 @@ TEST_P(IncrementalFuzz, MonitorFlagsMatchFromScratchRecomputation) {
       rows.push_back(RandomRow(rng, n_attrs, 3 + static_cast<size_t>(round),
                                null_rate));
     }
-    mon.InsertBatch(rows);
+    seed_rel.AppendRows(rows);
+    mon.Poll();
     shadow.AppendRows(rows);
     mon.CheckNow();  // align the two paths regardless of interval phase
 

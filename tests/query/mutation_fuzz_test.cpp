@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "fd/measures.h"
-#include "fd/sampled_monitor.h"
 #include "fd/schema_monitor.h"
 #include "query/distinct.h"
 #include "query/group_ids.h"
@@ -266,8 +265,8 @@ TEST_P(MutationFuzz, SampledFullCoverageIsBitIdenticalToExactMonitor) {
   // number of rows ever appended, Algorithm R never evicts, the sample IS
   // the live set at every check, and the monitor must be observationally
   // indistinguishable from the exact one — same measures (bit-identical
-  // doubles), same drift log, and a base checkpoint whose serialized
-  // bytes match the exact monitor's checkpoint byte for byte.
+  // doubles), same drift log, and a state that, minus its reservoir,
+  // serializes to the exact monitor's state byte for byte.
   util::Rng rng(seed() + 97);
   const int n_attrs = 3;
   const size_t interval = 1 + rng.Below(4);
@@ -276,9 +275,9 @@ TEST_P(MutationFuzz, SampledFullCoverageIsBitIdenticalToExactMonitor) {
                                    fd::Fd(AttrSet::Of({1, 2}),
                                           AttrSet::Of({0}))};
   fd::SchemaMonitor exact(&rel, fds, interval);
-  fd::SampledSchemaMonitor sampled(&rel, fds, interval,
-                                   /*capacity=*/100000,
-                                   /*seed=*/rng.Below(1u << 20) + 1);
+  fd::SchemaMonitor sampled(&rel, fds, interval,
+                            /*capacity=*/100000,
+                            /*seed=*/rng.Below(1u << 20) + 1);
   for (int step = 0; step < 140; ++step) {
     RandomMutation(rng, &rel, n_attrs, /*domain=*/3, /*null_rate=*/0.0);
     if (step % 35 == 34) rel.Compact();  // rebuild path must stay covered
@@ -309,16 +308,27 @@ TEST_P(MutationFuzz, SampledFullCoverageIsBitIdenticalToExactMonitor) {
     EXPECT_FALSE(est.approx);
     EXPECT_EQ(est.sample_rows, est.live_rows);
   }
-  // Checkpoint bytes: the sampled monitor's base checkpoint serializes
-  // to exactly the file an exact monitor would write.
-  const fd::SampledMonitorCheckpoint sckpt = sampled.Checkpoint();
-  EXPECT_EQ(storage::SerializeCheckpoint(exact.Checkpoint()),
-            storage::SerializeCheckpoint(sckpt.base));
-  // And the kind-5 envelope round-trips losslessly.
-  const std::string bytes = storage::SerializeSampledCheckpoint(sckpt);
-  auto loaded = storage::DeserializeSampledCheckpoint(bytes);
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(storage::SerializeSampledCheckpoint(*loaded.checkpoint), bytes);
+  // State bytes: minus its reservoir, the sampled monitor's state
+  // serializes to exactly the server state an exact monitor writes.
+  sql::Database db;
+  db.AddRelation(rel);
+  fd::MonitorState base = sampled.State();
+  ASSERT_TRUE(base.reservoir.has_value());
+  base.reservoir.reset();
+  EXPECT_EQ(storage::SerializeServerState(db, {{"mut", exact.State()}}),
+            storage::SerializeServerState(db, {{"mut", base}}));
+  // And the sampled section round-trips losslessly.
+  const std::string bytes =
+      storage::SerializeServerState(db, {}, {{"mut", sampled.State()}});
+  sql::Database back;
+  std::vector<storage::ServerMonitorState> monitors;
+  std::vector<storage::ServerMonitorState> sampled_states;
+  std::string err;
+  ASSERT_TRUE(storage::DeserializeServerState(bytes, &back, &monitors, &err,
+                                              &sampled_states))
+      << err;
+  EXPECT_EQ(storage::SerializeServerState(back, monitors, sampled_states),
+            bytes);
 }
 
 TEST_P(MutationFuzz, SampledCheckpointResumeReplaysIdenticalEstimates) {
@@ -328,21 +338,29 @@ TEST_P(MutationFuzz, SampledCheckpointResumeReplaysIdenticalEstimates) {
   util::Rng rng(seed() + 113);
   const int n_attrs = 3;
   Relation rel("mut", IntSchema(n_attrs));
-  fd::SampledSchemaMonitor live(&rel,
-                                {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))},
-                                /*check_interval=*/2, /*capacity=*/7,
-                                /*seed=*/rng.Below(1u << 20) + 1);
+  fd::SchemaMonitor live(&rel, {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))},
+                         /*check_interval=*/2, /*capacity=*/7,
+                         /*seed=*/rng.Below(1u << 20) + 1);
   const int cut = 30 + static_cast<int>(rng.Below(30));
   for (int step = 0; step < cut; ++step) {
     RandomMutation(rng, &rel, n_attrs, /*domain=*/4, /*null_rate=*/0.0);
     live.Poll();
   }
-  // Clone the world: relation via snapshot round-trip, monitor via the
-  // kind-5 checkpoint (owning mode — it carries its own relation copy).
-  auto ckpt = storage::DeserializeSampledCheckpoint(
-      storage::SerializeSampledCheckpoint(live.Checkpoint()));
-  ASSERT_TRUE(ckpt.ok()) << ckpt.error;
-  fd::SampledSchemaMonitor resumed(std::move(*ckpt.checkpoint));
+  // Clone the world through server-state bytes: the relation in the
+  // catalog section, the monitor and its reservoir in the sampled one.
+  sql::Database db;
+  db.AddRelation(rel);
+  sql::Database cloned;
+  std::vector<storage::ServerMonitorState> monitors;
+  std::vector<storage::ServerMonitorState> sampled;
+  std::string err;
+  ASSERT_TRUE(storage::DeserializeServerState(
+      storage::SerializeServerState(db, {}, {{"mut", live.State()}}), &cloned,
+      &monitors, &err, &sampled))
+      << err;
+  ASSERT_EQ(sampled.size(), 1u);
+  Relation& cloned_rel = cloned.GetMutable("mut");
+  fd::SchemaMonitor resumed(&cloned_rel, std::move(sampled[0].state));
 
   std::vector<double> live_seq, resumed_seq;
   live.OnEstimate([&](size_t, const fd::SampledMeasures& est) {
@@ -355,13 +373,13 @@ TEST_P(MutationFuzz, SampledCheckpointResumeReplaysIdenticalEstimates) {
     resumed_seq.push_back(est.confidence_lo);
     resumed_seq.push_back(est.confidence_hi);
   });
-  // Identical suffix fed to both. The resumed monitor owns its relation,
-  // so drive it through Insert; the live one stays external via Poll.
+  // Identical suffix fed to both, each through its own relation.
   for (int step = 0; step < 40; ++step) {
     std::vector<Value> row = RandomRow(rng, n_attrs, 4, 0.0);
     rel.AppendRow(row);
     live.Poll();
-    resumed.Insert(row);
+    cloned_rel.AppendRow(row);
+    resumed.Poll();
   }
   live.CheckNow();
   resumed.CheckNow();

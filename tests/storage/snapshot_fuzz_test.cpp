@@ -165,12 +165,8 @@ TEST_P(SnapshotFuzz, ResumedMonitorEmitsIdenticalRemainingChecks) {
   Relation seed_rel("mon", schema);
   for (size_t t = 0; t < seed_rows; ++t) seed_rel.AppendRow(random_row(rng));
   for (size_t t = 0; t < stream_rows; ++t) stream.push_back(random_row(rng));
-  Relation seed_copy("mon", schema);
-  for (size_t t = 0; t < seed_rows; ++t) {
-    std::vector<Value> row;
-    for (int a = 0; a < n_attrs; ++a) row.push_back(seed_rel.Get(t, a));
-    seed_copy.AppendRow(row);
-  }
+  sql::Database first_db;  // the interrupted run's copy of the seed
+  first_db.AddRelation(seed_rel);
 
   const std::vector<fd::Fd> fds = {fd::Fd::Parse("a0 -> a1", schema),
                                    fd::Fd::Parse("a0, a1 -> a2", schema)};
@@ -211,26 +207,38 @@ TEST_P(SnapshotFuzz, ResumedMonitorEmitsIdenticalRemainingChecks) {
     return true;
   };
 
-  fd::SchemaMonitor uninterrupted(std::move(seed_rel), fds, interval);
+  fd::SchemaMonitor uninterrupted(&seed_rel, fds, interval);
   std::vector<Obs> expect_after;  // state after insert t, t in [0, n)
   for (const auto& row : stream) {
-    uninterrupted.Insert(row);
+    seed_rel.AppendRow(row);
+    uninterrupted.Poll();
     expect_after.push_back(observe(uninterrupted));
   }
 
   // Interrupted run: stop after `stop_at` inserts, checkpoint through
-  // bytes, resume, stream the rest.
-  fd::SchemaMonitor first_leg(std::move(seed_copy), fds, interval);
-  for (size_t t = 0; t < stop_at; ++t) first_leg.Insert(stream[t]);
-  auto loaded =
-      DeserializeCheckpoint(SerializeCheckpoint(first_leg.Checkpoint()));
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  fd::SchemaMonitor resumed(std::move(*loaded.checkpoint));
+  // server-state bytes, resume, stream the rest.
+  Relation& first_rel = first_db.GetMutable("mon");
+  fd::SchemaMonitor first_leg(&first_rel, fds, interval);
+  for (size_t t = 0; t < stop_at; ++t) {
+    first_rel.AppendRow(stream[t]);
+    first_leg.Poll();
+  }
+  sql::Database db;
+  std::vector<ServerMonitorState> monitors;
+  std::string err;
+  ASSERT_TRUE(DeserializeServerState(
+      SerializeServerState(first_db, {{"mon", first_leg.State()}}), &db,
+      &monitors, &err))
+      << err;
+  ASSERT_EQ(monitors.size(), 1u);
+  Relation& rel = db.GetMutable("mon");
+  fd::SchemaMonitor resumed(&rel, std::move(monitors[0].state));
 
   ASSERT_TRUE(same(observe(first_leg), observe(resumed)))
       << "restore changed observable state";
   for (size_t t = stop_at; t < stream.size(); ++t) {
-    resumed.Insert(stream[t]);
+    rel.AppendRow(stream[t]);
+    resumed.Poll();
     ASSERT_TRUE(same(expect_after[t], observe(resumed)))
         << "divergence at insert " << t << " (stop_at=" << stop_at
         << ", interval=" << interval << ")";
@@ -295,12 +303,15 @@ TEST_P(SnapshotFuzz, DatabaseRoundTrips) {
 TEST_P(SnapshotFuzz, RandomCorruptionAlwaysFailsCleanly) {
   util::Rng rng(seed() + 307);
   Relation rel = RandomRelation(rng, "corrupt", 5 + rng.Below(40));
+  sql::Database mon_db;
+  mon_db.AddRelation(RandomRelation(rng, "monrel", 10));
   fd::SchemaMonitor mon(
-      RandomRelation(rng, "monrel", 10),
-      {},  // no FDs needed; the envelope/relation parsing is the target
+      &mon_db.GetMutable("monrel"),
+      std::vector<fd::Fd>{},  // the envelope/payload parsing is the target
       3);
-  const std::string variants[] = {SerializeRelation(rel),
-                                  SerializeCheckpoint(mon.Checkpoint())};
+  const std::string variants[] = {
+      SerializeRelation(rel),
+      SerializeServerState(mon_db, {{"monrel", mon.State()}})};
   for (const std::string& clean : variants) {
     for (int trial = 0; trial < 40; ++trial) {
       std::string bytes = clean;
@@ -314,9 +325,11 @@ TEST_P(SnapshotFuzz, RandomCorruptionAlwaysFailsCleanly) {
       auto rr = DeserializeRelation(bytes);
       EXPECT_FALSE(rr.ok());
       EXPECT_FALSE(rr.error.empty());
-      auto cr = DeserializeCheckpoint(bytes);
-      EXPECT_FALSE(cr.ok());
-      EXPECT_FALSE(cr.error.empty());
+      sql::Database db;
+      std::vector<ServerMonitorState> monitors;
+      std::string err;
+      EXPECT_FALSE(DeserializeServerState(bytes, &db, &monitors, &err));
+      EXPECT_FALSE(err.empty());
     }
   }
 }

@@ -6,9 +6,11 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fd/measures.h"
-#include "fd/sampled_monitor.h"
+#include "fd/schema_monitor.h"
 #include "query/distinct.h"
 #include "relation/relation.h"
 #include "util/binary_io.h"
@@ -66,6 +68,16 @@ void ExpectEncodedIdentical(const Relation& a, const Relation& b) {
       }
     }
     EXPECT_EQ(ca.codes(), cb.codes());
+  }
+}
+
+/// Recomputes the checksum trailer after an in-place edit, so a test can
+/// change one field without tripping the checksum.
+void Reseal(std::string& bytes) {
+  const uint64_t sum = util::Checksum64(bytes.data(), bytes.size() - 8);
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + static_cast<size_t>(i)] =
+        static_cast<char>((sum >> (8 * i)) & 0xff);
   }
 }
 
@@ -205,19 +217,28 @@ TEST(SnapshotTest, KindMismatchIsDetected) {
   std::string err;
   EXPECT_FALSE(DeserializeDatabase(bytes, &db, &err));
   EXPECT_NE(err.find("kind mismatch"), std::string::npos) << err;
-  EXPECT_FALSE(DeserializeCheckpoint(bytes).ok());
+  std::vector<ServerMonitorState> monitors;
+  EXPECT_FALSE(DeserializeServerState(bytes, &db, &monitors, &err));
+  EXPECT_NE(err.find("kind mismatch"), std::string::npos) << err;
+  // Retired kinds 3 (monitor checkpoint) and 5 (sampled monitor
+  // checkpoint): the error says what the file is.
+  for (char kind : {'\3', '\5'}) {
+    std::string retired = bytes;
+    retired[8] = kind;  // kind field, little-endian low byte
+    Reseal(retired);
+    sql::Database none;
+    EXPECT_FALSE(DeserializeServerState(retired, &none, &monitors, &err));
+    EXPECT_NE(err.find("kind mismatch"), std::string::npos) << err;
+    EXPECT_NE(err.find("retired kind " + std::to_string(kind)),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(SnapshotTest, UnsupportedVersionIsRejected) {
   std::string bytes = SerializeRelation(Mixed());
   bytes[4] = 99;  // version field, little-endian low byte
-  // Re-seal so only the version differs, not the checksum.
-  const uint64_t sum =
-      util::Checksum64(bytes.data(), bytes.size() - 8);
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 8 + static_cast<size_t>(i)] =
-        static_cast<char>((sum >> (8 * i)) & 0xff);
-  }
+  Reseal(bytes);   // so only the version differs, not the checksum
   auto r = DeserializeRelation(bytes);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("version"), std::string::npos) << r.error;
@@ -251,33 +272,28 @@ TEST(SnapshotTest, EveryByteBitFlipFailsCleanly) {
 }
 
 TEST(SnapshotTest, CorruptCheckpointPayloadIsRejectedBeforeResume) {
-  // A structurally valid checkpoint whose measures disagree with its
+  // A structurally valid server state whose measures disagree with its
   // relation must be refused by the restore constructor.
   Schema schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
-  Relation rel = RelationBuilder("t", schema)
+  sql::Database db;
+  db.AddRelation(RelationBuilder("t", schema)
                      .Row({int64_t{1}, int64_t{10}})
                      .Row({int64_t{2}, int64_t{20}})
-                     .Build();
-  fd::SchemaMonitor mon(std::move(rel),
+                     .Build());
+  fd::SchemaMonitor mon(&db.GetMutable("t"),
                         {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))}, 1);
-  fd::MonitorCheckpoint ckpt = mon.Checkpoint();
-  ckpt.fds[0].measures.distinct_x += 1;  // lie about the counters
-  auto loaded = DeserializeCheckpoint(SerializeCheckpoint(ckpt));
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_THROW(fd::SchemaMonitor(std::move(*loaded.checkpoint)),
+  fd::MonitorState state = mon.State();
+  state.fds[0].measures.distinct_x += 1;  // lie about the counters
+  sql::Database back;
+  std::vector<ServerMonitorState> monitors;
+  std::string err;
+  ASSERT_TRUE(DeserializeServerState(SerializeServerState(db, {{"t", state}}),
+                                     &back, &monitors, &err))
+      << err;
+  ASSERT_EQ(monitors.size(), 1u);
+  EXPECT_THROW(fd::SchemaMonitor(&back.GetMutable("t"),
+                                 std::move(monitors[0].state)),
                std::invalid_argument);
-}
-
-TEST(SnapshotTest, CheckpointCarriesStreamBatchHint) {
-  Schema schema({{"a", DataType::kInt64}});
-  Relation rel = RelationBuilder("t", schema).Row({int64_t{1}}).Build();
-  fd::SchemaMonitor mon(std::move(rel), {}, 10);
-  fd::MonitorCheckpoint ckpt = mon.Checkpoint();
-  EXPECT_EQ(ckpt.stream_batch_hint, 0u);  // monitor itself does not know it
-  ckpt.stream_batch_hint = 3;             // the streaming driver fills it in
-  auto loaded = DeserializeCheckpoint(SerializeCheckpoint(ckpt));
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(loaded.checkpoint->stream_batch_hint, 3u);
 }
 
 TEST(SnapshotTest, NonSnapshotInputSetsStructuredFlag) {
@@ -337,11 +353,7 @@ TEST(SnapshotTest, CorruptDeletionLogIsRejected) {
   // past the watermark and re-seal: DeleteRow must refuse it.
   const size_t id_at = bytes.size() - 8 - 24 - 4;
   bytes[id_at] = 9;
-  const uint64_t sum = util::Checksum64(bytes.data(), bytes.size() - 8);
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 8 + static_cast<size_t>(i)] =
-        static_cast<char>((sum >> (8 * i)) & 0xff);
-  }
+  Reseal(bytes);
   auto r = DeserializeRelation(bytes);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("corrupt"), std::string::npos) << r.error;
@@ -421,22 +433,31 @@ TEST(SnapshotTest, DriftKindSurvivesCheckpointRoundTrip) {
 
 TEST(SnapshotTest, CheckpointRoundTripRestoresMonitorState) {
   Schema schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
-  Relation rel = RelationBuilder("t", schema)
+  sql::Database db;
+  db.AddRelation(RelationBuilder("t", schema)
                      .Row({int64_t{1}, int64_t{10}})
                      .Row({int64_t{2}, int64_t{20}})
-                     .Build();
-  fd::SchemaMonitor mon(std::move(rel),
-                        {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))},
+                     .Build());
+  Relation& rel = db.GetMutable("t");
+  fd::SchemaMonitor mon(&rel, {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))},
                         /*check_interval=*/2);
   // Drive it into a drift so the checkpoint carries non-trivial state.
-  mon.Insert({int64_t{1}, int64_t{11}});  // violates a -> b
-  mon.Insert({int64_t{5}, int64_t{50}});
+  rel.AppendRow({int64_t{1}, int64_t{11}});  // violates a -> b
+  mon.Poll();
+  rel.AppendRow({int64_t{5}, int64_t{50}});
+  mon.Poll();
   ASSERT_EQ(mon.drift_log().size(), 1u);
 
-  auto loaded =
-      DeserializeCheckpoint(SerializeCheckpoint(mon.Checkpoint()));
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  fd::SchemaMonitor back(std::move(*loaded.checkpoint));
+  sql::Database loaded;
+  std::vector<ServerMonitorState> monitors;
+  std::string err;
+  ASSERT_TRUE(DeserializeServerState(
+      SerializeServerState(db, {{"t", mon.State()}}), &loaded, &monitors,
+      &err))
+      << err;
+  ASSERT_EQ(monitors.size(), 1u);
+  fd::SchemaMonitor back(&loaded.GetMutable("t"),
+                         std::move(monitors[0].state));
   EXPECT_EQ(back.rel().tuple_count(), mon.rel().tuple_count());
   EXPECT_EQ(back.checks_run(), mon.checks_run());
   ASSERT_EQ(back.fds().size(), 1u);
@@ -447,30 +468,57 @@ TEST(SnapshotTest, CheckpointRoundTripRestoresMonitorState) {
   EXPECT_EQ(back.drift_log()[0].tuple_count, mon.drift_log()[0].tuple_count);
 }
 
-/// Emplaces a sampled monitor with non-trivial state: partial coverage
-/// (reservoir smaller than the stream) and a witnessed violation. The
-/// monitor is neither copyable nor movable, hence the optional out-param.
-void EmplaceSampledFixture(std::optional<fd::SampledSchemaMonitor>& mon) {
-  Schema schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
-  mon.emplace(Relation("t", schema),
-              std::vector<fd::Fd>{fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))},
-              /*check_interval=*/2, /*capacity=*/4, /*seed=*/17);
-  // Exact prefix well past the capacity, so the violating flood below is
-  // first witnessed at partial coverage (an approx drift event).
-  for (int64_t i = 0; i < 20; ++i) mon->Insert({100 + i, i * 2});
-  for (int64_t i = 0; i < 40; ++i) mon->Insert({int64_t{1}, i});
+/// A one-table database whose sampled monitor has non-trivial state:
+/// partial coverage (reservoir smaller than the stream) and a witnessed
+/// violation. Neither copyable nor movable (the monitor observes `db`).
+struct SampledFixture {
+  sql::Database db;
+  std::optional<fd::SchemaMonitor> mon;
+
+  SampledFixture() {
+    Schema schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
+    db.AddRelation(Relation("t", schema));
+    Relation* rel = &db.GetMutable("t");
+    mon.emplace(rel,
+                std::vector<fd::Fd>{fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))},
+                /*check_interval=*/2, /*capacity=*/4, /*seed=*/17);
+    // Exact prefix well past the capacity, so the violating flood below is
+    // first witnessed at partial coverage (an approx drift event).
+    auto insert = [&](int64_t a, int64_t b) {
+      rel->AppendRow({a, b});
+      mon->Poll();
+    };
+    for (int64_t i = 0; i < 20; ++i) insert(100 + i, i * 2);
+    for (int64_t i = 0; i < 40; ++i) insert(1, i);
+  }
+
+  std::string Bytes() const {
+    return SerializeServerState(db, {}, {{"t", mon->State()}});
+  }
+};
+
+/// Loads server-state bytes whose only monitor is sampled.
+fd::MonitorState LoadSampledState(const std::string& bytes,
+                                  sql::Database* db) {
+  std::vector<ServerMonitorState> monitors;
+  std::vector<ServerMonitorState> sampled;
+  std::string err;
+  EXPECT_TRUE(DeserializeServerState(bytes, db, &monitors, &err, &sampled))
+      << err;
+  EXPECT_TRUE(monitors.empty() && sampled.size() == 1);
+  return sampled.empty() ? fd::MonitorState{} : std::move(sampled[0].state);
 }
 
 TEST(SnapshotTest, SampledCheckpointRoundTripIsByteStable) {
-  std::optional<fd::SampledSchemaMonitor> mon_opt;
-  EmplaceSampledFixture(mon_opt);
-  fd::SampledSchemaMonitor& mon = *mon_opt;
-  const std::string bytes = SerializeSampledCheckpoint(mon.Checkpoint());
-  auto loaded = DeserializeSampledCheckpoint(bytes);
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(SerializeSampledCheckpoint(*loaded.checkpoint), bytes);
+  SampledFixture f;
+  const fd::SchemaMonitor& mon = *f.mon;
+  const std::string bytes = f.Bytes();
+  sql::Database loaded;
+  fd::MonitorState state = LoadSampledState(bytes, &loaded);
+  ASSERT_TRUE(state.reservoir.has_value());
+  EXPECT_EQ(SerializeServerState(loaded, {}, {{"t", state}}), bytes);
 
-  fd::SampledSchemaMonitor back(std::move(*loaded.checkpoint));
+  fd::SchemaMonitor back(&loaded.GetMutable("t"), std::move(state));
   EXPECT_EQ(back.checks_run(), mon.checks_run());
   EXPECT_EQ(back.sample_capacity(), mon.sample_capacity());
   EXPECT_EQ(back.sample_seed(), mon.sample_seed());
@@ -482,43 +530,46 @@ TEST(SnapshotTest, SampledCheckpointRoundTripIsByteStable) {
   EXPECT_EQ(back.fds()[0].violated, mon.fds()[0].violated);
 }
 
-TEST(SnapshotTest, SampledCheckpointRejectsExactKindAndViceVersa) {
-  std::optional<fd::SampledSchemaMonitor> mon_opt;
-  EmplaceSampledFixture(mon_opt);
-  const std::string sampled_bytes =
-      SerializeSampledCheckpoint(mon_opt->Checkpoint());
-  // An exact checkpoint is not a sampled one (kind 4 vs kind 5)…
-  fd::SchemaMonitor exact(Relation("t", Schema({{"a", DataType::kInt64}})),
-                          {}, 1);
-  EXPECT_FALSE(
-      DeserializeSampledCheckpoint(SerializeCheckpoint(exact.Checkpoint()))
-          .ok());
-  // …and a sampled one is not an exact one.
-  EXPECT_FALSE(DeserializeCheckpoint(sampled_bytes).ok());
+TEST(SnapshotTest, ServerStateWriterRejectsStateInWrongSection) {
+  // The sections differ only in the reservoir each sampled entry carries:
+  // a state must carry one exactly when it is written to the sampled
+  // section, or the file would not parse back.
+  SampledFixture f;
+  const fd::MonitorState sampled = f.mon->State();
+  fd::SchemaMonitor exact(&f.db.GetMutable("t"),
+                          {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))});
+  EXPECT_THROW(SerializeServerState(f.db, {{"t", sampled}}),
+               std::invalid_argument);
+  EXPECT_THROW(SerializeServerState(f.db, {}, {{"t", exact.State()}}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      SerializeServerState(f.db, {{"t", exact.State()}}, {{"t", sampled}}));
 }
 
 TEST(SnapshotTest, SampledCheckpointTruncationFailsCleanly) {
-  std::optional<fd::SampledSchemaMonitor> mon_opt;
-  EmplaceSampledFixture(mon_opt);
-  const std::string bytes = SerializeSampledCheckpoint(mon_opt->Checkpoint());
+  SampledFixture f;
+  const std::string bytes = f.Bytes();
   for (size_t len = 0; len < bytes.size(); ++len) {
-    auto r = DeserializeSampledCheckpoint(bytes.substr(0, len));
-    EXPECT_FALSE(r.ok()) << "accepted a " << len << "-byte prefix";
+    sql::Database db;
+    std::vector<ServerMonitorState> monitors;
+    std::vector<ServerMonitorState> sampled;
+    std::string err;
+    EXPECT_FALSE(DeserializeServerState(bytes.substr(0, len), &db, &monitors,
+                                        &err, &sampled))
+        << "accepted a " << len << "-byte prefix";
   }
 }
 
 TEST(SnapshotTest, ApproxDriftEventSurvivesSampledCheckpoint) {
-  std::optional<fd::SampledSchemaMonitor> mon_opt;
-  EmplaceSampledFixture(mon_opt);
-  fd::SampledSchemaMonitor& mon = *mon_opt;
-  ASSERT_FALSE(mon.drift_log().empty());
-  const fd::DriftEvent& ev = mon.drift_log()[0];
+  SampledFixture f;
+  ASSERT_FALSE(f.mon->drift_log().empty());
+  const fd::DriftEvent& ev = f.mon->drift_log()[0];
   ASSERT_TRUE(ev.approx);  // partial coverage, witnessed violation
 
-  auto loaded =
-      DeserializeSampledCheckpoint(SerializeSampledCheckpoint(mon.Checkpoint()));
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  const fd::DriftEvent& back = loaded.checkpoint->base.drift_log[0];
+  sql::Database loaded;
+  const fd::MonitorState state = LoadSampledState(f.Bytes(), &loaded);
+  ASSERT_FALSE(state.drift_log.empty());
+  const fd::DriftEvent& back = state.drift_log[0];
   EXPECT_TRUE(back.approx);
   EXPECT_EQ(back.confidence_lo, ev.confidence_lo);
   EXPECT_EQ(back.confidence_hi, ev.confidence_hi);
@@ -531,10 +582,8 @@ TEST(SnapshotTest, ServerStateCarriesSampledSection) {
   Relation shared = RelationBuilder("t", schema)
                         .Row({int64_t{1}, int64_t{10}})
                         .Build();
-  fd::SampledSchemaMonitor mon(&shared,
-                               {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))},
-                               /*check_interval=*/1, /*capacity=*/8,
-                               /*seed=*/5);
+  fd::SchemaMonitor mon(&shared, {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))},
+                        /*check_interval=*/1, /*capacity=*/8, /*seed=*/5);
   shared.AppendRow({int64_t{2}, int64_t{20}});
   mon.Poll();
 
@@ -546,7 +595,7 @@ TEST(SnapshotTest, ServerStateCarriesSampledSection) {
 
   sql::Database back;
   std::vector<ServerMonitorState> monitors;
-  std::vector<ServerSampledMonitorState> sampled;
+  std::vector<ServerMonitorState> sampled;
   std::string err;
   ASSERT_TRUE(
       DeserializeServerState(bytes, &back, &monitors, &err, &sampled))
@@ -554,9 +603,10 @@ TEST(SnapshotTest, ServerStateCarriesSampledSection) {
   EXPECT_TRUE(monitors.empty());
   ASSERT_EQ(sampled.size(), 1u);
   EXPECT_EQ(sampled[0].table, "t");
-  EXPECT_EQ(sampled[0].state.reservoir.seen, mon.State().reservoir.seen);
-  EXPECT_EQ(sampled[0].state.reservoir.rng_state,
-            mon.State().reservoir.rng_state);
+  ASSERT_TRUE(sampled[0].state.reservoir.has_value());
+  EXPECT_EQ(sampled[0].state.reservoir->seen, mon.State().reservoir->seen);
+  EXPECT_EQ(sampled[0].state.reservoir->rng_state,
+            mon.State().reservoir->rng_state);
 
   // A caller that cannot receive the section must get a clean error, not
   // silently dropped monitors.
@@ -564,6 +614,108 @@ TEST(SnapshotTest, ServerStateCarriesSampledSection) {
   std::vector<ServerMonitorState> m2;
   EXPECT_FALSE(DeserializeServerState(bytes, &ignored, &m2, &err, nullptr));
   EXPECT_NE(err.find("sampled"), std::string::npos) << err;
+}
+
+TEST(SnapshotTest, SecondMonitorStateForTableFailsLoad) {
+  // One monitor per table and section: restoring a second state for the
+  // same table would silently replace the first monitor.
+  Schema schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
+  sql::Database db;
+  db.AddRelation(
+      RelationBuilder("t", schema).Row({int64_t{1}, int64_t{10}}).Build());
+  Relation* rel = &db.GetMutable("t");
+  const fd::Fd ab(AttrSet::Of({0}), AttrSet::Of({1}));
+  const fd::Fd ba(AttrSet::Of({1}), AttrSet::Of({0}));
+  fd::SchemaMonitor a(rel, {ab});
+  fd::SchemaMonitor b(rel, {ba});
+  fd::SchemaMonitor sa(rel, {ab}, 1, /*capacity=*/4, /*seed=*/1);
+  fd::SchemaMonitor sb(rel, {ba}, 1, /*capacity=*/4, /*seed=*/2);
+  const std::string inputs[] = {
+      SerializeServerState(db, {{"t", a.State()}, {"t", b.State()}}),
+      SerializeServerState(db, {}, {{"t", sa.State()}, {"t", sb.State()}}),
+  };
+  for (const std::string& bytes : inputs) {
+    sql::Database back;
+    std::vector<ServerMonitorState> monitors;
+    std::vector<ServerMonitorState> sampled;
+    std::string err;
+    EXPECT_FALSE(
+        DeserializeServerState(bytes, &back, &monitors, &err, &sampled));
+    EXPECT_NE(err.find("two monitor states for table 't'"), std::string::npos)
+        << err;
+  }
+}
+
+TEST(SnapshotTest, V3ServerStateFixtureStillLoads) {
+  // 988 server-state bytes written by the v3 writer of the build that
+  // still had separate exact and sampled monitor classes: table t(a, b),
+  // 16 rows, row 0 deleted; an EVERY 2 exact monitor on a -> b with one
+  // unchecked mutation pending, and an EVERY 1 SAMPLE 3 SEED 17 monitor on
+  // a -> b; each logged one drift event, the sampled one approximate.
+  // Existing checkpoints must load, restore, and re-serialize unchanged.
+  std::string hex =
+      "4644455603000000040000000100000001000000000000007402000000010000"
+      "0000000000610001000000000000006200100000000000000000000000000000"
+      "0009000000000000006400000000000000650000000000000066000000000000"
+      "006700000000000000680000000000000069000000000000006a000000000000"
+      "006b000000000000000100000000000000100000000000000000000000010000"
+      "0002000000030000000400000005000000060000000700000008000000080000"
+      "0008000000080000000800000008000000080000000800000000000000000000"
+      "000c000000000000000000000000000000020000000000000004000000000000"
+      "00060000000000000008000000000000000a000000000000000c000000000000"
+      "000e000000000000000100000000000000030000000000000005000000000000"
+      "0007000000000000001000000000000000000000000100000002000000030000"
+      "0004000000050000000600000007000000000000000800000001000000090000"
+      "00020000000a000000030000000b000000010000000000000000000000100000"
+      "0000000000010000000000000000000000000000000100000001000000000000"
+      "0074000000000000000001000000000000000100000001000000010000000100"
+      "0000000000007402000000000000000100000000000000080000000000000010"
+      "0000000000000001000000000000000000000001000000000000000100000001"
+      "00000008000000000000000e000000000000000b000000000000009224499224"
+      "49e23ffdffffffffffffff0001010b0000000000000001000000000000000000"
+      "00000a0000000000000008000000000000000a00000000000000090000000000"
+      "00009a9999999999e93fffffffffffffffff000000000000000000f03f000000"
+      "000000f03f000000000000000000000000000000000100000001000000000000"
+      "0074010000000000000000000000000000001100000000000000100000000000"
+      "0000010000000000000000000000010000000000000001000000010000000600"
+      "0000000000000f000000000000000f000000000000009a9999999999d93ff7ff"
+      "ffffffffffff0001010c000000000000000100000000000000000000000b0000"
+      "000000000005000000000000000b000000000000000b00000000000000269b6c"
+      "b2c926db3ffaffffffffffffff00000146175d74d145c73f175d74d14517ed3f"
+      "00000000000022c00000000000001c4003000000000000001100000000000000"
+      "53af6b646ff058d9100000000000000003000000000000000b00000003000000"
+      "0800000010000000000000000000000000000000443b348d54b9c264";
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  ASSERT_EQ(bytes.size(), 988u);
+
+  sql::Database db;
+  std::vector<ServerMonitorState> monitors;
+  std::vector<ServerMonitorState> sampled;
+  std::string err;
+  ASSERT_TRUE(DeserializeServerState(bytes, &db, &monitors, &err, &sampled))
+      << err;
+  ASSERT_EQ(monitors.size(), 1u);
+  ASSERT_EQ(sampled.size(), 1u);
+  Relation* rel = &db.GetMutable("t");
+  EXPECT_EQ(rel->tuple_count(), 16u);
+  EXPECT_EQ(rel->live_count(), 15u);
+  fd::SchemaMonitor exact(rel, monitors[0].state);
+  fd::SchemaMonitor approx(rel, sampled[0].state);
+  EXPECT_EQ(exact.sample_capacity(), 0u);
+  EXPECT_EQ(exact.State().inserts_since_check, 1u);
+  ASSERT_EQ(exact.drift_log().size(), 1u);
+  EXPECT_FALSE(exact.drift_log()[0].approx);
+  EXPECT_EQ(approx.sample_capacity(), 3u);
+  EXPECT_EQ(approx.sample_seed(), 17u);
+  ASSERT_EQ(approx.drift_log().size(), 1u);
+  EXPECT_TRUE(approx.drift_log()[0].approx);
+  EXPECT_EQ(SerializeServerState(db, {{"t", exact.State()}},
+                                 {{"t", approx.State()}}),
+            bytes);
 }
 
 }  // namespace
