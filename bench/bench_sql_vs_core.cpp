@@ -2,10 +2,19 @@
 // paper's Q1/Q2 COUNT DISTINCT statements per FD) vs the in-core memoising
 // evaluator. Quantifies what the paper's Java+MySQL prototype pays per
 // candidate relative to an embedded engine.
+//
+// Also an identity gate: exits non-zero if any candidate's SQL-path
+// distinct_x, distinct_xy, distinct_y or confidence bits differ from
+// fd::ComputeMeasures on the core evaluator. FDEVOLVE_BENCH_FAST=1 shrinks
+// the grid for CI.
+#include <cstring>
 #include <iostream>
+#include <vector>
 
+#include "bench_common.h"
 #include "datagen/synthetic.h"
 #include "fd/candidate_ranking.h"
+#include "fd/measures.h"
 #include "sql/sql_measures.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -13,13 +22,20 @@
 int main() {
   using namespace fdevolve;
 
+  const bool fast = bench::FastMode();
   util::TablePrinter t("Measure computation: SQL path vs core evaluator "
                        "(full ExtendByOne pass)");
   t.SetHeader({"attrs", "tuples", "candidates", "core ms", "sql ms",
                "sql/core"});
 
-  for (int attrs : {8, 16}) {
-    for (size_t tuples : {1000u, 10000u, 50000u}) {
+  int mismatches = 0;
+  const std::vector<int> attr_grid =
+      fast ? std::vector<int>{8} : std::vector<int>{8, 16};
+  const std::vector<size_t> tuple_grid =
+      fast ? std::vector<size_t>{1000, 10000}
+           : std::vector<size_t>{1000, 10000, 50000};
+  for (int attrs : attr_grid) {
+    for (size_t tuples : tuple_grid) {
       datagen::SyntheticSpec spec;
       spec.n_attrs = attrs;
       spec.n_tuples = tuples;
@@ -37,13 +53,32 @@ int main() {
       double core_ms = core_timer.ElapsedMs();
 
       util::Timer sql_timer;
-      size_t sql_candidates = 0;
+      std::vector<fd::Fd> extended;
+      std::vector<fd::FdMeasures> via_sql;
       for (int a : pool.ToVector()) {
-        fd::Fd extended = f.WithAntecedent(a);
-        (void)sql::ComputeMeasuresViaSql(db, "synthetic", extended);
-        ++sql_candidates;
+        extended.push_back(f.WithAntecedent(a));
+        via_sql.push_back(
+            sql::ComputeMeasuresViaSql(db, "synthetic", extended.back()));
       }
       double sql_ms = sql_timer.ElapsedMs();
+
+      for (size_t i = 0; i < extended.size(); ++i) {
+        const fd::FdMeasures core = fd::ComputeMeasures(rel, extended[i]);
+        const fd::FdMeasures& s = via_sql[i];
+        if (s.distinct_x != core.distinct_x ||
+            s.distinct_xy != core.distinct_xy ||
+            s.distinct_y != core.distinct_y ||
+            std::memcmp(&s.confidence, &core.confidence,
+                        sizeof core.confidence) != 0) {
+          ++mismatches;
+          std::cerr << "MISMATCH attrs=" << attrs << " tuples=" << tuples
+                    << " fd=" << extended[i].ToString(rel.schema())
+                    << ": sql " << s.distinct_x << "/" << s.distinct_xy
+                    << "/" << s.distinct_y << " core " << core.distinct_x
+                    << "/" << core.distinct_xy << "/" << core.distinct_y
+                    << "\n";
+        }
+      }
 
       char ratio[32];
       std::snprintf(ratio, sizeof(ratio), "%.2fx",
@@ -58,5 +93,13 @@ int main() {
                "(3 statements per candidate) while the evaluator refines "
                "one cached grouping per candidate — the gap widens with "
                "candidate count.\n";
+  if (fast) std::cout << "FDEVOLVE_BENCH_FAST\n";
+  if (mismatches != 0) {
+    std::cerr << mismatches
+              << " candidate(s) measured differently through SQL\n";
+    return 1;
+  }
+  std::cout << "SQL path identity: every candidate's measures match the "
+               "core evaluator\n";
   return 0;
 }

@@ -174,19 +174,16 @@ const uint8_t* LiveMask(const relation::Relation& rel) {
   return rel.has_tombstones() ? rel.live_bitmap().data() : nullptr;
 }
 
-/// Distinct live dictionary codes of one column — the tombstone-aware
-/// replacement for the O(1) dict_size fast path. O(n + dict).
-size_t LiveDistinctOneColumn(const relation::Relation& rel, int attr) {
-  const relation::Column& col = rel.column(attr);
-  const uint32_t* codes = col.codes().data();
-  const uint8_t* live = rel.live_bitmap().data();
-  const size_t n = rel.tuple_count();
-  const size_t dict = col.dict_size();
-  std::vector<uint8_t> seen(dict + 1, 0);  // slot `dict` counts NULL
+/// Distinct values of `ids[0..n)` over the rows `mask` selects, each id
+/// < `domain` or kNullCode (one more value) — the masked replacement for
+/// the O(1) dict_size / group_count answers. O(n + domain).
+size_t MaskedDistinct(const uint32_t* ids, size_t n, size_t domain,
+                      const uint8_t* mask) {
+  std::vector<uint8_t> seen(domain + 1, 0);  // slot `domain` counts NULL
   size_t distinct = 0;
   for (size_t t = 0; t < n; ++t) {
-    if (live[t] == 0) continue;
-    const size_t c = codes[t] == relation::kNullCode ? dict : codes[t];
+    if (mask[t] == 0) continue;
+    const size_t c = ids[t] == relation::kNullCode ? domain : ids[t];
     if (seen[c] == 0) {
       seen[c] = 1;
       ++distinct;
@@ -311,26 +308,34 @@ Grouping GroupRows(const relation::Relation& rel,
 }
 
 size_t GroupCountBy(const relation::Relation& rel,
-                    const relation::AttrSet& attrs, RefineScratch& scratch) {
+                    const relation::AttrSet& attrs, const uint8_t* mask,
+                    RefineScratch& scratch) {
   const size_t n = rel.tuple_count();
   if (n == 0) return 0;
-  const uint8_t* live = LiveMask(rel);
-  if (live != nullptr && rel.live_count() == 0) return 0;
   const auto cols = attrs.ToVector();
-  if (cols.empty()) return 1;
+  if (cols.empty()) {
+    return mask == nullptr || *std::max_element(mask, mask + n) != 0 ? 1 : 0;
+  }
   if (cols.size() == 1) {
-    if (live != nullptr) return LiveDistinctOneColumn(rel, cols[0]);
-    // |π_A| falls straight out of the dictionary: no per-tuple work.
     const auto& col = rel.column(cols[0]);
+    if (mask != nullptr) {
+      return MaskedDistinct(col.codes().data(), n, col.dict_size(), mask);
+    }
+    // |π_A| falls straight out of the dictionary: no per-tuple work.
     return col.dict_size() + (col.has_nulls() ? 1 : 0);
   }
   // Count-only fused chain: when every level fits one segment — the common
   // case — this is a single sweep with no id materialization at all. The
-  // tombstone filter applies only to the final segment (see RunRefineChain),
-  // which is what makes the count "groups with a live row" while any
+  // mask applies only to the final segment (see RunSegments), which is
+  // what makes the count "groups with a selected row" while any
   // intermediate ids stay append-stable.
   return RunRefineChain(nullptr, 1, cols.data(), cols.size(), rel, n, scratch,
-                        nullptr, live);
+                        nullptr, mask);
+}
+
+size_t GroupCountBy(const relation::Relation& rel,
+                    const relation::AttrSet& attrs, RefineScratch& scratch) {
+  return GroupCountBy(rel, attrs, LiveMask(rel), scratch);
 }
 
 size_t GroupCountBy(const relation::Relation& rel,
@@ -347,18 +352,10 @@ size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
   const uint8_t* live = LiveMask(rel);
   const auto cols = attrs.ToVector();
   if (cols.empty()) {
-    if (live == nullptr) return base.group_count;
     // Tombstone-aware: groups of `base` with at least one live row.
-    std::vector<uint8_t> seen(base.group_count, 0);
-    size_t groups = 0;
-    for (size_t t = 0; t < n; ++t) {
-      if (live[t] == 0) continue;
-      if (seen[base.ids[t]] == 0) {
-        seen[base.ids[t]] = 1;
-        ++groups;
-      }
-    }
-    return groups;
+    return live == nullptr
+               ? base.group_count
+               : MaskedDistinct(base.ids.data(), n, base.group_count, live);
   }
   return RunRefineChain(base.ids.data(), base.group_count, cols.data(),
                         cols.size(), rel, n, scratch, nullptr, live);

@@ -142,6 +142,15 @@ size_t GroupCountBy(const relation::Relation& rel,
 size_t GroupCountBy(const relation::Relation& rel,
                     const relation::AttrSet& attrs, RefineScratch& scratch);
 
+/// \brief GroupCountBy over the rows a byte mask selects: the number of
+/// groups with at least one row whose `mask` byte is nonzero. `mask` holds
+/// one byte per physical row [0, rel.tuple_count()); nullptr selects every
+/// row. The overloads above are the case mask = the tombstone bitmap. The
+/// SQL engine passes its WHERE mask here.
+size_t GroupCountBy(const relation::Relation& rel,
+                    const relation::AttrSet& attrs, const uint8_t* mask,
+                    RefineScratch& scratch);
+
 /// \brief Number of groups RefineBy(rel, base, attrs) would produce with
 /// at least one live row, without materializing the refined ids. `base`
 /// must cover every physical row (dead included), which is what GroupBy /

@@ -59,7 +59,8 @@ struct Level {
 ///     ("RefinePass: group id out of range") — dead rows are exempt,
 ///     exactly like the scalar loop they replace.
 ///   * `out` may alias `base_ids`: every slot is read before written.
-///   * `live != nullptr` (tombstone bitmap; 0 = dead row skipped) implies
+///   * `live != nullptr` (row mask: the tombstone bitmap or a SQL WHERE
+///     mask; a 0 byte skips the row) implies
 ///     `out == nullptr` — only count-only passes filter.
 struct RefineArgs {
   const uint32_t* base_ids = nullptr;

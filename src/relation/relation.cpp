@@ -1,6 +1,5 @@
 #include "relation/relation.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -8,9 +7,36 @@ namespace fdevolve::relation {
 
 const Value Column::kNullValue = Value::Null();
 
+Column::Column(DataType type) : type_(type) { BuildIndex(); }
+
 const Value& Column::DictValue(uint32_t code) const {
   if (code == kNullCode) return kNullValue;
   return dict_.at(code);
+}
+
+size_t Column::Probe(const Value& v) const {
+  const size_t mask = index_.size() - 1;
+  size_t slot = static_cast<size_t>(v.Hash()) & mask;
+  while (index_[slot] != kNullCode && !(dict_[index_[slot]] == v)) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+uint32_t Column::FindCode(const Value& v) const { return index_[Probe(v)]; }
+
+void Column::BuildIndex() {
+  size_t slots = 16;
+  while (slots < 2 * dict_.size()) slots *= 2;
+  index_.assign(slots, kNullCode);
+  for (size_t c = 0; c < dict_.size(); ++c) {
+    uint32_t& slot = index_[Probe(dict_[c])];
+    if (slot != kNullCode) {
+      throw std::invalid_argument("Column: duplicate dictionary value " +
+                                  dict_[c].ToString());
+    }
+    slot = static_cast<uint32_t>(c);
+  }
 }
 
 void Column::Append(const Value& v) {
@@ -23,18 +49,20 @@ void Column::Append(const Value& v) {
     throw std::invalid_argument("Column: value type mismatch, expected " +
                                 DataTypeName(type_) + " got " + v.ToString());
   }
-  if (dict_index_.size() != dict_.size()) RebuildDictIndex();
-  auto it = dict_index_.find(v);
-  if (it != dict_index_.end()) {
-    codes_.push_back(it->second);
-    return;
-  }
-  auto code = static_cast<uint32_t>(dict_.size());
+  const size_t slot = Probe(v);
+  uint32_t code = index_[slot];
   if (code == kNullCode) {
-    throw std::length_error("Column: dictionary overflow");
+    code = static_cast<uint32_t>(dict_.size());
+    if (code == kNullCode) {
+      throw std::length_error("Column: dictionary overflow");
+    }
+    dict_.push_back(v);
+    if (2 * dict_.size() > index_.size()) {
+      BuildIndex();
+    } else {
+      index_[slot] = code;
+    }
   }
-  dict_.push_back(v);
-  dict_index_.emplace(v, code);
   codes_.push_back(code);
 }
 
@@ -72,16 +100,7 @@ void Column::Compact(const std::vector<uint8_t>& live) {
   dict_ = std::move(dict);
   codes_ = std::move(codes);
   null_count_ = nulls;
-  // Lazily rebuilt on the next Append, like the FromEncoded path.
-  dict_index_.clear();
-}
-
-void Column::RebuildDictIndex() {
-  dict_index_.clear();
-  dict_index_.reserve(dict_.size());
-  for (size_t c = 0; c < dict_.size(); ++c) {
-    dict_index_.emplace(dict_[c], static_cast<uint32_t>(c));
-  }
+  BuildIndex();
 }
 
 Column Column::FromEncoded(DataType type, std::vector<Value> dict,
@@ -95,40 +114,6 @@ Column Column::FromEncoded(DataType type, std::vector<Value> dict,
       throw std::invalid_argument(
           "Column::FromEncoded: dictionary value type mismatch, expected " +
           DataTypeName(type) + " got " + v.ToString());
-    }
-  }
-  // Duplicate detection without building the value→code index (which is
-  // deferred to the first Append): equal values have equal hashes, so sort
-  // the bare hashes and look for equal neighbors — in the overwhelmingly
-  // common collision-free case that one u64 sort is the whole check. Only
-  // when a run of equal hashes exists are the actual values compared
-  // (second pass with codes attached). Entries that are unequal to
-  // themselves (NaN) are legal — an organic Append stream mints a fresh
-  // code for every NaN too.
-  {
-    std::vector<uint64_t> hashes;
-    hashes.reserve(dict.size());
-    for (const Value& v : dict) hashes.push_back(v.Hash());
-    std::sort(hashes.begin(), hashes.end());
-    const bool collision =
-        std::adjacent_find(hashes.begin(), hashes.end()) != hashes.end();
-    if (collision) {
-      std::vector<std::pair<uint64_t, uint32_t>> keyed;
-      keyed.reserve(dict.size());
-      for (size_t c = 0; c < dict.size(); ++c) {
-        keyed.emplace_back(dict[c].Hash(), static_cast<uint32_t>(c));
-      }
-      std::sort(keyed.begin(), keyed.end());
-      for (size_t i = 0; i + 1 < keyed.size(); ++i) {
-        for (size_t j = i + 1;
-             j < keyed.size() && keyed[j].first == keyed[i].first; ++j) {
-          if (dict[keyed[i].second] == dict[keyed[j].second]) {
-            throw std::invalid_argument(
-                "Column::FromEncoded: duplicate dictionary value " +
-                dict[keyed[i].second].ToString());
-          }
-        }
-      }
     }
   }
   size_t nulls = 0;
@@ -150,6 +135,7 @@ Column Column::FromEncoded(DataType type, std::vector<Value> dict,
   col.dict_ = std::move(dict);
   col.codes_ = std::move(codes);
   col.null_count_ = null_count;
+  col.BuildIndex();  // throws on a duplicate dictionary value
   return col;
 }
 

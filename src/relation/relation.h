@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relation/schema.h"
@@ -24,7 +23,7 @@ inline constexpr uint32_t kNullCode = std::numeric_limits<uint32_t>::max();
 /// One dictionary-encoded column.
 class Column {
  public:
-  explicit Column(DataType type) : type_(type) {}
+  explicit Column(DataType type);
 
   DataType type() const { return type_; }
   size_t size() const { return codes_.size(); }
@@ -48,17 +47,22 @@ class Column {
 
   /// Rebuilds a column directly at the encoded layer — the snapshot load
   /// path, which must not re-dictionary-encode per cell. Validates that
-  /// every dictionary value matches `type` and is distinct (via a
-  /// hash-sort pass, cheaper than rebuilding the dictionary index), that
-  /// every code is either < dict.size() or kNullCode, and that the
-  /// kNullCode count equals `null_count`; throws std::invalid_argument
-  /// otherwise. The value→code index is rebuilt lazily on the first
-  /// Append, so load-then-query workloads never pay for it.
+  /// every dictionary value matches `type`, that every code is either
+  /// < dict.size() or kNullCode, and that the kNullCode count equals
+  /// `null_count`; building the value→code index checks that the values
+  /// are distinct (NaN, equal to nothing, may repeat, as Append lets it).
+  /// Throws std::invalid_argument otherwise.
   static Column FromEncoded(DataType type, std::vector<Value> dict,
                             std::vector<uint32_t> codes, size_t null_count);
 
   /// Appends a value; throws std::invalid_argument on type mismatch.
   void Append(const Value& v);
+
+  /// Dictionary code of `v`, or kNullCode when `v` is NULL, of another
+  /// type, or absent (NaN always is: it equals nothing). One probe of the
+  /// value→code index, which every mutation keeps current; const and
+  /// read-only, so readers holding a shared lock may call it.
+  uint32_t FindCode(const Value& v) const;
 
   /// Cell accessor (decodes through the dictionary).
   Value Get(size_t t) const;
@@ -72,17 +76,22 @@ class Column {
   void Compact(const std::vector<uint8_t>& live);
 
  private:
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
+  /// Slot of `v` in index_: the one holding its code, or the empty slot
+  /// where the probe for it ended.
+  size_t Probe(const Value& v) const;
 
-  /// Re-derives dict_index_ from dict_ (after FromEncoded left it empty).
-  void RebuildDictIndex();
+  /// Sizes index_ for dict_ and inserts every code in order; throws
+  /// std::invalid_argument when two dictionary values are equal.
+  void BuildIndex();
 
   DataType type_;
   std::vector<uint32_t> codes_;
   std::vector<Value> dict_;
-  std::unordered_map<Value, uint32_t, ValueHash> dict_index_;
+  /// Value→code index over dict_: open addressing with linear probing
+  /// from Value::Hash, a power-of-two slot count (at least 16) that keeps
+  /// it at most half full, and kNullCode marking an empty slot. Append
+  /// grows it; Compact and FromEncoded rebuild it.
+  std::vector<uint32_t> index_;
   size_t null_count_ = 0;
   static const Value kNullValue;
 };

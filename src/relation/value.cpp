@@ -34,6 +34,7 @@ uint64_t Value::Hash() const {
       return util::Mix64(static_cast<uint64_t>(std::get<int64_t>(data_)));
     case 2: {
       double d = std::get<double>(data_);
+      if (d == 0.0) d = 0.0;  // -0.0 == +0.0, so both hash as +0.0
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));
       __builtin_memcpy(&bits, &d, sizeof(bits));

@@ -1,85 +1,126 @@
 #include "sql/engine.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "fd/planner.h"
+#include "query/group_ids.h"
 #include "sql/parser.h"
-#include "util/flat_table.h"
 
 namespace fdevolve::sql {
 namespace {
 
-/// Row predicate for one condition, evaluated on dictionary codes where
-/// possible (equality against a literal resolves to a single code).
-class CompiledCondition {
- public:
-  CompiledCondition(const relation::Relation& rel, const Condition& cond)
-      : op_(cond.op) {
-    col_ = rel.schema().IndexOf(cond.column);
-    if (col_ < 0) {
-      throw std::invalid_argument("unknown column '" + cond.column + "' in " +
-                                  rel.name());
-    }
-    if (op_ == Condition::Op::kEq || op_ == Condition::Op::kNeq) {
-      if (cond.literal.is_null()) {
-        // SQL three-valued logic: = NULL / <> NULL match nothing.
-        matches_nothing_ = true;
-        return;
-      }
-      // Resolve the literal to a dictionary code. An absent literal means
-      // "= lit" matches nothing and "<> lit" matches every non-NULL row.
-      const auto& col = rel.column(col_);
-      for (uint32_t c = 0; c < col.dict_size(); ++c) {
-        if (col.DictValue(c) == cond.literal) {
-          literal_code_ = c;
-          literal_present_ = true;
-          break;
-        }
-      }
-    }
+/// Index of column `name`; throws std::invalid_argument if `rel` has none.
+int ColumnIndex(const relation::Relation& rel, const std::string& name) {
+  const int idx = rel.schema().IndexOf(name);
+  if (idx < 0) {
+    throw std::invalid_argument("unknown column '" + name + "' in " +
+                                rel.name());
   }
+  return idx;
+}
 
-  bool Pass(const relation::Relation& rel, size_t row) const {
-    if (matches_nothing_) return false;
-    uint32_t code = rel.column(col_).code(row);
-    switch (op_) {
-      case Condition::Op::kEq:
-        return literal_present_ && code == literal_code_;
-      case Condition::Op::kNeq:
-        return code != relation::kNullCode &&
-               (!literal_present_ || code != literal_code_);
-      case Condition::Op::kIsNull:
-        return code == relation::kNullCode;
-      case Condition::Op::kIsNotNull:
-        return code != relation::kNullCode;
-    }
-    return false;
+/// SQL numeric literals are typeless: an integer literal meets a double
+/// column as a double. Nothing else coerces (a double literal never
+/// matches or enters an int column).
+relation::Value Coerce(relation::Value v, relation::DataType type) {
+  if (v.is_int() && type == relation::DataType::kDouble) {
+    return relation::Value(static_cast<double>(v.as_int()));
   }
+  return v;
+}
 
- private:
-  int col_ = -1;
-  Condition::Op op_;
-  uint32_t literal_code_ = relation::kNullCode;
-  bool literal_present_ = false;
-  bool matches_nothing_ = false;
+/// One WHERE condition resolved against a relation, as a test on the
+/// column's codes: code == `code` when `equal`, else code != `code` and
+/// not NULL. So IS NULL is = kNullCode and IS NOT NULL is <> kNullCode.
+struct Predicate {
+  const uint32_t* codes = nullptr;
+  bool equal = true;
+  uint32_t code = relation::kNullCode;
+  bool none = false;  ///< matches no row (= or <> NULL, = an absent literal)
 };
 
-/// Live rows of `rel` passing every condition, in physical row order,
-/// bounded to the pre-statement row set [0, rel.tuple_count()).
-std::vector<size_t> MatchingLiveRows(const relation::Relation& rel,
-                                     const std::vector<Condition>& where) {
-  std::vector<CompiledCondition> conds;
-  conds.reserve(where.size());
-  for (const auto& c : where) conds.emplace_back(rel, c);
-  std::vector<size_t> rows;
-  for (size_t row = 0; row < rel.tuple_count(); ++row) {
-    if (!rel.is_live(row)) continue;
-    bool pass = true;
-    for (const auto& c : conds) {
-      if (!c.Pass(rel, row)) {
-        pass = false;
-        break;
+/// Resolves `where` against `rel`; throws std::invalid_argument on an
+/// unknown column.
+std::vector<Predicate> Compile(const relation::Relation& rel,
+                               const std::vector<Condition>& where) {
+  std::vector<Predicate> preds;
+  for (const Condition& cond : where) {
+    const relation::Column& col = rel.column(ColumnIndex(rel, cond.column));
+    const bool equal =
+        cond.op == Condition::Op::kEq || cond.op == Condition::Op::kIsNull;
+    Predicate p{col.codes().data(), equal, relation::kNullCode, false};
+    if (cond.op == Condition::Op::kEq || cond.op == Condition::Op::kNeq) {
+      // SQL three-valued logic: = NULL and <> NULL match nothing. An
+      // absent literal (kNullCode) matches nothing under = and every
+      // non-NULL row under <>.
+      p.code = col.FindCode(Coerce(cond.literal, col.type()));
+      p.none = cond.literal.is_null() ||
+               (p.equal && p.code == relation::kNullCode);
+    }
+    preds.push_back(p);
+  }
+  return preds;
+}
+
+/// The rows a statement acts on, as one byte per physical row of the
+/// pre-statement range [0, rel.tuple_count()): set when the row is live
+/// and passes every predicate. nullptr selects every row (no tombstones,
+/// no predicates); otherwise the mask is the tombstone bitmap or `buf`.
+/// Each predicate is one plain loop over the column's codes, which the
+/// compiler vectorizes.
+const uint8_t* RowMask(const relation::Relation& rel,
+                       const std::vector<Predicate>& preds,
+                       std::vector<uint8_t>& buf) {
+  if (preds.empty()) {
+    return rel.has_tombstones() ? rel.live_bitmap().data() : nullptr;
+  }
+  const size_t n = rel.tuple_count();
+  if (rel.has_tombstones()) {
+    buf = rel.live_bitmap();
+  } else {
+    buf.assign(n, 1);
+  }
+  uint8_t* mask = buf.data();
+  for (const Predicate& p : preds) {
+    const uint32_t* codes = p.codes;
+    const uint32_t code = p.code;
+    if (p.none) {
+      std::fill(mask, mask + n, 0);
+    } else if (p.equal) {
+      for (size_t t = 0; t < n; ++t) mask[t] &= codes[t] == code;
+    } else {
+      for (size_t t = 0; t < n; ++t) {
+        mask[t] &= (codes[t] != code) & (codes[t] != relation::kNullCode);
       }
     }
-    if (pass) rows.push_back(row);
+  }
+  return mask;
+}
+
+/// The rows `where` selects among the live rows of `rel`, in physical
+/// row order; throws std::invalid_argument on an unknown column.
+std::vector<size_t> MatchingRows(const relation::Relation& rel,
+                                 const std::vector<Condition>& where) {
+  const size_t n = rel.tuple_count();
+  std::vector<uint8_t> buf;
+  const uint8_t* mask = RowMask(rel, Compile(rel, where), buf);
+  if (mask == nullptr) {
+    buf.assign(n, 1);
+    mask = buf.data();
+  }
+  std::vector<size_t> rows;
+  size_t t = 0;
+  for (; t + 8 <= n; t += 8) {
+    uint64_t word;
+    std::memcpy(&word, mask + t, sizeof word);
+    if (word == 0) continue;  // a key lookup leaves the mask mostly clear
+    for (size_t i = t; i < t + 8; ++i) {
+      if (mask[i] != 0) rows.push_back(i);
+    }
+  }
+  for (; t < n; ++t) {
+    if (mask[t] != 0) rows.push_back(t);
   }
   return rows;
 }
@@ -88,69 +129,26 @@ std::vector<size_t> MatchingLiveRows(const relation::Relation& rel,
 
 uint64_t Execute(const CountQuery& query, const Database& db) {
   const relation::Relation& rel = db.Get(query.table);
-
-  std::vector<CompiledCondition> conds;
-  conds.reserve(query.where.size());
-  for (const auto& c : query.where) conds.emplace_back(rel, c);
-
-  std::vector<int> cols;
+  std::vector<Predicate> preds = Compile(rel, query.where);
+  relation::AttrSet attrs;
   for (const auto& name : query.columns) {
-    int idx = rel.schema().IndexOf(name);
-    if (idx < 0) {
-      throw std::invalid_argument("unknown column '" + name + "' in " +
-                                  rel.name());
+    const int idx = ColumnIndex(rel, name);
+    attrs.Add(idx);
+    // SQL semantics: COUNT(DISTINCT) skips rows with a NULL in any
+    // counted column (an IS NOT NULL predicate).
+    const relation::Column& col = rel.column(idx);
+    if (col.has_nulls()) {
+      preds.push_back({col.codes().data(), false, relation::kNullCode, false});
     }
-    cols.push_back(idx);
   }
-
-  // Filter pass: surviving row indices (and, for DISTINCT, drop rows with
-  // NULL in any counted column — SQL semantics). Tombstoned rows are
-  // invisible to queries.
-  std::vector<size_t> rows;
-  rows.reserve(rel.live_count());
-  for (size_t row = 0; row < rel.tuple_count(); ++row) {
-    if (!rel.is_live(row)) continue;
-    bool pass = true;
-    for (const auto& c : conds) {
-      if (!c.Pass(rel, row)) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    if (query.distinct) {
-      bool has_null = false;
-      for (int c : cols) {
-        if (rel.column(c).code(row) == relation::kNullCode) {
-          has_null = true;
-          break;
-        }
-      }
-      if (has_null) continue;
-    }
-    rows.push_back(row);
+  std::vector<uint8_t> buf;
+  const uint8_t* mask = RowMask(rel, preds, buf);
+  const size_t n = rel.tuple_count();
+  if (!query.distinct) {
+    return mask == nullptr ? n : n - std::count(mask, mask + n, 0);
   }
-  if (!query.distinct) return rows.size();
-
-  // Exact distinct count via per-column partition refinement (same plan
-  // shape as query::GroupBy, restricted to surviving rows; the open-
-  // addressing table replaces the per-pass unordered_map here too).
-  std::vector<uint32_t> ids(rows.size(), 0);
-  size_t groups = rows.empty() ? 0 : 1;
-  util::FlatIdTable next;
-  for (int c : cols) {
-    next.Reset(rows.size());
-    uint32_t fresh = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      uint64_t key = (static_cast<uint64_t>(ids[i]) << 32) |
-                     rel.column(c).code(rows[i]);
-      bool inserted = false;
-      ids[i] = next.FindOrInsert(key, fresh, &inserted);
-      if (inserted) ++fresh;
-    }
-    groups = fresh;
-  }
-  return groups;
+  query::RefineScratch scratch;
+  return query::GroupCountBy(rel, attrs, mask, scratch);
 }
 
 uint64_t Execute(const InsertStatement& insert, Database& db) {
@@ -175,10 +173,7 @@ uint64_t Execute(const InsertStatement& insert, Database& db) {
   for (auto& row : rows) {
     for (size_t i = 0; i < row.size() && i < static_cast<size_t>(schema.size());
          ++i) {
-      if (row[i].is_int() &&
-          schema.attr(static_cast<int>(i)).type == relation::DataType::kDouble) {
-        row[i] = relation::Value(static_cast<double>(row[i].as_int()));
-      }
+      row[i] = Coerce(std::move(row[i]), schema.attr(static_cast<int>(i)).type);
     }
   }
   rel.AppendRows(rows);
@@ -188,7 +183,7 @@ uint64_t Execute(const InsertStatement& insert, Database& db) {
 uint64_t Execute(const DeleteStatement& del, Database& db) {
   relation::Relation& rel = db.GetMutable(del.table);
   // Condition compilation throws on unknown columns before any mutation.
-  const std::vector<size_t> rows = MatchingLiveRows(rel, del.where);
+  const std::vector<size_t> rows = MatchingRows(rel, del.where);
   for (size_t row : rows) rel.DeleteRow(row);
   return rows.size();
 }
@@ -205,16 +200,9 @@ uint64_t Execute(const UpdateStatement& update, Database& db) {
   std::vector<std::pair<int, relation::Value>> sets;
   sets.reserve(update.assignments.size());
   for (const auto& a : update.assignments) {
-    const int idx = schema.IndexOf(a.column);
-    if (idx < 0) {
-      throw std::invalid_argument("unknown column '" + a.column + "' in " +
-                                  rel.name());
-    }
-    relation::Value v = a.value;
+    const int idx = ColumnIndex(rel, a.column);
     const relation::DataType type = schema.attr(idx).type;
-    if (v.is_int() && type == relation::DataType::kDouble) {
-      v = relation::Value(static_cast<double>(v.as_int()));
-    }
+    relation::Value v = Coerce(a.value, type);
     if (!v.is_null() && !v.MatchesType(type)) {
       throw std::invalid_argument(
           "UPDATE: value " + v.ToString() + " does not match column '" +
@@ -228,7 +216,7 @@ uint64_t Execute(const UpdateStatement& update, Database& db) {
   // past the snapshot bound, so they are never re-matched — UPDATE is
   // deterministic and terminates even when the assignment re-satisfies
   // the WHERE clause.
-  const std::vector<size_t> rows = MatchingLiveRows(rel, update.where);
+  const std::vector<size_t> rows = MatchingRows(rel, update.where);
   std::vector<relation::Value> derived;
   for (size_t row : rows) {
     derived.clear();

@@ -1,8 +1,14 @@
-// Execution of CountQuery against a Database — the paper's Q1/Q2 path.
+// Execution of parsed statements against a Database — the paper's Q1/Q2
+// path plus the mutations the monitoring scenario feeds on.
 //
-// COUNT(DISTINCT ...) over the surviving rows of the WHERE conjunction,
-// with SQL semantics: rows where any DISTINCT column is NULL are excluded
-// from the distinct count, and `col = NULL` never matches (use IS NULL).
+// A WHERE conjunction becomes one byte mask over the pre-statement
+// physical rows: the tombstone bitmap ANDed with each condition, compared
+// on dictionary codes with the literal resolved by
+// relation::Column::FindCode (an integer literal meets a double column as
+// a double). COUNT(*) counts the mask; COUNT(DISTINCT ...) is
+// query::GroupCountBy over it, with SQL semantics: rows where any DISTINCT
+// column is NULL are excluded, and `col = NULL` never matches (use IS
+// NULL). DELETE and UPDATE act on the mask's rows in physical order.
 #pragma once
 
 #include <cstdint>

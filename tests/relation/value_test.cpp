@@ -57,6 +57,12 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Null().Hash(), Value::Null().Hash());
 }
 
+TEST(ValueTest, HashAgreesOnSignedZeros) {
+  // -0.0 == +0.0, so they must hash alike or a hash index splits them.
+  EXPECT_EQ(Value(-0.0), Value(0.0));
+  EXPECT_EQ(Value(-0.0).Hash(), Value(0.0).Hash());
+}
+
 TEST(ValueTest, HashSeparatesTypes) {
   // Not a strict requirement, but int 1 / double 1.0 / "1" should not all
   // collide — that would funnel dictionary probes into one bucket.

@@ -23,6 +23,7 @@
 
 #include "server/protocol.h"
 #include "server/service.h"
+#include "storage/snapshot.h"
 #include "support/fuzz_seed.h"
 #include "util/rng.h"
 
@@ -30,6 +31,7 @@ namespace fdevolve::server {
 namespace {
 
 constexpr int kThreads = 8;
+constexpr int kReaders = 2;
 constexpr int kStatementsPerThread = 60;
 constexpr int kTables = 3;
 
@@ -161,15 +163,50 @@ std::string RandomMutation(util::Rng& rng, int table) {
   return "UPDATE " + TableName(table) + " SET b = " + b + " WHERE a = " + a;
 }
 
+/// One random read: a COUNT(*) or COUNT(DISTINCT ...) under a WHERE
+/// clause over the insert domain.
+std::string RandomRead(util::Rng& rng, int table) {
+  static const char* const kWhere[] = {" WHERE a = ", " WHERE b <> ",
+                                       " WHERE c IS NOT NULL AND a <> "};
+  const std::string where =
+      kWhere[rng.Below(3)] + std::to_string(rng.Below(6));
+  return rng.Chance(0.5)
+             ? "SELECT COUNT(*) FROM " + TableName(table) + where
+             : "SELECT COUNT(DISTINCT a, c) FROM " + TableName(table) + where;
+}
+
 TEST_P(ServerConcurrency, ConcurrentMutationsMatchSerialReplayBitIdentically) {
-  Service svc;
-  SetUpTables(svc);
+  // The storm runs on a service resumed from a checkpoint, and its
+  // deletes compact the tables mid-run: the two states that rebuild a
+  // column's value→code index. Reader sessions resolve WHERE literals
+  // through that index throughout, under the shared table lock only.
+  const std::string path = testing::TempDir() + "/fdevolve_concurrent_mut_" +
+                           std::to_string(GetParam()) + ".fdev";
+  Service::Options opts;
+  opts.checkpoint_path = path;
+  {
+    Service origin(opts);
+    SetUpTables(origin);
+    util::Rng rng(seed() + 17);
+    auto s = origin.OpenSession(nullptr);
+    for (int n = 0; n < 40 * kTables; ++n) {
+      auto reply = ParseReply(
+          origin.ExecuteLine(s, RandomInsert(rng, n % kTables)).reply);
+      ASSERT_TRUE(reply && reply->kind == ParsedReply::Kind::kOk);
+    }
+    std::string error;
+    ASSERT_TRUE(origin.SaveCheckpoint(&error)) << error;
+  }
+  Service svc(opts);
+  std::string error;
+  ASSERT_TRUE(svc.Resume(&error)) << error;
 
   std::atomic<int> failures{0};
+  std::atomic<int> writers_left{kThreads};
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     uint64_t thread_seed = seed() ^ (0xbf58476d1ce4e5b9ULL * (i + 1));
-    threads.emplace_back([&svc, &failures, thread_seed] {
+    threads.emplace_back([&svc, &failures, &writers_left, thread_seed] {
       util::Rng rng(thread_seed);
       auto session = svc.OpenSession(nullptr);
       for (int n = 0; n < kStatementsPerThread; ++n) {
@@ -186,15 +223,36 @@ TEST_P(ServerConcurrency, ConcurrentMutationsMatchSerialReplayBitIdentically) {
         if (!reply || reply->kind != ParsedReply::Kind::kOk) ++failures;
       }
       svc.CloseSession(session);
+      --writers_left;
+    });
+  }
+  std::atomic<int> reads{0};
+  for (int i = 0; i < kReaders; ++i) {
+    uint64_t thread_seed = seed() ^ (0x94d049bb133111ebULL * (i + 1));
+    threads.emplace_back([&svc, &failures, &writers_left, &reads,
+                          thread_seed] {
+      util::Rng rng(thread_seed);
+      auto session = svc.OpenSession(nullptr);
+      for (int n = 0; n < kStatementsPerThread || writers_left.load() > 0;
+           ++n) {
+        const std::string stmt =
+            RandomRead(rng, static_cast<int>(rng.Below(kTables)));
+        auto reply = ParseReply(svc.ExecuteLine(session, stmt).reply);
+        if (!reply || reply->kind != ParsedReply::Kind::kOk) ++failures;
+        ++reads;
+      }
+      svc.CloseSession(session);
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(reads.load(), kReaders * kStatementsPerThread);
 
-  // Serial replay: per-table commit order (now containing DELETE/UPDATE
-  // and the compactions MaybeCompact fired at those boundaries) still
-  // fully determines the snapshot bytes.
-  Service replay;
+  // Serial replay from the same checkpoint: per-table commit order (now
+  // containing DELETE/UPDATE and the compactions MaybeCompact fired at
+  // those boundaries) still fully determines the snapshot bytes.
+  Service replay(opts);
+  ASSERT_TRUE(replay.Resume(&error)) << error;
   auto r = replay.OpenSession(nullptr);
   for (int t = 0; t < kTables; ++t) {
     for (const auto& line : svc.Journal(TableName(t))) {
@@ -202,8 +260,21 @@ TEST_P(ServerConcurrency, ConcurrentMutationsMatchSerialReplayBitIdentically) {
       ASSERT_TRUE(reply && reply->kind == ParsedReply::Kind::kOk) << line;
     }
   }
-  EXPECT_EQ(svc.SerializeState(), replay.SerializeState())
+  const std::string state = svc.SerializeState();
+  EXPECT_EQ(state, replay.SerializeState())
       << "concurrent mutated state differs from serial replay";
+
+  // The storm did compact: the index was rebuilt under the readers.
+  sql::Database final_db;
+  std::vector<storage::ServerMonitorState> monitors;
+  ASSERT_TRUE(storage::DeserializeServerState(state, &final_db, &monitors,
+                                              &error))
+      << error;
+  size_t compactions = 0;
+  for (int t = 0; t < kTables; ++t) {
+    compactions += final_db.Get(TableName(t)).compactions();
+  }
+  EXPECT_GT(compactions, 0u);
 
   // Recovered events carry their kind through the replayed drift log too.
   for (int t = 0; t < kTables; ++t) {

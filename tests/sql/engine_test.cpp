@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "datagen/places.h"
 #include "query/distinct.h"
 #include "sql/engine.h"
@@ -139,6 +141,44 @@ TEST(EngineTest, UpdateCoercesIntLiteralIntoDoubleColumn) {
                      .Build());
   EXPECT_EQ(ExecuteSql("UPDATE m SET d = 3 WHERE a = 1", db), 1u);
   EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM m WHERE d = 3.0", db), 1u);
+}
+
+TEST(EngineTest, WhereCoercesIntLiteralOnDoubleColumn) {
+  // An integer literal compared with a double column reads as a double,
+  // as it does in INSERT and UPDATE ... SET.
+  Database db;
+  relation::Schema schema({{"a", relation::DataType::kInt64},
+                           {"d", relation::DataType::kDouble}});
+  db.AddRelation(RelationBuilder("m", schema)
+                     .Row({int64_t{1}, 3.0})
+                     .Row({int64_t{2}, 2.5})
+                     .Row({int64_t{3}, 3.0})
+                     .Build());
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM m WHERE d = 3", db), 2u);
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM m WHERE d <> 3", db), 1u);
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(DISTINCT a) FROM m WHERE d = 3", db), 2u);
+  EXPECT_EQ(ExecuteSql("UPDATE m SET a = 9 WHERE d = 3", db), 2u);
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM m WHERE a = 9", db), 2u);
+  EXPECT_EQ(ExecuteSql("DELETE FROM m WHERE d = 3", db), 2u);
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM m", db), 1u);
+  // The reverse does not coerce: a double literal never matches an int
+  // column.
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM m WHERE a = 2.0", db), 0u);
+}
+
+TEST(EngineTest, SignedZerosAreOneValue) {
+  // -0.0 == 0.0, so both share one dictionary code and read back as the
+  // zero inserted first.
+  Database db;
+  db.AddRelation(
+      Relation("z", relation::Schema({{"d", relation::DataType::kDouble}})));
+  EXPECT_EQ(ExecuteSql("INSERT INTO z VALUES (0.0), (-0.0)", db), 2u);
+  const Relation& rel = db.Get("z");
+  EXPECT_EQ(rel.column(0).dict_size(), 1u);
+  EXPECT_FALSE(std::signbit(rel.Get(1, 0).as_double()));
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(DISTINCT d) FROM z", db), 1u);
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM z WHERE d = 0.0", db), 2u);
+  EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM z WHERE d = -0.0", db), 2u);
 }
 
 TEST(EngineTest, ConjunctionAndsConditions) {

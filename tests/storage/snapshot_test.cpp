@@ -131,6 +131,30 @@ TEST(SnapshotTest, NanDictionaryEntriesRoundTrip) {
   ExpectEncodedIdentical(rel, *loaded.relation);
 }
 
+TEST(SnapshotTest, DictionaryHoldingBothSignedZerosFailsLoad) {
+  // -0.0 == 0.0, so a dictionary holding both has a duplicate. Only a
+  // build whose Value::Hash split the two zeros could write one; loading
+  // it now fails the duplicate check instead of yielding two codes for
+  // equal values.
+  Schema schema({{"d", DataType::kDouble}});
+  Relation rel = RelationBuilder("zeros", schema)
+                     .Row({Value(0.0)})
+                     .Row({Value(2.5)})
+                     .Build();
+  std::string bytes = SerializeRelation(rel);
+  const double from = 2.5;
+  const double to = -0.0;
+  const size_t at = bytes.find(std::string(
+      reinterpret_cast<const char*>(&from), sizeof from));
+  ASSERT_NE(at, std::string::npos);
+  std::memcpy(&bytes[at], &to, sizeof to);
+  Reseal(bytes);
+  auto loaded = DeserializeRelation(bytes);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error.find("duplicate dictionary value"), std::string::npos)
+      << loaded.error;
+}
+
 TEST(SnapshotTest, ZeroAttributeRelationKeepsTupleCount) {
   // AppendRow({}) on an empty schema counts tuples with no columns; the
   // snapshot must carry that count even though no column encodes it.
