@@ -1,12 +1,12 @@
 // Kernel-tier microbench + the cross-tier identity gate.
 //
-// For every SIMD tier this host can run (baseline scalar is always there;
-// SSE4.2/AVX2/AVX-512 when detected), measures ns/tuple for the two
-// dispatched inner loops — dense gather refine and flat hash refine — plus
-// the fused-chain vs per-level-chain comparison that motivates segment
+// For every kernel tier this host can run (baseline scalar is always
+// there; AVX2 when detected), measures ns/tuple for the two dispatched
+// inner loops — dense gather refine and flat hash refine — plus the
+// fused-chain vs per-level-chain comparison that motivates segment
 // fusion.
 //
-// The bench doubles as a correctness gate: every tier, over clean AND
+// The bench doubles as a correctness gate: the AVX2 tier, over clean AND
 // tombstoned relations, must produce bit-identical group ids, group
 // counts, and FD measure doubles to the baseline scalar tier. Any
 // divergence makes the process exit non-zero, so CI can run this

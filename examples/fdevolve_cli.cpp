@@ -22,11 +22,6 @@
 //       --no-planner              (disable cardinality-bound pruning; the
 //                                  repair set is identical either way when
 //                                  no budget is set — only work changes)
-//       --cpu-features=T          (pin the SIMD kernel tier: baseline,
-//                                  sse42, avx2, or avx512; clamped to what
-//                                  the host supports. Results are
-//                                  bit-identical across tiers, only speed
-//                                  changes. Env: FDEVOLVE_CPU_FEATURES)
 //
 // Snapshot mode — convert between CSV and the FDEV1 binary snapshot
 // format (persists the encoded columns, so loading skips the parse and
@@ -62,6 +57,12 @@
 //        capacity/seed/state come from the checkpoint; streams the CSV
 //        rows past the checkpoint watermark)
 //
+// Repair and monitor runs log the detected and selected kernel tier at
+// startup ("cpu: detected avx2, kernels avx2"). The environment variable
+// FDEVOLVE_CPU_FEATURES=baseline|avx2 pins the tier, clamped to what the
+// host supports; results are bit-identical across tiers, only speed
+// changes.
+//
 // Example (the paper's running example, exported to CSV):
 //   $ ./catalog_workflow /tmp/cat
 //   $ ./fdevolve_cli /tmp/cat/Places.csv "District, Region -> AreaCode"
@@ -95,7 +96,6 @@ int Usage(const char* argv0) {
                "       [--k=N] [--max-attrs=N] [--target=X]\n"
                "       [--goodness-threshold=N] [--exclude-unique] [--threads=N]\n"
                "       [--explain] [--budget-ms=X] [--budget-cost=X] [--no-planner]\n"
-               "       [--cpu-features=baseline|sse42|avx2|avx512]\n"
                "   or: " << argv0 << " save <data.csv> <out.fdsnap>\n"
                "   or: " << argv0 << " load <snap.fdsnap> [--csv=<out.csv>]\n"
                "   or: " << argv0
@@ -103,7 +103,6 @@ int Usage(const char* argv0) {
                "       [--check-interval=N] [--initial=N] [--threads=N]\n"
                "       [--suggest] [--snapshot=FILE] [--stop-after=N]\n"
                "       [--sample=K] [--seed=S]\n"
-               "       [--cpu-features=baseline|sse42|avx2|avx512]\n"
                "   or: " << argv0
             << " monitor <data.csv> --resume=FILE\n"
                "       [--threads=N] [--suggest] [--snapshot=FILE]\n"
@@ -116,21 +115,6 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   std::string prefix = "--" + name + "=";
   if (!util::StartsWith(arg, prefix)) return false;
   *value = arg.substr(prefix.size());
-  return true;
-}
-
-// --cpu-features=baseline|sse42|avx2|avx512: pin the SIMD kernel tier for
-// this process. Names above what the host supports are clamped down (so a
-// script can say avx512 everywhere); unknown names fail loudly. The
-// FDEVOLVE_CPU_FEATURES environment variable is the equivalent knob for
-// binaries without flag plumbing.
-bool ApplyCpuFeatures(const std::string& value) {
-  try {
-    query::kernels::ForceTierByName(value);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "--cpu-features: " << e.what() << "\n";
-    return false;
-  }
   return true;
 }
 
@@ -319,8 +303,6 @@ int RunMonitor(int argc, char** argv) {
       seed_set = true;
     } else if (ParseFlag(arg, "threads", &value)) {
       if (!CheckedInt("threads", value, 0, &threads)) return 2;
-    } else if (ParseFlag(arg, "cpu-features", &value)) {
-      if (!ApplyCpuFeatures(value)) return 2;
     } else if (ParseFlag(arg, "snapshot", &value)) {
       snapshot_path = value;
     } else if (ParseFlag(arg, "resume", &value)) {
@@ -717,8 +699,6 @@ int main(int argc, char** argv) {
       }
     } else if (ParseFlag(arg, "threads", &value)) {
       if (!CheckedInt("threads", value, 0, &opts.threads)) return 2;
-    } else if (ParseFlag(arg, "cpu-features", &value)) {
-      if (!ApplyCpuFeatures(value)) return 2;
     } else if (ParseFlag(arg, "budget-ms", &value)) {
       if (!CheckedDouble("budget-ms", value, 0.0, 1e12, &opts.budget_ms)) {
         return 2;

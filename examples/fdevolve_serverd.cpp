@@ -8,11 +8,13 @@
 // SIGINT/SIGTERM trigger a clean shutdown: live sessions are drained and,
 // when --checkpoint is set, the final state is persisted before exit
 // (checkpoint-on-shutdown — the file is always loadable via --resume).
+//
+// The startup line "cpu: detected ..., kernels ..." names the kernel tier;
+// FDEVOLVE_CPU_FEATURES=baseline|avx2 in the environment pins it.
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 
 #include "query/kernels.h"
@@ -31,16 +33,11 @@ void HandleSignal(int) {
 
 void Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--port N] [--checkpoint FILE] [--resume]"
-               " [--cpu-features T]\n"
+            << " [--port N] [--checkpoint FILE] [--resume]\n"
             << "  --port N          listen port (default: kernel-assigned)\n"
             << "  --checkpoint FILE persist state here on CHECKPOINT and "
                "shutdown\n"
-            << "  --resume          load FILE before serving\n"
-            << "  --cpu-features T  pin the SIMD kernel tier (baseline, "
-               "sse42, avx2, avx512;\n"
-               "                    clamped to host support; env: "
-               "FDEVOLVE_CPU_FEATURES)\n";
+            << "  --resume          load FILE before serving\n";
 }
 
 }  // namespace
@@ -55,13 +52,6 @@ int main(int argc, char** argv) {
       opts.service.checkpoint_path = argv[++i];
     } else if (arg == "--resume") {
       opts.resume = true;
-    } else if (arg == "--cpu-features" && i + 1 < argc) {
-      try {
-        fdevolve::query::kernels::ForceTierByName(argv[++i]);
-      } catch (const std::invalid_argument& e) {
-        std::cerr << "--cpu-features: " << e.what() << "\n";
-        return 2;
-      }
     } else {
       Usage(argv[0]);
       return 2;

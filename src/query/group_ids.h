@@ -6,9 +6,9 @@
 // segment packs as many consecutive levels as fit into one mixed-radix key
 // (query/kernels.h) and sweeps the relation once — a 3-attribute GroupBy
 // is typically ONE pass, not three. Within a segment, two execution
-// paths share the loop, each provided by the runtime-dispatched SIMD
-// kernel layer (baseline scalar / SSE4.2 / AVX2 / AVX-512, selected once
-// per process by query::kernels::Active()):
+// paths share the loop, each provided by the runtime-dispatched kernel
+// layer (baseline scalar or AVX2, selected once per process by
+// query::kernels::Active()):
 //
 //   * dense — when the segment radix (group_count * Π strides) is
 //     O(tuples), a direct-indexed scratch array maps the packed key to the

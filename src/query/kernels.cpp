@@ -1,6 +1,6 @@
 // Kernel registry: resolves the active tier once, publishes it through an
 // atomic pointer, and hosts the baseline scalar kernel set (which is the
-// reference semantics every vector tier must reproduce bit-for-bit).
+// reference semantics the AVX2 tier must reproduce bit-for-bit).
 #include "query/kernels.h"
 
 #include <atomic>
@@ -24,25 +24,12 @@ uint32_t BaselineFlat(const RefineArgs& a, util::FlatIdTable& table,
 constexpr KernelSet kBaselineKernels{util::CpuTier::kBaseline, BaselineDense,
                                      BaselineFlat};
 
-/// Tier -> kernel set, falling back to baseline when a tier is not
+/// Tier -> kernel set, falling back to baseline when the AVX2 set is not
 /// compiled into this binary (non-x86 builds).
-const KernelSet* SetForTier(util::CpuTier tier) {
-  switch (tier) {
+const KernelSet* SetForTier([[maybe_unused]] util::CpuTier tier) {
 #if defined(FDEVOLVE_X86_KERNELS)
-    case util::CpuTier::kAvx512:
-      return &kAvx512Kernels;
-    case util::CpuTier::kAvx2:
-      return &kAvx2Kernels;
-    case util::CpuTier::kSse42:
-      return &kSse42Kernels;
-#else
-    case util::CpuTier::kAvx512:
-    case util::CpuTier::kAvx2:
-    case util::CpuTier::kSse42:
+  if (tier == util::CpuTier::kAvx2) return &kAvx2Kernels;
 #endif
-    case util::CpuTier::kBaseline:
-      break;
-  }
   return &kBaselineKernels;
 }
 
@@ -64,7 +51,7 @@ const KernelSet* ResolveStartup() {
     if (!util::ParseCpuTier(env, &want)) {
       throw std::invalid_argument(
           std::string("FDEVOLVE_CPU_FEATURES: unknown tier '") + env +
-          "' (expected baseline|sse42|avx2|avx512)");
+          "' (expected baseline|avx2)");
     }
     tier = ClampToHost(want);
   }
@@ -103,20 +90,18 @@ util::CpuTier ForceTierByName(const std::string& name) {
   util::CpuTier tier;
   if (!util::ParseCpuTier(name, &tier)) {
     throw std::invalid_argument("unknown cpu tier '" + name +
-                                "' (expected baseline|sse42|avx2|avx512)");
+                                "' (expected baseline|avx2)");
   }
   return ForceTier(tier);
 }
 
 std::vector<util::CpuTier> SupportedTiers() {
   std::vector<util::CpuTier> tiers{util::CpuTier::kBaseline};
-  for (int t = 1; t <= static_cast<int>(util::CpuTier::kAvx512); ++t) {
-    const util::CpuTier tier = static_cast<util::CpuTier>(t);
-    // Host-supported AND actually compiled in (SetForTier does not fall
-    // back) — exactly the tiers ForceTier(tier) would install as-is.
-    if (ClampToHost(tier) == tier && SetForTier(tier)->tier == tier) {
-      tiers.push_back(tier);
-    }
+  // Host-supported AND actually compiled in (SetForTier does not fall
+  // back) — exactly the tiers ForceTier(tier) would install as-is.
+  const util::CpuTier avx2 = util::CpuTier::kAvx2;
+  if (ClampToHost(avx2) == avx2 && SetForTier(avx2)->tier == avx2) {
+    tiers.push_back(avx2);
   }
   return tiers;
 }

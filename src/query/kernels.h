@@ -1,6 +1,7 @@
 // Runtime-dispatched vectorized kernels for the partition-refinement hot
 // paths (the DuckDB cpu_feature shape: one function-pointer set per ISA
-// tier, resolved once at startup from util::DetectCpuFeatures()).
+// tier, resolved once at startup from util::DetectCpuFeatures()). Two
+// tiers ship: the baseline scalar loops, which every host runs, and AVX2.
 //
 // Every kernel implements the same *fused multi-level* refinement pass: one
 // sweep over a tuple range combines the incoming group ids with a whole
@@ -18,11 +19,11 @@
 // segment over one range).
 //
 // Identity contract (enforced by tests/query/kernel_tier_fuzz_test.cpp):
-// every tier — baseline scalar, SSE4.2, AVX2, AVX-512 — assigns exactly
-// the same first-appearance ids and throws the same exception on
-// malformed bases. The SIMD variants may batch the bounds check (an
-// exception fires before any tuple of the offending batch is processed,
-// instead of mid-batch), which is only observable on the exception path.
+// both tiers — baseline scalar and AVX2 — assign exactly the same
+// first-appearance ids and throw the same exception on malformed bases.
+// The AVX2 kernels may batch the bounds check (an exception fires before
+// any tuple of the offending batch is processed, instead of mid-batch),
+// which is only observable on the exception path.
 #pragma once
 
 #include <cstddef>
@@ -34,11 +35,11 @@
 #include "util/flat_table.h"
 
 // FDEVOLVE_X86_KERNELS is defined (by src/query/CMakeLists.txt, for the
-// query module's TUs only) exactly when the ISA-specific kernel files are
-// compiled with their per-file -m flags: x86-64 with GCC/Clang. Everywhere
-// else the registry holds the baseline set alone. Keeping the macro and
-// the flag condition in one place is what guarantees the registry never
-// references a kernel set that was not built.
+// query module's TUs only) exactly when kernels_avx2.cpp is compiled with
+// its per-file -mavx2: x86-64 with GCC/Clang. Everywhere else the registry
+// holds the baseline set alone. Keeping the macro and the flag condition
+// in one place is what guarantees the registry never references a kernel
+// set that was not built.
 
 namespace fdevolve::query::kernels {
 
@@ -82,7 +83,7 @@ using DenseRefineFn = uint32_t (*)(const RefineArgs& args, uint32_t* dense,
                                    uint32_t fresh);
 
 /// Open-addressing pass through a util::FlatIdTable keyed on the packed
-/// u64 key. Vector tiers batch the Mix64-based hash and feed
+/// u64 key. The AVX2 tier batches the Mix64-based hash and feeds
 /// FindOrInsertHashed with prefetching. Returns the updated fresh counter.
 using FlatRefineFn = uint32_t (*)(const RefineArgs& args,
                                   util::FlatIdTable& table, uint32_t fresh);
@@ -96,7 +97,7 @@ struct KernelSet {
 };
 
 /// Largest dense array any driver may admit (cells). Bounded by 2^31 so
-/// packed keys stay valid *signed* 32-bit gather indices on every tier.
+/// packed keys stay valid *signed* 32-bit gather indices for AVX2.
 constexpr size_t kDenseCellLimit = size_t{1} << 31;
 
 /// \brief The active kernel set.
@@ -110,18 +111,17 @@ const KernelSet& Active();
 /// Best tier the host CPU + OS support (independent of any override).
 util::CpuTier DetectedTier();
 
-/// Tier of the currently active kernel set (after env/CLI overrides).
+/// Tier of the currently active kernel set (after any override).
 util::CpuTier SelectedTier();
 
 /// \brief Forces the active kernel set to `tier`, clamped to what the host
 /// supports; returns the tier actually installed. Used by the
-/// --cpu-features flag, the tier-identity fuzz suite, and bench_kernels.
-/// Not thread-safe against concurrent refinement passes — call at startup
-/// or between passes.
+/// tier-identity tests and bench_kernels. Not thread-safe against
+/// concurrent refinement passes — call at startup or between passes.
 util::CpuTier ForceTier(util::CpuTier tier);
 
 /// ForceTier by name; throws std::invalid_argument on unknown names
-/// (valid: baseline|sse42|avx2|avx512).
+/// (valid: baseline|avx2).
 util::CpuTier ForceTierByName(const std::string& name);
 
 /// Tiers this process can actually run (compiled in AND host-supported),

@@ -66,11 +66,14 @@ inline __m256i PackedKeys8(const RefineArgs& a, size_t t, __m256i livemask,
   return key;
 }
 
-/// Resolves one batch's miss lanes (see the AVX-512 twin for the full
-/// rationale): ctz-walked miss bitmask in lane (= tuple) order with a
-/// per-lane re-read, so duplicates inside and across batches still get
-/// first-appearance ids. `id == nullptr` is the count-only form — no id
-/// vector spill/reload.
+/// Resolves one batch's miss lanes. Lane order = tuple order, and
+/// dense[cell] is re-read per lane, so intra-batch (and, under the 2x
+/// unroll, cross-batch) duplicates see the id an earlier lane inserted —
+/// first-appearance assignment survives batching. The miss bitmask is
+/// walked with ctz instead of a per-lane branch: at high fresh-ratios
+/// nearly every batch has a miss or three, and unpredictable per-lane
+/// branches dominate a naive loop. `id == nullptr` is the count-only
+/// form — no id vector spill/reload.
 inline uint32_t FixupMisses8(uint32_t* dense, __m256i key, __m256i* id,
                              uint32_t bits, uint32_t fresh) {
   alignas(32) uint32_t kk[8];

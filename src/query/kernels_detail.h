@@ -1,5 +1,5 @@
 // Scalar reference loops shared by the baseline kernel set and the tail /
-// fallback paths of every SIMD tier. These ARE the semantics: a vector
+// fallback paths of the AVX2 tier. These ARE the semantics: a vector
 // kernel is correct iff it is observationally identical to these loops
 // (same ids, same exceptions), which is what the dispatch-tier fuzz suite
 // asserts.
@@ -13,17 +13,15 @@
 namespace fdevolve::query::kernels {
 
 #if defined(FDEVOLVE_X86_KERNELS)
-// Defined in kernels_<tier>.cpp (compiled with per-file -m flags); only
-// the registry in kernels.cpp references them.
-extern const KernelSet kSse42Kernels;
+// Defined in kernels_avx2.cpp (compiled with a per-file -mavx2); only the
+// registry in kernels.cpp references it.
 extern const KernelSet kAvx2Kernels;
-extern const KernelSet kAvx512Kernels;
 #endif
 
 namespace detail {
 
 /// The additive constant of HashCombine(kHashSeed, key) — everything in it
-/// except Mix64(key) is fixed, so SIMD hash kernels fold it to one add.
+/// except Mix64(key) is fixed, so the AVX2 hash kernel folds it to one add.
 constexpr uint64_t kHashSeed = util::FlatIdTable::kHashSeed;
 constexpr uint64_t kHashAdd =
     0x9e3779b97f4a7c15ULL + (kHashSeed << 12) + (kHashSeed >> 4);
@@ -50,7 +48,7 @@ inline uint64_t PackedKey(const RefineArgs& a, size_t t) {
   return key;
 }
 
-/// Scalar dense pass over [lo, hi) — the sub-range form so SIMD kernels
+/// Scalar dense pass over [lo, hi) — the sub-range form so the AVX2 kernels
 /// can delegate their unaligned tails to the exact reference loop.
 inline uint32_t DenseRefineRange(const RefineArgs& a, uint32_t* dense,
                                  uint32_t fresh, size_t lo, size_t hi) {

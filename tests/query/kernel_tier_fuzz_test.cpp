@@ -1,7 +1,7 @@
 // Cross-tier identity fuzzing for the SIMD kernel dispatch layer.
 //
-// Every tier this host can run (SSE4.2/AVX2/AVX-512 on top of the always-
-// present baseline scalar) must reproduce the baseline kernels BIT-FOR-BIT:
+// Every tier this host can run (AVX2 on top of the always-present
+// baseline scalar) must reproduce the baseline kernels BIT-FOR-BIT:
 // identical first-appearance group ids, identical group counts, identical
 // measure doubles — not merely equivalent partitions. The suite hammers
 // that contract on randomized instances covering NULL-bearing columns,
@@ -134,20 +134,35 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
 }
 
 // Hand-built out-of-range base ids must throw on every tier — the bounds
-// check is part of the kernel contract, not just the scalar path.
+// check is part of the kernel contract, not just the scalar path. One
+// lying base per kernel: a 3-group claim keeps the refinement on the dense
+// path, while a 70000-group claim times a 5-value column packs a radix of
+// 350000, above the 65536-cell dense limit of a 100-row pass, so that
+// refinement runs flat.
 TEST_P(KernelTierFuzz, BadBaseIdsThrowOnEveryTier) {
   TierGuard guard;
   Relation rel = RandomNullableRelation(seed(), 3, 100, 5, 0.0);
-  query::Grouping bad;
-  bad.ids.assign(100, 7);
-  bad.group_count = 3;  // lies: ids reach 7
+  query::Grouping dense_bad;
+  dense_bad.ids.assign(100, 7);
+  dense_bad.group_count = 3;  // lies: ids reach 7
+  query::Grouping flat_bad;
+  flat_bad.ids.resize(100);
+  for (uint32_t t = 0; t < 100; ++t) flat_bad.ids[t] = t;
+  util::Rng rng(seed());
+  flat_bad.ids[rng.Below(100)] = 70000;
+  flat_bad.group_count = 70000;  // lies: one id is 70000
   for (util::CpuTier tier : query::kernels::SupportedTiers()) {
     query::kernels::ForceTier(tier);
-    EXPECT_THROW(query::RefineBy(rel, bad, 1), std::invalid_argument)
-        << util::CpuTierName(tier);
-    EXPECT_THROW(query::RefineCountBy(rel, bad, AttrSet::Of({1, 2})),
-                 std::invalid_argument)
-        << util::CpuTierName(tier);
+    for (const query::Grouping* bad : {&dense_bad, &flat_bad}) {
+      const std::string ctx = std::string(util::CpuTierName(tier)) +
+                              " group_count=" +
+                              std::to_string(bad->group_count);
+      EXPECT_THROW(query::RefineBy(rel, *bad, 1), std::invalid_argument)
+          << ctx;
+      EXPECT_THROW(query::RefineCountBy(rel, *bad, AttrSet::Of({1, 2})),
+                   std::invalid_argument)
+          << ctx;
+    }
   }
 }
 
