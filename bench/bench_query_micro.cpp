@@ -5,6 +5,7 @@
 
 #include "datagen/synthetic.h"
 #include "query/distinct.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -73,6 +74,51 @@ void BM_CountOnlyVsMaterialize_Materialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountOnlyVsMaterialize_Materialize);
+
+/// 600k rows of two independent uniform columns, 20k x 10k values: the
+/// shape of TPC-H SF 0.1's |pi_{l_partkey,l_suppkey}|, whose packed radix
+/// (2*10^8) is far past the dense array's 4n cells.
+const relation::Relation& WideRel() {
+  static const relation::Relation rel = [] {
+    relation::Relation r(
+        "wide", relation::Schema({{"part", relation::DataType::kInt64},
+                                  {"supp", relation::DataType::kInt64}}));
+    util::Rng rng(7);
+    for (int t = 0; t < 600000; ++t) {
+      r.AppendRow({relation::Value(static_cast<int64_t>(rng.Below(20000))),
+                   relation::Value(static_cast<int64_t>(rng.Below(10000)))});
+    }
+    return r;
+  }();
+  return rel;
+}
+
+// Count-only past the dense limit, one scratch across calls.
+void BM_CountOnlyPastDenseLimit_Warm(benchmark::State& state) {
+  const auto& rel = WideRel();
+  const auto attrs = relation::AttrSet::Of({0, 1});
+  query::RefineScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(query::GroupCountBy(rel, attrs, scratch));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rel.tuple_count()));
+}
+BENCHMARK(BM_CountOnlyPastDenseLimit_Warm)->Unit(benchmark::kMillisecond);
+
+// The same count with a fresh scratch per call, as a SQL COUNT(DISTINCT)
+// statement or a per-plan DistinctEvaluator pays it.
+void BM_CountOnlyPastDenseLimit_Cold(benchmark::State& state) {
+  const auto& rel = WideRel();
+  const auto attrs = relation::AttrSet::Of({0, 1});
+  for (auto _ : state) {
+    query::RefineScratch scratch;
+    benchmark::DoNotOptimize(query::GroupCountBy(rel, attrs, scratch));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rel.tuple_count()));
+}
+BENCHMARK(BM_CountOnlyPastDenseLimit_Cold)->Unit(benchmark::kMillisecond);
 
 void BM_GroupByWideSet(benchmark::State& state) {
   auto rel = MakeRel(20000);

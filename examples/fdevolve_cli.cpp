@@ -61,7 +61,7 @@
 // startup ("cpu: detected avx2, kernels avx2"). The environment variable
 // FDEVOLVE_CPU_FEATURES=baseline|avx2 pins the tier, clamped to what the
 // host supports; results are bit-identical across tiers, only speed
-// changes.
+// changes. Any other name exits 2 before a file is read.
 //
 // Example (the paper's running example, exported to CSV):
 //   $ ./catalog_workflow /tmp/cat
@@ -70,6 +70,7 @@
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -655,6 +656,14 @@ int RunLoad(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Resolve the kernel tier before any file is read: an unknown
+  // FDEVOLVE_CPU_FEATURES name is a usage error.
+  try {
+    query::kernels::Active();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
   if (argc >= 2) {
     const std::string subcommand = argv[1];
     if (subcommand == "monitor") return RunMonitor(argc, argv);

@@ -10,11 +10,13 @@
 // (checkpoint-on-shutdown — the file is always loadable via --resume).
 //
 // The startup line "cpu: detected ..., kernels ..." names the kernel tier;
-// FDEVOLVE_CPU_FEATURES=baseline|avx2 in the environment pins it.
+// FDEVOLVE_CPU_FEATURES=baseline|avx2 in the environment pins it, and any
+// other name exits 2 before the port is bound.
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "query/kernels.h"
@@ -43,6 +45,14 @@ void Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Resolve the kernel tier before any file is read or port is bound: an
+  // unknown FDEVOLVE_CPU_FEATURES name is a usage error.
+  try {
+    fdevolve::query::kernels::Active();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
   fdevolve::server::Server::Options opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

@@ -8,8 +8,9 @@ runs the stream uninterrupted, then stopped with --stop-after=7000
 --snapshot=F, then continued with --resume=F: the drift lines of the last
 two runs together must equal the first run's, and the resumed run's
 summary (from "Drift events:" on) must equal the first run's. It also
-checks that --resume rejects flags the checkpoint fixes (exit 2) and
-refuses a truncated checkpoint or a CSV whose prefix differs (exit 1).
+checks that --resume rejects flags the checkpoint fixes (exit 2),
+refuses a truncated checkpoint or a CSV whose prefix differs (exit 1),
+and that an unknown FDEVOLVE_CPU_FEATURES name exits 2 with its message.
 
 Usage: python3 scripts/cli_monitor_smoke.py [path-to-fdevolve_cli]
 Exits non-zero on the first failed expectation.
@@ -107,6 +108,17 @@ def main():
             run(cli, [csv, "--resume=" + ckpt + ".half"], expect_code=1)
             run(cli, [other, "--resume=" + ckpt], expect_code=1)
         print("ok: truncated checkpoints and differing prefixes are refused")
+
+        bad = subprocess.run([cli, "monitor", csv] + FDS, capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ,
+                                      FDEVOLVE_CPU_FEATURES="bogus"))
+        if (bad.returncode != 2 or
+                "FDEVOLVE_CPU_FEATURES: unknown tier 'bogus'" not in bad.stderr):
+            sys.exit("FAIL: unknown FDEVOLVE_CPU_FEATURES exited %d, expected 2"
+                     " with its message\n%s%s" %
+                     (bad.returncode, bad.stdout, bad.stderr))
+        print("ok: an unknown FDEVOLVE_CPU_FEATURES name exits 2")
     print("cli monitor smoke: all checks passed")
 
 

@@ -4,6 +4,8 @@
 Drives build/examples/fdevolve_serverd over a real TCP socket exactly the
 way a human with nc would, and checks the full durability story:
 
+  0. an unknown FDEVOLVE_CPU_FEATURES name exits 2 with its message,
+     before any port is bound
   1. scripted session: CREATE / DECLARE FD / INSERT / SELECT, a
      kind=violated DRIFT push, an EXPLAIN REPAIR plan reply, then the
      mutation round-trip — DELETE the violating row (kind=recovered
@@ -82,6 +84,24 @@ def start_server(binary, checkpoint, resume=False):
     sys.exit(1)
 
 
+def check_unknown_tier(binary):
+    """An unknown kernel tier name is a usage error, not a crash."""
+    env = dict(os.environ, FDEVOLVE_CPU_FEATURES="bogus")
+    proc = subprocess.Popen([binary, "--port", "0"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        out, err = proc.communicate()
+    expect(proc.returncode == 2,
+           "unknown FDEVOLVE_CPU_FEATURES exits 2 (got %s)" % proc.returncode)
+    expect("FDEVOLVE_CPU_FEATURES: unknown tier 'bogus'" in err
+           and "listening" not in out,
+           "unknown tier reported before listening: " + err.strip())
+
+
 def main():
     binary = sys.argv[1] if len(sys.argv) > 1 else "build/examples/fdevolve_serverd"
     if not os.path.exists(binary):
@@ -89,6 +109,9 @@ def main():
         sys.exit(1)
     checkpoint = os.path.join(tempfile.mkdtemp(prefix="fdevolve_smoke_"),
                               "state.fdev")
+
+    # 0. Unknown kernel tier.
+    check_unknown_tier(binary)
 
     # 1. Scripted session.
     proc, port = start_server(binary, checkpoint)

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "fd/cost_model.h"
+#include "query/group_ids.h"
 #include "query/stripped_partition.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"

@@ -17,7 +17,7 @@ namespace fdevolve::query {
 
 /// \brief Strategy used by DistinctCount.
 enum class DistinctStrategy {
-  kHash,  ///< partition refinement (dense / open-addressing; default)
+  kHash,  ///< partition refinement (dense / stripped partition; default)
   kSort,  ///< sort composite keys, then count boundaries
 };
 

@@ -1,6 +1,7 @@
 #include "query/group_ids.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -87,7 +88,8 @@ size_t PlanSegment(uint64_t groups, const kernels::Level* levels,
 }
 
 /// One fused pass over one segment: every tuple in order, through the
-/// active tier's dense or flat kernel.
+/// active tier's dense or flat kernel. Only dense passes filter rows or
+/// skip the id write; a flat pass always materializes every row.
 size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
                   const kernels::Level* levels, size_t nlevels, size_t n,
                   RefineScratch& s, uint32_t* out, const uint8_t* live,
@@ -108,8 +110,41 @@ size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
               kNoId);
     return ks.dense_refine(a, s.dense.data(), 0);
   }
+  assert(out != nullptr && live == nullptr);
   s.table.Reset(n);  // a pass introduces at most n distinct packed keys
   return ks.flat_refine(a, s.table, 0);
+}
+
+/// Finishes a count-only chain on a stripped partition: the partition of
+/// the rows `live` selects under `ids` (`groups` of them), refined by
+/// every level but the last and counted against the last. `ids ==
+/// nullptr` means no level has run yet over the trivial base; the first
+/// level's codes, with NULLs moved to the slot after the dictionary, are
+/// then the ids.
+size_t CountOnPartition(const uint32_t* ids, uint64_t groups,
+                        const kernels::Level* levels, size_t nlevels,
+                        size_t n, RefineScratch& s, const uint8_t* live) {
+  size_t j = 0;
+  if (ids == nullptr) {
+    const kernels::Level& first = levels[0];
+    ids = first.codes;
+    if (first.has_nulls) {
+      s.chain_ids.resize(n);
+      for (size_t t = 0; t < n; ++t) {
+        s.chain_ids[t] = std::min(first.codes[t], first.null_slot);
+      }
+      ids = s.chain_ids.data();
+    }
+    groups = first.stride;
+    j = 1;
+  }
+  StrippedPartition p(ids, n, static_cast<size_t>(groups), live);
+  for (; j + 1 < nlevels; ++j) {
+    p = p.Refine(levels[j].codes, levels[j].null_slot, s.partition);
+  }
+  return j < nlevels
+             ? p.RefineCount(levels[j].codes, levels[j].null_slot, s.partition)
+             : p.group_count();
 }
 
 /// Runs the chain already described by `s.levels` as a sequence of *fused*
@@ -119,11 +154,17 @@ size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
 /// segment — the common case for the repair search's 2-4 attribute sets —
 /// touch every column exactly once.
 ///
-/// `out == nullptr` is the count-only form: intermediate segments (if the
-/// chain needs more than one) materialize into `s.chain_ids`, and only the
-/// final segment applies `live` — dead rows are skipped there, so the
-/// result counts groups with at least one live row while every
-/// intermediate id stays append-stable over physical rows.
+/// `out == nullptr` is the count-only form: intermediate dense segments
+/// (if the chain needs more than one) materialize into `s.chain_ids`, and
+/// only the final segment applies `live` — dead rows are skipped there,
+/// so the result counts groups with at least one live row while every
+/// intermediate id stays append-stable over physical rows. A count-only
+/// chain never runs a flat segment: once the next segment misses the
+/// dense array, CountOnPartition finishes it over the rows `live`
+/// selects. A lone first level over the trivial base goes there too, as
+/// its codes: a dense pass would only renumber them, and the next segment
+/// cannot be dense either, since the planner's prefix was already the
+/// longest that fits.
 ///
 /// Its two callers differ only in what the levels point at: RunRefineChain
 /// points them at the relation's columns, GroupRows at per-attribute
@@ -131,27 +172,32 @@ size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
 size_t RunSegments(const uint32_t* base_ids, size_t base_groups, size_t n,
                    RefineScratch& s, uint32_t* out, const uint8_t* live) {
   const size_t nlevels = s.levels.size();
+  const kernels::Level* levels = s.levels.data();
   uint64_t groups = base_groups;
   const uint32_t* ids = base_ids;
   size_t j = 0;
   while (j < nlevels) {
     uint64_t cells = 0;
     bool dense = false;
-    const size_t take = PlanSegment(groups, s.levels.data() + j, nlevels - j,
-                                    n, &cells, &dense);
+    const size_t take =
+        PlanSegment(groups, levels + j, nlevels - j, n, &cells, &dense);
     const bool last = (j + take == nlevels);
+    if (out == nullptr &&
+        (!dense || (!last && ids == nullptr && take == 1))) {
+      return CountOnPartition(ids, groups, levels + j, nlevels - j, n, s,
+                              live);
+    }
+    // The final segment writes `out` as requested (null = count-only) and
+    // is the only one the row mask applies to; earlier count-only
+    // segments materialize into the scratch.
     uint32_t* seg_out = out;
-    if (last) {
-      // Final segment: `out` as requested (possibly null = count-only),
-      // and the only place the tombstone filter may apply.
-      seg_out = out;
-    } else if (out == nullptr) {
+    if (!last && out == nullptr) {
       s.chain_ids.resize(n);
       seg_out = s.chain_ids.data();
     }
     // seg_out may alias `ids` (in-place refinement) — kernels read each
     // tuple's base id before writing its slot.
-    groups = RunSegment(ids, groups, s.levels.data() + j, take, n, s, seg_out,
+    groups = RunSegment(ids, groups, levels + j, take, n, s, seg_out,
                         last ? live : nullptr, cells, dense);
     ids = seg_out;
     j += take;
@@ -326,9 +372,9 @@ size_t GroupCountBy(const relation::Relation& rel,
   }
   // Count-only fused chain: when every level fits one segment — the common
   // case — this is a single sweep with no id materialization at all. The
-  // mask applies only to the final segment (see RunSegments), which is
-  // what makes the count "groups with a selected row" while any
-  // intermediate ids stay append-stable.
+  // mask applies only to the final segment or the stripped partition (see
+  // RunSegments), which is what makes the count "groups with a selected
+  // row" while any intermediate ids stay append-stable.
   return RunRefineChain(nullptr, 1, cols.data(), cols.size(), rel, n, scratch,
                         nullptr, mask);
 }

@@ -5,10 +5,10 @@
 // codes of a sequence of columns. Chains execute as *fused segments*: each
 // segment packs as many consecutive levels as fit into one mixed-radix key
 // (query/kernels.h) and sweeps the relation once — a 3-attribute GroupBy
-// is typically ONE pass, not three. Within a segment, two execution
-// paths share the loop, each provided by the runtime-dispatched kernel
-// layer (baseline scalar or AVX2, selected once per process by
-// query::kernels::Active()):
+// is typically ONE pass, not three. Materializing passes (GroupBy,
+// RefineBy, GroupRows) run each segment on one of two paths, each provided
+// by the runtime-dispatched kernel layer (baseline scalar or AVX2,
+// selected once per process by query::kernels::Active()):
 //
 //   * dense — when the segment radix (group_count * Π strides) is
 //     O(tuples), a direct-indexed scratch array maps the packed key to the
@@ -17,14 +17,21 @@
 //     on the packed u64 key takes over; no per-node allocation, linear
 //     probing, power-of-two capacity.
 //
+// Count-only passes (GroupCountBy, RefineCountBy) are dense or stripped:
+// their segments run on the dense kernels while the radix fits, and once
+// the next segment would miss the dense array the chain finishes on a
+// query::StrippedPartition built from the ids so far over the rows the
+// mask selects — Refine per middle level, RefineCount on the last. So a
+// count never fills a hash table of 2n slots just to learn its size.
+//
 // Every pass is one sequential sweep: threads fan out over independent
 // work items above this layer (repair-search candidate batches, EB
-// candidate scoring), never inside a pass. Both paths assign fresh ids in
-// (logical) scan order, so ids are deterministic and dense in order of
-// first appearance. Passing a RefineScratch lets long-lived callers
-// (DistinctEvaluator, the EB ranking loop) reuse the scratch buffers across
-// passes; the overloads without one are conveniences that pay a fresh
-// allocation.
+// candidate scoring), never inside a pass. Both materializing paths
+// assign fresh ids in (logical) scan order, so ids are deterministic and
+// dense in order of first appearance. Passing a RefineScratch lets
+// long-lived callers (DistinctEvaluator, the EB ranking loop) reuse the
+// scratch buffers across passes; the overloads without one are
+// conveniences that pay a fresh allocation.
 //
 // GroupRows drives the same segment loop over a list of rows instead of
 // the whole relation — the sampled monitor groups its reservoir with it —
@@ -36,6 +43,7 @@
 #include <vector>
 
 #include "query/kernels.h"
+#include "query/stripped_partition.h"
 #include "relation/relation.h"
 #include "util/flat_table.h"
 
@@ -68,9 +76,11 @@ struct Grouping {
 /// a time — two threads must not share one.
 struct RefineScratch {
   std::vector<uint32_t> dense;     ///< direct-indexed packed-key map
-  util::FlatIdTable table;         ///< open-addressing fallback
+  util::FlatIdTable table;         ///< flat path of materializing passes
   std::vector<uint32_t> chain_ids; ///< intermediate ids for count-only chains
   std::vector<kernels::Level> levels; ///< per-chain kernel level descriptors
+  /// Marks of the stripped partition a count-only chain finishes on.
+  PartitionScratch partition;
   /// GroupRows' per-attribute copies of the listed rows' codes.
   std::vector<std::vector<uint32_t>> row_codes;
 };
@@ -133,10 +143,12 @@ Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
 /// On an append-only relation a single attribute is answered straight
 /// from the column dictionary (dict_size + has_nulls) with no per-tuple
 /// work at all; longer sets run the refinement chain but skip writing ids
-/// on the final pass. When the relation carries tombstones the final
-/// (count-only) pass skips dead rows — the count is the number of groups
-/// with at least one live row — while intermediate materializing passes
-/// still cover every physical row, keeping their ids append-stable.
+/// on the final pass, and finish on a stripped partition once the packed
+/// key misses the dense array. When the relation carries tombstones the
+/// final pass (or the partition) skips dead rows — the count is the
+/// number of groups with at least one live row — while intermediate
+/// materializing passes still cover every physical row, keeping their
+/// ids append-stable.
 size_t GroupCountBy(const relation::Relation& rel,
                     const relation::AttrSet& attrs);
 size_t GroupCountBy(const relation::Relation& rel,
@@ -154,7 +166,10 @@ size_t GroupCountBy(const relation::Relation& rel,
 /// \brief Number of groups RefineBy(rel, base, attrs) would produce with
 /// at least one live row, without materializing the refined ids. `base`
 /// must cover every physical row (dead included), which is what GroupBy /
-/// RefineBy produce.
+/// RefineBy produce. A base whose ids times the first attribute's codes
+/// miss the dense array is counted on a stripped partition built from
+/// its ids, which costs O(rows + base.group_count) and throws
+/// std::invalid_argument on a live row whose id is not < group_count.
 size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
                      const relation::AttrSet& attrs);
 size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,

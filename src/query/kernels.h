@@ -61,8 +61,11 @@ struct Level {
 ///     exactly like the scalar loop they replace.
 ///   * `out` may alias `base_ids`: every slot is read before written.
 ///   * `live != nullptr` (row mask: the tombstone bitmap or a SQL WHERE
-///     mask; a 0 byte skips the row) implies
-///     `out == nullptr` — only count-only passes filter.
+///     mask; a 0 byte skips the row) implies `out == nullptr` — only
+///     count-only passes filter — and both reach dense passes only. A
+///     flat pass always has `out != nullptr` and `live == nullptr`: a
+///     count-only chain whose packed key misses the dense array finishes
+///     on a query::StrippedPartition instead (query/group_ids.cpp).
 struct RefineArgs {
   const uint32_t* base_ids = nullptr;
   uint64_t base_groups = 1;
@@ -83,7 +86,8 @@ using DenseRefineFn = uint32_t (*)(const RefineArgs& args, uint32_t* dense,
                                    uint32_t fresh);
 
 /// Open-addressing pass through a util::FlatIdTable keyed on the packed
-/// u64 key. The AVX2 tier batches the Mix64-based hash and feeds
+/// u64 key; it writes every row's id to `args.out` and takes no row mask.
+/// The AVX2 tier batches the Mix64-based hash and feeds
 /// FindOrInsertHashed with prefetching. Returns the updated fresh counter.
 using FlatRefineFn = uint32_t (*)(const RefineArgs& args,
                                   util::FlatIdTable& table, uint32_t fresh);

@@ -10,7 +10,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "query/kernels_detail.h"
 
@@ -409,9 +408,7 @@ uint32_t Avx2Flat(const RefineArgs& a, util::FlatIdTable& table,
 
   for (size_t b = a.lo; b < a.hi; b += kBlock) {
     const size_t be = std::min(a.hi, b + kBlock);
-    // Build phase: packed u64 keys + hashes, 4 lanes at a time. Dead
-    // lanes still get a (meaningless but safely computed) key — the probe
-    // phase skips them, and their base ids are exempt from the check.
+    // Build phase: packed u64 keys + hashes, 4 lanes at a time.
     size_t t = b;
     for (; t + 4 <= be; t += 4) {
       __m256i key;
@@ -421,15 +418,8 @@ uint32_t Avx2Flat(const RefineArgs& a, util::FlatIdTable& table,
         if (a.base_groups <= 0xffffffffull) {
           const __m128i vgroups =
               _mm_set1_epi32(static_cast<int>(a.base_groups));
-          __m128i bad = _mm_cmpeq_epi32(_mm_max_epu32(id32, vgroups), id32);
-          if (a.live != nullptr) {
-            int lbytes;
-            std::memcpy(&lbytes, a.live + t, sizeof(lbytes));
-            const __m128i lv32 =
-                _mm_cvtepu8_epi32(_mm_cvtsi32_si128(lbytes));
-            bad = _mm_and_si128(
-                bad, _mm_cmpgt_epi32(lv32, _mm_setzero_si128()));
-          }
+          const __m128i bad =
+              _mm_cmpeq_epi32(_mm_max_epu32(id32, vgroups), id32);
           if (!_mm_testz_si128(bad, bad)) detail::ThrowBadId();
         }
         key = _mm256_cvtepu32_epi64(id32);
@@ -456,29 +446,19 @@ uint32_t Avx2Flat(const RefineArgs& a, util::FlatIdTable& table,
                          HashOf4(key));
     }
     for (; t < be; ++t) {
-      // Scalar tail of the block; dead rows keep a placeholder (skipped
-      // below) because PackedKey's bounds check must not fire for them.
-      if (a.live != nullptr && a.live[t] == 0) {
-        keys[t - b] = 0;
-        hashes[t - b] = 0;
-        continue;
-      }
       keys[t - b] = detail::PackedKey(a, t);
       hashes[t - b] = util::FlatIdTable::HashOf(keys[t - b]);
     }
     // Probe phase: scalar FindOrInsertHashed fed precomputed hashes, with
     // the next probe line prefetched a fixed distance ahead.
     for (t = b; t < be; ++t) {
-      if (a.live != nullptr && a.live[t] == 0) continue;
       if (t + kPrefetchAhead < be) {
         table.PrefetchHash(hashes[t + kPrefetchAhead - b]);
       }
       bool inserted = false;
-      const uint32_t id =
-          table.FindOrInsertHashed(keys[t - b], hashes[t - b], fresh,
-                                   &inserted);
+      a.out[t] = table.FindOrInsertHashed(keys[t - b], hashes[t - b], fresh,
+                                          &inserted);
       if (inserted) ++fresh;
-      if (a.out != nullptr) a.out[t] = id;
     }
   }
   return fresh;

@@ -65,16 +65,15 @@ inline uint32_t DenseRefineRange(const RefineArgs& a, uint32_t* dense,
   return fresh;
 }
 
-/// Scalar flat pass over [lo, hi).
+/// Scalar flat pass over [lo, hi). Flat passes always materialize every
+/// row (see RefineArgs), so there is no row mask and no count-only form.
 inline uint32_t FlatRefineRange(const RefineArgs& a, util::FlatIdTable& table,
                                 uint32_t fresh, size_t lo, size_t hi) {
   for (size_t t = lo; t < hi; ++t) {
-    if (a.live != nullptr && a.live[t] == 0) continue;
     const uint64_t key = PackedKey(a, t);
     bool inserted = false;
-    const uint32_t id = table.FindOrInsert(key, fresh, &inserted);
+    a.out[t] = table.FindOrInsert(key, fresh, &inserted);
     if (inserted) ++fresh;
-    if (a.out != nullptr) a.out[t] = id;
   }
   return fresh;
 }

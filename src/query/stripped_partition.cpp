@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "query/group_ids.h"
+
 namespace fdevolve::query {
 namespace {
 
@@ -37,65 +39,62 @@ uint32_t NextGeneration(PartitionScratch& s) {
 
 }  // namespace
 
-StrippedPartition StrippedPartition::FromGrouping(const relation::Relation& rel,
-                                                  const Grouping& g) {
-  const size_t n = rel.tuple_count();
-  if (g.ids.size() != n) {
-    throw std::invalid_argument(
-        "StrippedPartition::FromGrouping: grouping size mismatch");
-  }
+StrippedPartition::StrippedPartition(const uint32_t* ids, size_t n,
+                                     size_t group_count, const uint8_t* mask)
+    : physical_rows_(n) {
   if (n >= kSkip) {
     throw std::length_error(
-        "StrippedPartition::FromGrouping: too many rows for 32-bit indices");
+        "StrippedPartition: too many rows for 32-bit indices");
   }
-  const uint8_t* live =
-      rel.has_tombstones() ? rel.live_bitmap().data() : nullptr;
-
-  // Live rows per group.
-  std::vector<uint32_t> cursor(g.group_count, 0u);
+  // Selected rows per group.
+  std::vector<uint32_t> cursor(group_count, 0u);
   for (size_t t = 0; t < n; ++t) {
-    if (live != nullptr && live[t] == 0) continue;
-    const uint32_t id = g.ids[t];
-    if (id >= g.group_count) {
-      throw std::invalid_argument(
-          "StrippedPartition::FromGrouping: group id out of range");
+    if (mask != nullptr && mask[t] == 0) continue;
+    const uint32_t id = ids[t];
+    if (id >= group_count) {
+      throw std::invalid_argument("StrippedPartition: group id out of range");
     }
     ++cursor[id];
   }
 
-  // Lay the multi-row groups out in id order — first-appearance order —
-  // turning each size into the group's write cursor.
-  StrippedPartition p;
-  p.physical_rows_ = n;
+  // Lay the multi-row groups out in id order, turning each size into the
+  // group's write cursor.
   uint32_t offset = 0;
   for (uint32_t& c : cursor) {
     if (c <= 1) {
-      p.singletons_ += c;
+      singletons_ += c;
       c = kSkip;
       continue;
     }
     const uint32_t start = offset;
     offset += c;
-    p.ends_.push_back(offset);
+    ends_.push_back(offset);
     c = start;
   }
-  p.rows_.resize(offset);
+  rows_.resize(offset);
   for (size_t t = 0; t < n; ++t) {
-    if (live != nullptr && live[t] == 0) continue;
-    uint32_t& c = cursor[g.ids[t]];
-    if (c != kSkip) p.rows_[c++] = static_cast<uint32_t>(t);
+    if (mask != nullptr && mask[t] == 0) continue;
+    uint32_t& c = cursor[ids[t]];
+    if (c != kSkip) rows_[c++] = static_cast<uint32_t>(t);
   }
-  return p;
 }
 
-size_t StrippedPartition::RefineCount(const relation::Relation& rel, int attr,
+StrippedPartition StrippedPartition::FromGrouping(const relation::Relation& rel,
+                                                  const Grouping& g) {
+  if (g.ids.size() != rel.tuple_count()) {
+    throw std::invalid_argument(
+        "StrippedPartition::FromGrouping: grouping size mismatch");
+  }
+  return StrippedPartition(
+      g.ids.data(), g.ids.size(), g.group_count,
+      rel.has_tombstones() ? rel.live_bitmap().data() : nullptr);
+}
+
+size_t StrippedPartition::RefineCount(const uint32_t* codes,
+                                      uint32_t null_slot,
                                       PartitionScratch& scratch) const {
-  CheckRelation(rel, physical_rows_, "StrippedPartition::RefineCount");
-  const relation::Column& col = rel.column(attr);
-  const uint32_t* codes = col.codes().data();
   // kNullCode is the largest u32, so min() folds it onto the NULL slot
   // and leaves every real code where it is.
-  const auto null_slot = static_cast<uint32_t>(col.dict_size());
   PrepareMarks(scratch, size_t{null_slot} + 1);
   uint32_t* mark = scratch.mark.data();
 
@@ -115,13 +114,9 @@ size_t StrippedPartition::RefineCount(const relation::Relation& rel, int attr,
   return count;
 }
 
-StrippedPartition StrippedPartition::Refine(const relation::Relation& rel,
-                                            int attr,
+StrippedPartition StrippedPartition::Refine(const uint32_t* codes,
+                                            uint32_t null_slot,
                                             PartitionScratch& scratch) const {
-  CheckRelation(rel, physical_rows_, "StrippedPartition::Refine");
-  const relation::Column& col = rel.column(attr);
-  const uint32_t* codes = col.codes().data();
-  const auto null_slot = static_cast<uint32_t>(col.dict_size());
   PrepareMarks(scratch, size_t{null_slot} + 1);
   if (scratch.local.size() < scratch.mark.size()) {
     scratch.local.resize(scratch.mark.size());
@@ -174,6 +169,23 @@ StrippedPartition StrippedPartition::Refine(const relation::Relation& rel,
     begin = end;
   }
   return out;
+}
+
+size_t StrippedPartition::RefineCount(const relation::Relation& rel, int attr,
+                                      PartitionScratch& scratch) const {
+  CheckRelation(rel, physical_rows_, "StrippedPartition::RefineCount");
+  const relation::Column& col = rel.column(attr);
+  return RefineCount(col.codes().data(),
+                     static_cast<uint32_t>(col.dict_size()), scratch);
+}
+
+StrippedPartition StrippedPartition::Refine(const relation::Relation& rel,
+                                            int attr,
+                                            PartitionScratch& scratch) const {
+  CheckRelation(rel, physical_rows_, "StrippedPartition::Refine");
+  const relation::Column& col = rel.column(attr);
+  return Refine(col.codes().data(), static_cast<uint32_t>(col.dict_size()),
+                scratch);
 }
 
 StrippedPartition StrippedPartition::Refine(const relation::Relation& rel,

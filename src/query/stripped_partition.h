@@ -1,5 +1,7 @@
 // Stripped partitions (TANE; Huhtala et al., Computer Journal 1999): the
-// counting structure behind the repair search's candidate evaluation.
+// counting structure behind the repair search's candidate evaluation and
+// the tail of every count-only refinement chain whose packed key misses
+// the dense array (query/group_ids.cpp).
 //
 // The partition π_S groups a relation's live rows by equality on the
 // attribute set S. Its *stripped* form keeps only the groups with two or
@@ -10,19 +12,30 @@
 // the kept rows shrink as attributes are added, so near-unique bases cost
 // almost nothing to count against.
 //
+// Its two clients:
+//   * the repair search builds π̂_X and π̂_XY once per FD and counts every
+//     candidate against refinements of them;
+//   * GroupCountBy / RefineCountBy (and so DistinctCount, SQL
+//     COUNT(DISTINCT ...) and DistinctEvaluator::Count) build one from the
+//     ids of a chain's dense prefix or base (or from its first column's
+//     codes), over the rows the chain's mask selects, when the next
+//     segment would need an open-addressing pass: the count then costs
+//     O(rows + groups) scratch instead of a hash table of 2n slots.
+//
 // Unlike query::Grouping, which covers every physical row so its ids stay
 // append-stable under the evaluator's incremental maintenance, a stripped
-// partition is a read-only snapshot of the live rows at build time.
+// partition is a read-only snapshot of the selected rows at build time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "query/group_ids.h"
 #include "relation/relation.h"
 
 namespace fdevolve::query {
+
+struct Grouping;
 
 /// \brief Reusable scratch for StrippedPartition passes: one generation-
 /// stamped mark per dictionary slot of the refining attribute.
@@ -43,51 +56,73 @@ struct PartitionScratch {
   uint32_t generation = 0;
 };
 
-/// \brief π̂_S: the rows of every group of π_S with at least two live
+/// \brief π̂_S: the rows of every group of π_S with at least two selected
 /// rows, stored contiguously group after group, plus the number of
 /// singleton groups.
 ///
-/// FromGrouping lays groups out in first-appearance order, Refine splits
-/// each group in place, and rows ascend within a group, so a partition is
-/// a pure function of the relation's encoded state and the chain it was
-/// built by.
+/// The constructor lays groups out in id order, Refine splits each group
+/// in place, and rows ascend within a group, so a partition is a pure
+/// function of the ids, the row selection and the chain it was refined
+/// by.
 class StrippedPartition {
  public:
   /// The partition of an empty relation.
   StrippedPartition() = default;
+
+  /// \brief π̂ of rows [0, n) grouped by raw ids: row t belongs to group
+  /// `ids[t]`.
+  ///
+  /// `mask` holds one byte per row, and a 0 byte leaves the row out;
+  /// nullptr selects every row. Rows left out are neither counted nor
+  /// checked, and a group with no selected row disappears. Costs two
+  /// passes over the ids and O(group_count) scratch. Throws
+  /// std::invalid_argument on a selected row whose id is not
+  /// < group_count, and std::length_error if n does not fit a 32-bit row
+  /// index.
+  StrippedPartition(const uint32_t* ids, size_t n, size_t group_count,
+                    const uint8_t* mask);
 
   /// \brief π̂ of the live rows of `rel` under `g`.
   ///
   /// `g` must cover every physical row of `rel`, dead ones included — what
   /// GroupBy, RefineBy and DistinctEvaluator::GroupFor produce. Tombstoned
   /// rows are left out; a group whose rows are all dead disappears.
-  /// Throws std::invalid_argument on a size mismatch or an id that is not
-  /// < g.group_count, and std::length_error if `rel` has more rows than a
-  /// 32-bit row index can address.
+  /// Throws std::invalid_argument on a size mismatch, otherwise as the
+  /// constructor.
   static StrippedPartition FromGrouping(const relation::Relation& rel,
                                         const Grouping& g);
 
-  /// |π_S| over the live rows.
+  /// |π_S| over the selected rows.
   size_t group_count() const { return ends_.size() + singletons_; }
 
-  /// Groups of π_S with exactly one live row.
+  /// Groups of π_S with exactly one selected row.
   size_t singletons() const { return singletons_; }
 
   /// Rows the partition keeps: every row of a multi-row group.
   size_t row_count() const { return rows_.size(); }
 
-  /// \brief |π_{S∪{attr}}| over the live rows, visiting only the kept
-  /// rows. NULLs compare equal, as in GroupBy.
+  /// \brief |π_{S∪{A}}| over the selected rows, visiting only the kept
+  /// rows, where A is one level of codes: `codes[t]` for every row t the
+  /// partition was built over, each < `null_slot` or relation::kNullCode.
+  /// NULLs compare equal, as in GroupBy.
+  size_t RefineCount(const uint32_t* codes, uint32_t null_slot,
+                     PartitionScratch& scratch) const;
+
+  /// \brief π̂_{S∪{A}} for the level RefineCount takes: every kept group
+  /// split by its codes, subgroups in first-appearance order, single-row
+  /// subgroups counted as singletons.
+  StrippedPartition Refine(const uint32_t* codes, uint32_t null_slot,
+                           PartitionScratch& scratch) const;
+
+  /// \brief RefineCount by column `attr` of `rel`.
   ///
   /// `rel` must be the relation the partition was built from, unchanged
-  /// since; this and Refine() throw std::invalid_argument when its row
-  /// count differs.
+  /// since; this and the Refine() forms below throw std::invalid_argument
+  /// when its row count differs.
   size_t RefineCount(const relation::Relation& rel, int attr,
                      PartitionScratch& scratch) const;
 
-  /// \brief π̂_{S∪{attr}}: every kept group split by `attr`'s codes,
-  /// subgroups in first-appearance order, single-row subgroups counted
-  /// as singletons.
+  /// \brief Refine by column `attr` of `rel`.
   StrippedPartition Refine(const relation::Relation& rel, int attr,
                            PartitionScratch& scratch) const;
 
@@ -101,7 +136,7 @@ class StrippedPartition {
   std::vector<uint32_t> rows_;  ///< kept rows, group after group
   std::vector<uint32_t> ends_;  ///< group k spans [ends_[k-1], ends_[k])
   size_t singletons_ = 0;
-  size_t physical_rows_ = 0;    ///< rel.tuple_count() at build time
+  size_t physical_rows_ = 0;    ///< rows the partition was built over
 };
 
 }  // namespace fdevolve::query

@@ -181,7 +181,8 @@ TEST_P(DistinctFuzz, RefinementFromSharedBaseMatchesGroupByOfUnion) {
     const int n_attrs = 2 + static_cast<int>(rng.Below(5));
     const size_t n_tuples = rng.Below(600);
     // Odd rounds draw 400 values, so two-attribute chains overflow the
-    // dense array and finish on the flat path.
+    // dense array: groupings finish on the flat path, counts on a
+    // stripped partition.
     const size_t domain = round % 2 == 1 ? 400 : 1 + rng.Below(8);
     Relation rel =
         RandomNullableRelation(seed() + 606 + static_cast<uint64_t>(round),

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 namespace fdevolve::query {
@@ -162,6 +164,46 @@ TEST(RefineByTest, OutOfRangeIdsThrowInsteadOfCorrupting) {
   lying.ids = {4, 0, 1, 2, 3};  // id 4 >= group_count
   lying.group_count = 3;
   EXPECT_THROW(RefineBy(r, lying, 1), std::invalid_argument);
+}
+
+// A count-only chain never runs a flat-kernel pass: once its packed key
+// misses the dense array it finishes on a stripped partition, so the
+// scratch's open-addressing table stays unallocated. A materializing pass
+// over the same key does fill it.
+TEST(GroupCountByTest, PastTheDenseLimitCountsWithoutTheFlatTable) {
+  Relation r("wide", Schema({{"a", DataType::kInt64},
+                             {"b", DataType::kInt64},
+                             {"c", DataType::kInt64}}));
+  std::set<std::tuple<int64_t, int64_t, int64_t>> ab, abc, ab_even;
+  for (int64_t t = 0; t < 3000; ++t) {
+    const int64_t a = (t * 7) % 1000;
+    const int64_t b = (t * 13) % 997;
+    const int64_t c = t % 300;
+    // b is NULL on every 11th row; NULLs group together.
+    const Value vb = t % 11 == 0 ? Value::Null() : Value(b);
+    r.AppendRow({Value(a), vb, Value(c)});
+    const int64_t key_b = t % 11 == 0 ? -1 : b;
+    ab.insert({a, key_b, 0});
+    abc.insert({a, key_b, c});
+    if (t % 2 == 0) ab_even.insert({a, key_b, 0});
+  }
+  // Radix 1000 * 998 and up, far past the 65536-cell limit of 3000 rows.
+  const AttrSet attrs_ab = AttrSet::Of({0, 1});
+  const AttrSet attrs_abc = AttrSet::Of({0, 1, 2});
+  std::vector<uint8_t> even(r.tuple_count(), 0);
+  for (size_t t = 0; t < even.size(); t += 2) even[t] = 1;
+
+  RefineScratch s;
+  EXPECT_EQ(GroupCountBy(r, attrs_ab, s), ab.size());
+  EXPECT_EQ(GroupCountBy(r, attrs_abc, s), abc.size());
+  EXPECT_EQ(GroupCountBy(r, attrs_ab, even.data(), s), ab_even.size());
+  const Grouping base = GroupBy(r, AttrSet::Of({0}), s);
+  EXPECT_EQ(RefineCountBy(r, base, AttrSet::Of({1}), s), ab.size());
+  EXPECT_EQ(RefineCountBy(r, base, AttrSet::Of({1, 2}), s), abc.size());
+  EXPECT_EQ(s.table.capacity(), 0u);
+
+  EXPECT_EQ(GroupBy(r, attrs_ab, s).group_count, ab.size());
+  EXPECT_GT(s.table.capacity(), 0u);
 }
 
 TEST(JointGroupCountTest, OutOfRangeIdsThrow) {

@@ -134,11 +134,13 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
 }
 
 // Hand-built out-of-range base ids must throw on every tier — the bounds
-// check is part of the kernel contract, not just the scalar path. One
-// lying base per kernel: a 3-group claim keeps the refinement on the dense
-// path, while a 70000-group claim times a 5-value column packs a radix of
-// 350000, above the 65536-cell dense limit of a 100-row pass, so that
-// refinement runs flat.
+// check is part of the kernel contract, not just the scalar path. A
+// 3-group claim keeps both refinements on the dense path. A 70000-group
+// claim times a 5-value column packs a radix of 350000, above the
+// 65536-cell dense limit of a 100-row pass: RefineBy then runs the flat
+// kernels, whose bounds check must fire on every tier, and RefineCountBy
+// finishes on a stripped partition built from the base ids, whose id
+// check must throw std::invalid_argument as well.
 TEST_P(KernelTierFuzz, BadBaseIdsThrowOnEveryTier) {
   TierGuard guard;
   Relation rel = RandomNullableRelation(seed(), 3, 100, 5, 0.0);
