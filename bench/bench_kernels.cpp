@@ -1,16 +1,17 @@
 // Kernel-tier microbench + the cross-tier identity gate.
 //
 // For every kernel tier this host can run (baseline scalar is always
-// there; AVX2 when detected), measures ns/tuple for the two dispatched
-// inner loops — dense gather refine and flat hash refine — plus the
-// fused-chain vs per-level-chain comparison that motivates segment
-// fusion.
+// there; AVX2 when detected), measures ns/tuple for the dispatched inner
+// loop — dense gather refine — plus the fused-chain vs per-level-chain
+// comparison that motivates segment fusion.
 //
 // The bench doubles as a correctness gate: the AVX2 tier, over clean AND
 // tombstoned relations, must produce bit-identical group ids, group
-// counts, and FD measure doubles to the baseline scalar tier. Any
-// divergence makes the process exit non-zero, so CI can run this
-// (FDEVOLVE_BENCH_FAST=1) as a smoke step.
+// counts, and FD measure doubles to the baseline scalar tier, on dense
+// chains and on a chain past the dense limit, which finishes on a
+// stripped partition after the tier's dense prefix. Any divergence makes
+// the process exit non-zero, so CI can run this (FDEVOLVE_BENCH_FAST=1)
+// as a smoke step.
 //
 // Results land in BENCH_kernels.json in the working directory; validate
 // with scripts/check_bench_json.py.
@@ -66,7 +67,6 @@ double BestMs(Fn fn) {
 
 struct TierNumbers {
   double dense_ns = 0.0;   ///< ns/tuple, dense gather refine
-  double flat_ns = 0.0;    ///< ns/tuple, flat hash refine
   double fused_ms = 0.0;   ///< 3-attr GroupBy, fused chain
 };
 
@@ -89,14 +89,16 @@ int main() {
   for (size_t t = 3; t < n; t += 10) rel_del.DeleteRow(t);
 
   const auto dense_attrs = relation::AttrSet::Of({0, 2, 3});
-  const auto flat_attrs = relation::AttrSet::Of({0, 1, 4, 5});
+  // Radix past the dense limit: the chain runs a dense prefix on the
+  // active tier, then finishes on a stripped partition.
+  const auto wide_attrs = relation::AttrSet::Of({0, 1, 4, 5});
   const fd::Fd fd(relation::AttrSet::Of({0, 2}), relation::AttrSet::Of({3}));
 
   // --- Baseline scalar references for the identity gate. ---
   query::kernels::ForceTier(util::CpuTier::kBaseline);
   const auto ref_group = query::GroupBy(rel, dense_attrs);
   const size_t ref_count = query::GroupCountBy(rel, dense_attrs);
-  const auto ref_flat = query::GroupBy(rel, flat_attrs);
+  const auto ref_wide = query::GroupBy(rel, wide_attrs);
   const size_t ref_del = query::GroupCountBy(rel_del, dense_attrs);
   const auto ref_measures = fd::ComputeMeasures(rel, fd);
   const auto base0 = query::GroupBy(rel, relation::AttrSet::Of({0}));
@@ -104,13 +106,13 @@ int main() {
 
   const auto tiers = query::kernels::SupportedTiers();
   std::map<std::string, TierNumbers> results;
-  double baseline_dense = 0.0, baseline_flat = 0.0;
+  double baseline_dense = 0.0;
   double fused_ms_best_tier = 0.0, per_level_ms_best_tier = 0.0;
 
   util::TablePrinter table("kernel tiers (" + std::to_string(n) +
                            " tuples, ns/tuple, best of " +
                            std::to_string(kReps) + ")");
-  table.SetHeader({"tier", "dense", "flat", "fused 3-attr ms"});
+  table.SetHeader({"tier", "dense", "fused 3-attr ms"});
 
   for (util::CpuTier tier : tiers) {
     query::kernels::ForceTier(tier);
@@ -122,13 +124,6 @@ int main() {
     nums.dense_ns =
         BestMs([&] { query::RefineBy(rel, base0, 3, scratch); }) * 1e6 / n;
 
-    // Flat hash refine: 4-attr grouping whose radix overflows the dense
-    // limit, so its chain ends in a FlatIdTable segment. It materializes
-    // the ids: a count-only chain past the limit finishes on a stripped
-    // partition and never reaches the flat kernels.
-    nums.flat_ns =
-        BestMs([&] { query::GroupBy(rel, flat_attrs, scratch); }) * 1e6 / n;
-
     // Fused chain (the engine's one-sweep segment) vs the per-level chain
     // it replaced: three sequential RefineBy passes over the same levels.
     nums.fused_ms =
@@ -139,16 +134,12 @@ int main() {
       g = query::RefineBy(rel, g, 3, scratch);
     });
 
-    if (tier == util::CpuTier::kBaseline) {
-      baseline_dense = nums.dense_ns;
-      baseline_flat = nums.flat_ns;
-    }
+    if (tier == util::CpuTier::kBaseline) baseline_dense = nums.dense_ns;
     // The last (= highest) tier's chain numbers headline the JSON.
     fused_ms_best_tier = nums.fused_ms;
     per_level_ms_best_tier = per_level_ms;
 
-    table.AddRow({name, Fmt(nums.dense_ns), Fmt(nums.flat_ns),
-                  Fmt(nums.fused_ms)});
+    table.AddRow({name, Fmt(nums.dense_ns), Fmt(nums.fused_ms)});
     results[name] = nums;
 
     // --- Identity gate: this tier vs baseline. ---
@@ -158,10 +149,10 @@ int main() {
          ctx + "GroupBy ids/count");
     Gate(query::GroupCountBy(rel, dense_attrs, scratch) == ref_count,
          ctx + "GroupCountBy");
-    const auto gf = query::GroupBy(rel, flat_attrs, scratch);
-    Gate(gf.ids == ref_flat.ids && gf.group_count == ref_flat.group_count,
-         ctx + "GroupBy (flat) ids/count");
-    Gate(query::GroupCountBy(rel, flat_attrs, scratch) == ref_flat.group_count,
+    const auto gw = query::GroupBy(rel, wide_attrs, scratch);
+    Gate(gw.ids == ref_wide.ids && gw.group_count == ref_wide.group_count,
+         ctx + "GroupBy (stripped) ids/count");
+    Gate(query::GroupCountBy(rel, wide_attrs, scratch) == ref_wide.group_count,
          ctx + "GroupCountBy (stripped)");
     Gate(query::GroupCountBy(rel_del, dense_attrs, scratch) == ref_del,
          ctx + "GroupCountBy (tombstoned)");
@@ -188,17 +179,13 @@ int main() {
        << "  \"tuples\": " << n << ",\n"
        << "  \"tiers_tested\": " << tiers.size() << ",\n"
        << "  \"baseline\": {\n"
-       << "    \"dense_ns_per_tuple\": " << baseline_dense << ",\n"
-       << "    \"flat_ns_per_tuple\": " << baseline_flat << "\n"
+       << "    \"dense_ns_per_tuple\": " << baseline_dense << "\n"
        << "  },\n"
        << "  \"best_tier\": {\n"
        << "    \"name\": \"" << best << "\",\n"
        << "    \"dense_ns_per_tuple\": " << top.dense_ns << ",\n"
-       << "    \"flat_ns_per_tuple\": " << top.flat_ns << ",\n"
        << "    \"dense_speedup\": "
-       << (top.dense_ns > 0 ? baseline_dense / top.dense_ns : 0.0) << ",\n"
-       << "    \"flat_speedup\": "
-       << (top.flat_ns > 0 ? baseline_flat / top.flat_ns : 0.0) << "\n"
+       << (top.dense_ns > 0 ? baseline_dense / top.dense_ns : 0.0) << "\n"
        << "  },\n"
        << "  \"fused_chain_ms\": " << fused_ms_best_tier << ",\n"
        << "  \"per_level_chain_ms\": " << per_level_ms_best_tier << ",\n"

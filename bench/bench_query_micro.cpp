@@ -3,6 +3,8 @@
 // and the refinement-reuse win the repair search depends on.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "datagen/synthetic.h"
 #include "query/distinct.h"
 #include "util/rng.h"
@@ -119,6 +121,113 @@ void BM_CountOnlyPastDenseLimit_Cold(benchmark::State& state) {
                           static_cast<int64_t>(rel.tuple_count()));
 }
 BENCHMARK(BM_CountOnlyPastDenseLimit_Cold)->Unit(benchmark::kMillisecond);
+
+// The materializing GroupBy of the same key: it finishes on a stripped
+// partition and writes first-appearance ids. Warm reuses one scratch, as
+// the evaluator does; cold pays a fresh one per call.
+void BM_GroupByPastDenseLimit_Warm(benchmark::State& state) {
+  const auto& rel = WideRel();
+  const auto attrs = relation::AttrSet::Of({0, 1});
+  query::RefineScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(query::GroupBy(rel, attrs, scratch).group_count);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rel.tuple_count()));
+}
+BENCHMARK(BM_GroupByPastDenseLimit_Warm)->Unit(benchmark::kMillisecond);
+
+void BM_GroupByPastDenseLimit_Cold(benchmark::State& state) {
+  const auto& rel = WideRel();
+  const auto attrs = relation::AttrSet::Of({0, 1});
+  for (auto _ : state) {
+    query::RefineScratch scratch;
+    benchmark::DoNotOptimize(query::GroupBy(rel, attrs, scratch).group_count);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rel.tuple_count()));
+}
+BENCHMARK(BM_GroupByPastDenseLimit_Cold)->Unit(benchmark::kMillisecond);
+
+/// `rows` rows of two independent uniform columns drawing from `first`
+/// and `second` values, and 4k distinct rows picked from it in random
+/// order: the list a sampled monitor's reservoir hands GroupRows.
+struct SampleShape {
+  relation::Relation rel;
+  std::vector<uint32_t> sample;
+};
+
+SampleShape MakeSampleShape(int rows, uint64_t first, uint64_t second,
+                            size_t sample_rows) {
+  SampleShape shape{
+      relation::Relation(
+          "sample", relation::Schema({{"x", relation::DataType::kInt64},
+                                      {"y", relation::DataType::kInt64}})),
+      {}};
+  util::Rng rng(11);
+  for (int t = 0; t < rows; ++t) {
+    shape.rel.AppendRow(
+        {relation::Value(static_cast<int64_t>(rng.Below(first))),
+         relation::Value(static_cast<int64_t>(rng.Below(second)))});
+  }
+  std::vector<uint8_t> taken(static_cast<size_t>(rows), 0);
+  while (shape.sample.size() < sample_rows) {
+    const auto row = static_cast<uint32_t>(rng.Below(static_cast<uint64_t>(rows)));
+    if (taken[row] == 0) {
+      taken[row] = 1;
+      shape.sample.push_back(row);
+    }
+  }
+  return shape;
+}
+
+/// ingest_churn's sampled check: 3.9k reservoir rows of a 60k-row table,
+/// grouped by a 2000 x 100-value key (past the dense limit of 3.9k rows).
+const SampleShape& ChurnSample() {
+  static const SampleShape shape = MakeSampleShape(60000, 2000, 100, 3900);
+  return shape;
+}
+
+/// 4k rows of a 400k-row table whose first column holds ~330k distinct
+/// values: far more dictionary slots than listed rows.
+const SampleShape& WideDictSample() {
+  static const SampleShape shape =
+      MakeSampleShape(400000, 1000000, 100, 4000);
+  return shape;
+}
+
+void GroupRowsLoop(benchmark::State& state, const SampleShape& shape,
+                   bool fresh_scratch) {
+  const auto attrs = relation::AttrSet::Of({0, 1});
+  query::RefineScratch scratch;
+  for (auto _ : state) {
+    if (fresh_scratch) scratch = query::RefineScratch();
+    benchmark::DoNotOptimize(
+        query::GroupRows(shape.rel, shape.sample, attrs, scratch).group_count);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(shape.sample.size()));
+}
+
+void BM_GroupRowsChurnSample_Warm(benchmark::State& state) {
+  GroupRowsLoop(state, ChurnSample(), false);
+}
+BENCHMARK(BM_GroupRowsChurnSample_Warm)->Unit(benchmark::kMicrosecond);
+
+void BM_GroupRowsChurnSample_Cold(benchmark::State& state) {
+  GroupRowsLoop(state, ChurnSample(), true);
+}
+BENCHMARK(BM_GroupRowsChurnSample_Cold)->Unit(benchmark::kMicrosecond);
+
+void BM_GroupRowsWideDictionary_Warm(benchmark::State& state) {
+  GroupRowsLoop(state, WideDictSample(), false);
+}
+BENCHMARK(BM_GroupRowsWideDictionary_Warm)->Unit(benchmark::kMicrosecond);
+
+void BM_GroupRowsWideDictionary_Cold(benchmark::State& state) {
+  GroupRowsLoop(state, WideDictSample(), true);
+}
+BENCHMARK(BM_GroupRowsWideDictionary_Cold)->Unit(benchmark::kMicrosecond);
 
 void BM_GroupByWideSet(benchmark::State& state) {
   auto rel = MakeRel(20000);

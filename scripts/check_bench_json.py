@@ -72,12 +72,9 @@ SCHEMAS = {
         "tuples": positive,
         "tiers_tested": positive,
         "baseline.dense_ns_per_tuple": positive,
-        "baseline.flat_ns_per_tuple": positive,
         "best_tier.name": non_empty_string,
         "best_tier.dense_ns_per_tuple": positive,
-        "best_tier.flat_ns_per_tuple": positive,
         "best_tier.dense_speedup": positive,
-        "best_tier.flat_speedup": positive,
         "fused_chain_ms": positive,
         "per_level_chain_ms": positive,
         "fused_speedup": positive,

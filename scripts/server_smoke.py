@@ -18,10 +18,14 @@ way a human with nc would, and checks the full durability story:
 
 Usage: python3 scripts/server_smoke.py [path-to-fdevolve_serverd]
 Exits non-zero on the first failed expectation (CI runs it as a job step).
+However the script ends (a failed expectation, an exception such as a
+broken stdout pipe, or success), it stops every server it started and
+removes its temporary checkpoint directory.
 """
 
 import os
 import re
+import shutil
 import signal
 import socket
 import subprocess
@@ -67,11 +71,13 @@ def expect(cond, message):
     print("ok:", message)
 
 
-def start_server(binary, checkpoint, resume=False):
+def start_server(binary, checkpoint, servers, resume=False):
+    """Starts a server and appends it to `servers`, which main() stops."""
     cmd = [binary, "--checkpoint", checkpoint]
     if resume:
         cmd.append("--resume")
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    servers.append(proc)
     # Startup prints a couple of informational lines (e.g. the detected
     # SIMD tier) before the listen line; scan past them.
     for _ in range(5):
@@ -79,9 +85,16 @@ def start_server(binary, checkpoint, resume=False):
         match = re.match(r"listening on port (\d+)", line)
         if match:
             return proc, int(match.group(1))
-    proc.kill()
     print("FAIL: no listen line, got:", repr(line), file=sys.stderr)
     sys.exit(1)
+
+
+def stop_servers(servers):
+    """Kills every server still running and reaps it."""
+    for proc in servers:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
 
 
 def check_unknown_tier(binary):
@@ -107,14 +120,21 @@ def main():
     if not os.path.exists(binary):
         print("FAIL: server binary not found:", binary, file=sys.stderr)
         sys.exit(1)
-    checkpoint = os.path.join(tempfile.mkdtemp(prefix="fdevolve_smoke_"),
-                              "state.fdev")
+    workdir = tempfile.mkdtemp(prefix="fdevolve_smoke_")
+    servers = []
+    try:
+        run_checks(binary, os.path.join(workdir, "state.fdev"), servers)
+    finally:
+        stop_servers(servers)
+        shutil.rmtree(workdir, ignore_errors=True)
 
+
+def run_checks(binary, checkpoint, servers):
     # 0. Unknown kernel tier.
     check_unknown_tier(binary)
 
     # 1. Scripted session.
-    proc, port = start_server(binary, checkpoint)
+    proc, port = start_server(binary, checkpoint, servers)
     s = Session(port)
     reply, _ = s.request("CREATE TABLE city (name STRING, zip INT64, state STRING)")
     expect(reply == "OK 0", "CREATE TABLE -> " + reply)
@@ -163,7 +183,7 @@ def main():
 
     # 3. Resume: state survives the restart — including the tombstone
     #    (the deleted violator stays deleted) and the rewritten name.
-    proc, port = start_server(binary, checkpoint, resume=True)
+    proc, port = start_server(binary, checkpoint, servers, resume=True)
     s = Session(port)
     reply, _ = s.request("SELECT COUNT(*) FROM city")
     expect(reply == "OK 2", "tombstones survive --resume -> " + reply)
@@ -176,7 +196,7 @@ def main():
     #    out; the new row must be in the final snapshot.
     proc.send_signal(signal.SIGTERM)
     expect(proc.wait(timeout=30) == 0, "clean exit after SIGTERM")
-    proc, port = start_server(binary, checkpoint, resume=True)
+    proc, port = start_server(binary, checkpoint, servers, resume=True)
     s = Session(port)
     reply, _ = s.request("SELECT COUNT(*) FROM city")
     expect(reply == "OK 3", "count after SIGTERM checkpoint -> " + reply)

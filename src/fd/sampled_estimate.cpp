@@ -63,14 +63,14 @@ CountEstimate EstimateDistinct(const SampleProjectionStats& stats, size_t m,
 
 SampledMeasures EstimateMeasures(const relation::Relation& rel,
                                  const std::vector<uint32_t>& rows,
-                                 size_t live_rows, const Fd& fd) {
+                                 size_t live_rows, const Fd& fd,
+                                 query::RefineScratch& scratch) {
   SampledMeasures out;
   out.sample_rows = rows.size();
   out.live_rows = live_rows;
   const size_t m = rows.size();
   const size_t n = live_rows;
 
-  query::RefineScratch scratch;
   const SampleProjectionStats sx =
       ProjectionStats(rel, rows, fd.lhs(), scratch);
   const SampleProjectionStats sxy =

@@ -106,10 +106,12 @@ CountEstimate EstimateDistinct(const SampleProjectionStats& stats, size_t m,
                                size_t n);
 
 /// Estimates one FD's measures from the sampled rows (physical row ids,
-/// all live) of a relation with `live_rows` live rows. When
-/// rows.size() == live_rows the result is exact (see file comment).
+/// all live) of a relation with `live_rows` live rows, grouping them
+/// through `scratch` (see ProjectionStats). When rows.size() == live_rows
+/// the result is exact (see file comment).
 SampledMeasures EstimateMeasures(const relation::Relation& rel,
                                  const std::vector<uint32_t>& rows,
-                                 size_t live_rows, const Fd& fd);
+                                 size_t live_rows, const Fd& fd,
+                                 query::RefineScratch& scratch);
 
 }  // namespace fdevolve::fd

@@ -141,7 +141,7 @@ std::vector<uint32_t> SchemaMonitor::LiveSample() const {
 SampledMeasures SchemaMonitor::Measure(const Fd& fd,
                                        const std::vector<uint32_t>& sample) {
   if (sampler_) {
-    return EstimateMeasures(*rel_, sample, rel_->live_count(), fd);
+    return EstimateMeasures(*rel_, sample, rel_->live_count(), fd, scratch_);
   }
   // The evaluator auto-advances over the appended suffix (and folds any
   // pending deletions) on the first query; the counts are then O(1) reads

@@ -267,6 +267,9 @@ class SchemaMonitor {
   /// rebuilt) or the reservoir sampler.
   std::optional<query::DistinctEvaluator> eval_;
   std::optional<query::ReservoirSampler> sampler_;
+  /// The sampled source's grouping buffers, kept across checks so that
+  /// GroupRows over a wide column grows its partition marks once.
+  query::RefineScratch scratch_;
   std::vector<MonitoredFd> monitored_;
   std::vector<SampledMeasures> estimates_;
   std::vector<DriftEvent> drift_log_;

@@ -180,7 +180,7 @@ void DistinctEvaluator::AdvanceGrouping(CachedGrouping& cg, size_t n) {
   if (cg.levels.empty()) {
     // First advance of this grouping: create the chain and replay the
     // prefix through it below (cg.tabled == 0). The replay reproduces the
-    // exact ids the build assigned — every build path (dense, flat,
+    // exact ids the build assigned — every build path (dense, stripped,
     // dictionary fast path) assigns first-appearance ids in scan order,
     // which is precisely what the chained table walk does.
     cg.levels.resize(cg.gap.size());

@@ -12,6 +12,7 @@
 
 #include "query/group_ids.h"
 #include "relation/relation.h"
+#include "util/flat_table.h"
 
 namespace fdevolve::query {
 
@@ -169,8 +170,9 @@ class DistinctEvaluator {
 
     /// One refinement level of the chain. `table` maps
     /// (incoming id << 32 | column code) to the id assigned at this level,
-    /// exactly mirroring the flat refinement pass; `group_count` is the
-    /// number of ids handed out so far (== table.size()).
+    /// in the first-appearance order every refinement pass assigns;
+    /// `group_count` is the number of ids handed out so far
+    /// (== table.size()).
     struct Level {
       int attr = -1;
       util::FlatIdTable table;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -10,8 +9,6 @@
 
 namespace fdevolve::query {
 namespace {
-
-constexpr uint32_t kNoId = util::FlatIdTable::kVacant;
 
 /// Dense-path admission limit for a pass of `n` tuples: the direct-indexed
 /// array costs one O(cells) clear per pass, so cells must stay within a
@@ -41,18 +38,15 @@ void BuildLevels(const relation::Relation& rel, const int* cols, size_t k,
 }
 
 /// Fused-segment planner: how many of the remaining `nlevels` levels one
-/// pass can take. Prefers the longest *dense-admitted* prefix (packed
-/// radix <= DenseLimit(n)); when even the first level does not fit the
-/// dense array, takes the longest prefix whose packed key fits u64 for
-/// the flat path. Returns the level count and reports the segment radix
-/// (`*cells_out`) and which path was planned.
+/// dense pass can take — the longest prefix whose packed radix (`groups`
+/// times the strides) stays within DenseLimit(n), reported in
+/// `*cells_out`. 0 means even the next level misses the dense array.
 ///
 /// Segment boundaries never affect results — each segment assigns
 /// first-appearance ids over the prefix packing, which composes to the
 /// same final ids for any split — so this is purely a cost decision.
 size_t PlanSegment(uint64_t groups, const kernels::Level* levels,
-                   size_t nlevels, size_t n, uint64_t* cells_out,
-                   bool* dense_out) {
+                   size_t nlevels, size_t n, uint64_t* cells_out) {
   const uint64_t dense_limit = DenseLimit(n);
   uint64_t prod = groups;
   size_t take = 0;
@@ -62,39 +56,16 @@ size_t PlanSegment(uint64_t groups, const kernels::Level* levels,
     prod *= stride;
     take = j + 1;
   }
-  if (take > 0) {
-    *cells_out = prod;
-    *dense_out = true;
-    return take;
-  }
-  // Flat segment. Real ids are u32 regardless of what a (possibly
-  // hand-built, possibly lying) base claims as group_count, so cap the
-  // radix base at 2^32 when checking u64 fit — the packed keys built from
-  // actual ids cannot overflow under that bound.
-  const uint64_t eff_groups =
-      std::min<uint64_t>(groups, uint64_t{1} << 32);
-  prod = eff_groups;
-  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
-  for (size_t j = 0; j < nlevels; ++j) {
-    const uint64_t stride = levels[j].stride;
-    if (stride == 0 || prod > kMax / stride) break;
-    prod *= stride;
-    take = j + 1;
-  }
-  if (take == 0) take = 1;  // stride 0 <=> empty relation; callers gate n > 0
   *cells_out = prod;
-  *dense_out = false;
   return take;
 }
 
-/// One fused pass over one segment: every tuple in order, through the
-/// active tier's dense or flat kernel. Only dense passes filter rows or
-/// skip the id write; a flat pass always materializes every row.
+/// One fused dense pass over one segment: every tuple in order, through
+/// the active tier's kernel, over a freshly cleared `cells`-cell array.
 size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
                   const kernels::Level* levels, size_t nlevels, size_t n,
                   RefineScratch& s, uint32_t* out, const uint8_t* live,
-                  uint64_t cells, bool dense) {
-  const kernels::KernelSet& ks = kernels::Active();
+                  uint64_t cells) {
   kernels::RefineArgs a;
   a.base_ids = base_ids;
   a.base_groups = base_groups;
@@ -104,28 +75,31 @@ size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
   a.hi = n;
   a.out = out;
   a.live = live;
-  if (dense) {
-    if (s.dense.size() < cells) s.dense.resize(cells);
-    std::fill(s.dense.begin(), s.dense.begin() + static_cast<ptrdiff_t>(cells),
-              kNoId);
-    return ks.dense_refine(a, s.dense.data(), 0);
-  }
-  assert(out != nullptr && live == nullptr);
-  s.table.Reset(n);  // a pass introduces at most n distinct packed keys
-  return ks.flat_refine(a, s.table, 0);
+  if (s.dense.size() < cells) s.dense.resize(cells);
+  std::fill(s.dense.begin(), s.dense.begin() + static_cast<ptrdiff_t>(cells),
+            kernels::kVacant);
+  return kernels::Active().dense_refine(a, s.dense.data(), 0);
 }
 
-/// Finishes a count-only chain on a stripped partition: the partition of
-/// the rows `live` selects under `ids` (`groups` of them), refined by
-/// every level but the last and counted against the last. `ids ==
-/// nullptr` means no level has run yet over the trivial base; the first
-/// level's codes, with NULLs moved to the slot after the dictionary, are
-/// then the ids.
-size_t CountOnPartition(const uint32_t* ids, uint64_t groups,
-                        const kernels::Level* levels, size_t nlevels,
-                        size_t n, RefineScratch& s, const uint8_t* live) {
+/// Finishes a chain on a stripped partition: the partition of the rows
+/// `live` selects under `ids` (`groups` of them), refined by every
+/// remaining level but the last. A count-only chain (`out == nullptr`)
+/// then counts against the last level; a materializing one writes the
+/// last level's first-appearance ids to `out`, which may alias `ids`.
+///
+/// `ids == nullptr` means no level has run yet over the trivial base: the
+/// first level's codes, with NULLs moved to the slot after the dictionary,
+/// are then the ids. When that dictionary has more slots than the pass
+/// has rows (GroupRows over a wide column), a cursor per slot would cost
+/// more than the rows, so the chain starts from the one-group partition
+/// and refines by the first level too; the marks that refinement needs
+/// live in the caller's scratch.
+size_t FinishOnPartition(const uint32_t* ids, uint64_t groups,
+                         const kernels::Level* levels, size_t nlevels,
+                         size_t n, RefineScratch& s, uint32_t* out,
+                         const uint8_t* live) {
   size_t j = 0;
-  if (ids == nullptr) {
+  if (ids == nullptr && levels[0].stride <= n) {
     const kernels::Level& first = levels[0];
     ids = first.codes;
     if (first.has_nulls) {
@@ -142,35 +116,39 @@ size_t CountOnPartition(const uint32_t* ids, uint64_t groups,
   for (; j + 1 < nlevels; ++j) {
     p = p.Refine(levels[j].codes, levels[j].null_slot, s.partition);
   }
-  return j < nlevels
-             ? p.RefineCount(levels[j].codes, levels[j].null_slot, s.partition)
-             : p.group_count();
+  // At least one level is left: a one-level chain past the dense limit
+  // never takes the first level's codes as ids.
+  assert(j + 1 == nlevels);
+  const kernels::Level& last = levels[j];
+  return out != nullptr
+             ? p.RefineIds(last.codes, last.null_slot, out, s.partition)
+             : p.RefineCount(last.codes, last.null_slot, s.partition);
 }
 
 /// Runs the chain already described by `s.levels` as a sequence of *fused*
-/// segments over `n` tuples: each segment combines as many remaining
+/// dense segments over `n` tuples: each segment combines as many remaining
 /// levels as its packed mixed-radix key affords (see kernels.h) and sweeps
 /// the tuples once, instead of one pass per level. Chains that fit one
 /// segment — the common case for the repair search's 2-4 attribute sets —
-/// touch every column exactly once.
+/// touch every column exactly once. Once the next segment misses the dense
+/// array, FinishOnPartition completes the chain. A lone first level over
+/// the trivial base goes there too, as its codes: a dense pass would only
+/// renumber them, and the next segment cannot be dense either, since the
+/// planner's prefix was already the longest that fits.
 ///
 /// `out == nullptr` is the count-only form: intermediate dense segments
 /// (if the chain needs more than one) materialize into `s.chain_ids`, and
-/// only the final segment applies `live` — dead rows are skipped there,
-/// so the result counts groups with at least one live row while every
-/// intermediate id stays append-stable over physical rows. A count-only
-/// chain never runs a flat segment: once the next segment misses the
-/// dense array, CountOnPartition finishes it over the rows `live`
-/// selects. A lone first level over the trivial base goes there too, as
-/// its codes: a dense pass would only renumber them, and the next segment
-/// cannot be dense either, since the planner's prefix was already the
-/// longest that fits.
+/// only the final segment (or the partition) applies `live` — dead rows
+/// are skipped there, so the result counts groups with at least one live
+/// row while every intermediate id stays append-stable over physical rows.
+/// Materializing chains take no row mask.
 ///
 /// Its two callers differ only in what the levels point at: RunRefineChain
 /// points them at the relation's columns, GroupRows at per-attribute
 /// copies of the listed rows' codes.
 size_t RunSegments(const uint32_t* base_ids, size_t base_groups, size_t n,
                    RefineScratch& s, uint32_t* out, const uint8_t* live) {
+  assert(out == nullptr || live == nullptr);
   const size_t nlevels = s.levels.size();
   const kernels::Level* levels = s.levels.data();
   uint64_t groups = base_groups;
@@ -178,14 +156,12 @@ size_t RunSegments(const uint32_t* base_ids, size_t base_groups, size_t n,
   size_t j = 0;
   while (j < nlevels) {
     uint64_t cells = 0;
-    bool dense = false;
     const size_t take =
-        PlanSegment(groups, levels + j, nlevels - j, n, &cells, &dense);
+        PlanSegment(groups, levels + j, nlevels - j, n, &cells);
     const bool last = (j + take == nlevels);
-    if (out == nullptr &&
-        (!dense || (!last && ids == nullptr && take == 1))) {
-      return CountOnPartition(ids, groups, levels + j, nlevels - j, n, s,
-                              live);
+    if (take == 0 || (!last && ids == nullptr && take == 1)) {
+      return FinishOnPartition(ids, groups, levels + j, nlevels - j, n, s,
+                               out, live);
     }
     // The final segment writes `out` as requested (null = count-only) and
     // is the only one the row mask applies to; earlier count-only
@@ -198,7 +174,7 @@ size_t RunSegments(const uint32_t* base_ids, size_t base_groups, size_t n,
     // seg_out may alias `ids` (in-place refinement) — kernels read each
     // tuple's base id before writing its slot.
     groups = RunSegment(ids, groups, levels + j, take, n, s, seg_out,
-                        last ? live : nullptr, cells, dense);
+                        last ? live : nullptr, cells);
     ids = seg_out;
     j += take;
   }
@@ -243,6 +219,10 @@ void CheckBase(const relation::Relation& rel, const Grouping& base,
   if (base.ids.size() != rel.tuple_count()) {
     throw std::invalid_argument(std::string(where) +
                                 ": grouping size mismatch");
+  }
+  if (base.group_count > base.ids.size()) {
+    throw std::invalid_argument(std::string(where) +
+                                ": base claims more groups than rows");
   }
 }
 
@@ -418,35 +398,19 @@ size_t JointGroupCount(const Grouping& a, const Grouping& b) {
     throw std::invalid_argument("JointGroupCount: size mismatch");
   }
   const size_t n = a.ids.size();
-  if (n == 0) return 0;
-  size_t fresh = 0;
-  const bool dense =
-      b.group_count != 0 &&
-      a.group_count <= DenseLimit(n) / b.group_count;
-  if (dense) {
-    std::vector<uint32_t> dense_map(a.group_count * b.group_count, kNoId);
-    for (size_t t = 0; t < n; ++t) {
-      if (a.ids[t] >= a.group_count || b.ids[t] >= b.group_count) {
-        throw std::invalid_argument("JointGroupCount: group id out of range");
-      }
-      uint32_t& cell =
-          dense_map[static_cast<size_t>(a.ids[t]) * b.group_count + b.ids[t]];
-      if (cell == kNoId) cell = static_cast<uint32_t>(fresh++);
-    }
-  } else {
-    util::FlatIdTable table;
-    table.Reset(n);
-    for (size_t t = 0; t < n; ++t) {
-      if (a.ids[t] >= a.group_count || b.ids[t] >= b.group_count) {
-        throw std::invalid_argument("JointGroupCount: group id out of range");
-      }
-      const uint64_t key = (static_cast<uint64_t>(a.ids[t]) << 32) | b.ids[t];
-      bool inserted = false;
-      table.FindOrInsert(key, static_cast<uint32_t>(fresh), &inserted);
-      if (inserted) ++fresh;
+  if (a.group_count > n || b.group_count > n) {
+    throw std::invalid_argument("JointGroupCount: more groups than rows");
+  }
+  // The partition checks a's ids; b's serve as codes, which it does not.
+  for (const uint32_t id : b.ids) {
+    if (id >= b.group_count) {
+      throw std::invalid_argument("JointGroupCount: group id out of range");
     }
   }
-  return fresh;
+  PartitionScratch scratch;
+  return StrippedPartition(a.ids.data(), n, a.group_count, nullptr)
+      .RefineCount(b.ids.data(), static_cast<uint32_t>(b.group_count),
+                   scratch);
 }
 
 }  // namespace fdevolve::query

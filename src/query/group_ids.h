@@ -2,34 +2,30 @@
 // (CB method) and clustering construction (EB baseline).
 //
 // A refinement chain combines the current group ids with the dictionary
-// codes of a sequence of columns. Chains execute as *fused segments*: each
-// segment packs as many consecutive levels as fit into one mixed-radix key
-// (query/kernels.h) and sweeps the relation once — a 3-attribute GroupBy
-// is typically ONE pass, not three. Materializing passes (GroupBy,
-// RefineBy, GroupRows) run each segment on one of two paths, each provided
-// by the runtime-dispatched kernel layer (baseline scalar or AVX2,
-// selected once per process by query::kernels::Active()):
+// codes of a sequence of columns. Every chain is dense or stripped:
 //
-//   * dense — when the segment radix (group_count * Π strides) is
-//     O(tuples), a direct-indexed scratch array maps the packed key to the
-//     next id with no hashing at all;
-//   * flat  — otherwise an open-addressing table (util::FlatIdTable) keyed
-//     on the packed u64 key takes over; no per-node allocation, linear
-//     probing, power-of-two capacity.
-//
-// Count-only passes (GroupCountBy, RefineCountBy) are dense or stripped:
-// their segments run on the dense kernels while the radix fits, and once
-// the next segment would miss the dense array the chain finishes on a
-// query::StrippedPartition built from the ids so far over the rows the
-// mask selects — Refine per middle level, RefineCount on the last. So a
-// count never fills a hash table of 2n slots just to learn its size.
+//   * dense — while the packed radix (group_count * Π strides) is
+//     O(tuples), the chain runs as *fused segments*: each segment packs as
+//     many consecutive levels as fit into one mixed-radix key
+//     (query/kernels.h), maps it to the next id through a direct-indexed
+//     scratch array with no hashing at all, and sweeps the rows once — a
+//     3-attribute GroupBy is typically ONE pass, not three. The kernel
+//     layer dispatches the pass at runtime (baseline scalar or AVX2,
+//     selected once per process by query::kernels::Active());
+//   * stripped — once the next segment would miss the dense array, the
+//     chain finishes on a query::StrippedPartition built from the ids so
+//     far (or from the first column's codes): Refine per remaining level.
+//     A count-only pass (GroupCountBy, RefineCountBy) builds it over the
+//     rows its mask selects and counts against the last level; a
+//     materializing pass (GroupBy, RefineBy, GroupRows) refines by every
+//     level and writes first-appearance ids from the final partition.
 //
 // Every pass is one sequential sweep: threads fan out over independent
 // work items above this layer (repair-search candidate batches, EB
-// candidate scoring), never inside a pass. Both materializing paths
-// assign fresh ids in (logical) scan order, so ids are deterministic and
-// dense in order of first appearance. Passing a RefineScratch lets
-// long-lived callers (DistinctEvaluator, the EB ranking loop) reuse the
+// candidate scoring), never inside a pass. Both paths assign fresh ids in
+// (logical) scan order, so ids are deterministic and dense in order of
+// first appearance. Passing a RefineScratch lets long-lived callers
+// (DistinctEvaluator, the EB ranking loop, the sampled monitor) reuse the
 // scratch buffers across passes; the overloads without one are
 // conveniences that pay a fresh allocation.
 //
@@ -45,7 +41,6 @@
 #include "query/kernels.h"
 #include "query/stripped_partition.h"
 #include "relation/relation.h"
-#include "util/flat_table.h"
 
 namespace fdevolve::query {
 
@@ -76,10 +71,9 @@ struct Grouping {
 /// a time — two threads must not share one.
 struct RefineScratch {
   std::vector<uint32_t> dense;     ///< direct-indexed packed-key map
-  util::FlatIdTable table;         ///< flat path of materializing passes
   std::vector<uint32_t> chain_ids; ///< intermediate ids for count-only chains
   std::vector<kernels::Level> levels; ///< per-chain kernel level descriptors
-  /// Marks of the stripped partition a count-only chain finishes on.
+  /// Marks of the stripped partition a chain finishes on.
   PartitionScratch partition;
   /// GroupRows' per-attribute copies of the listed rows' codes.
   std::vector<std::vector<uint32_t>> row_codes;
@@ -114,8 +108,12 @@ Grouping GroupBy(const relation::Relation& rel, const relation::AttrSet& attrs,
 /// list has no groups; an empty `attrs` puts a non-empty list in one.
 ///
 /// Cost is O(|rows| * |attrs|): the listed rows' codes are copied into
-/// `scratch`, then the same fused segments as GroupBy run over the
-/// copies, with the same dense-or-flat planning and kernel tiers.
+/// `scratch`, then the same dense segments and stripped tail as GroupBy
+/// run over the copies. Past the dense limit, a first column whose
+/// dictionary has more slots than the list has rows is refined from the
+/// one-group partition, whose marks `scratch` keeps: reuse one scratch
+/// across calls, or every call over a wide column pays O(dictionary) to
+/// grow them.
 /// Throws std::invalid_argument if a row id is >= rel.tuple_count().
 Grouping GroupRows(const relation::Relation& rel,
                    const std::vector<uint32_t>& rows,
@@ -125,7 +123,9 @@ Grouping GroupRows(const relation::Relation& rel,
 ///
 /// This is the incremental step the evaluator and the ε_EB ranking use so
 /// that evaluating candidate FA : XA -> Y reuses the X grouping instead of
-/// regrouping from scratch.
+/// regrouping from scratch. Throws std::invalid_argument when `base` does
+/// not cover the relation's rows, claims more groups than rows, or holds
+/// an id that is not < its group_count.
 Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
                   int attr);
 Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
@@ -168,8 +168,8 @@ size_t GroupCountBy(const relation::Relation& rel,
 /// must cover every physical row (dead included), which is what GroupBy /
 /// RefineBy produce. A base whose ids times the first attribute's codes
 /// miss the dense array is counted on a stripped partition built from
-/// its ids, which costs O(rows + base.group_count) and throws
-/// std::invalid_argument on a live row whose id is not < group_count.
+/// its ids, which costs O(rows + base.group_count). Throws
+/// std::invalid_argument as RefineBy does, checking ids on live rows only.
 size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
                      const relation::AttrSet& attrs);
 size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
@@ -177,6 +177,11 @@ size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
 
 /// \brief Number of groups induced jointly by two precomputed groupings,
 /// i.e. |C_{A ∪ B}| given C_A and C_B — without touching column data.
+///
+/// Counts on the stripped partition of `a` refined by `b`'s ids, in
+/// O(rows + groups). Throws std::invalid_argument on a size mismatch, a
+/// grouping that claims more groups than rows, or an id that is not < its
+/// grouping's group_count.
 size_t JointGroupCount(const Grouping& a, const Grouping& b);
 
 }  // namespace fdevolve::query

@@ -16,13 +16,7 @@ uint32_t BaselineDense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
   return detail::DenseRefineRange(a, dense, fresh, a.lo, a.hi);
 }
 
-uint32_t BaselineFlat(const RefineArgs& a, util::FlatIdTable& table,
-                      uint32_t fresh) {
-  return detail::FlatRefineRange(a, table, fresh, a.lo, a.hi);
-}
-
-constexpr KernelSet kBaselineKernels{util::CpuTier::kBaseline, BaselineDense,
-                                     BaselineFlat};
+constexpr KernelSet kBaselineKernels{util::CpuTier::kBaseline, BaselineDense};
 
 /// Tier -> kernel set, falling back to baseline when the AVX2 set is not
 /// compiled into this binary (non-x86 builds).

@@ -10,13 +10,15 @@
 //     key(t) = ((id * s_1 + c_1) * s_2 + c_2) ... * s_k + c_k
 //
 // where s_j = dict_size_j + has_nulls_j and c_j is the (NULL-remapped)
-// dictionary code. The packing is injective, and its first-appearance
-// order over tuples equals the final ids of the sequential per-level chain
-// — so a fused segment is bit-identical to k single-level passes while
-// touching the relation once instead of k times. Drivers split a chain
-// into segments whose radix fits the dense array or a u64 flat key
-// (query/group_ids.cpp does the planning; kernels just execute one
-// segment over one range).
+// dictionary code, and maps it to the next first-appearance id through a
+// direct-indexed array with one cell per possible key. The packing is
+// injective, and its first-appearance order over tuples equals the final
+// ids of the sequential per-level chain — so a fused segment is
+// bit-identical to k single-level passes while touching the relation once
+// instead of k times. Drivers split a chain into segments whose radix fits
+// the dense array and finish it on a query::StrippedPartition once the
+// next segment would not (query/group_ids.cpp does the planning; kernels
+// just execute one segment over one range).
 //
 // Identity contract (enforced by tests/query/kernel_tier_fuzz_test.cpp):
 // both tiers — baseline scalar and AVX2 — assign exactly the same
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "util/cpu_features.h"
-#include "util/flat_table.h"
 
 // FDEVOLVE_X86_KERNELS is defined (by src/query/CMakeLists.txt, for the
 // query module's TUs only) exactly when kernels_avx2.cpp is compiled with
@@ -62,10 +63,7 @@ struct Level {
 ///   * `out` may alias `base_ids`: every slot is read before written.
 ///   * `live != nullptr` (row mask: the tombstone bitmap or a SQL WHERE
 ///     mask; a 0 byte skips the row) implies `out == nullptr` — only
-///     count-only passes filter — and both reach dense passes only. A
-///     flat pass always has `out != nullptr` and `live == nullptr`: a
-///     count-only chain whose packed key misses the dense array finishes
-///     on a query::StrippedPartition instead (query/group_ids.cpp).
+///     count-only passes filter.
 struct RefineArgs {
   const uint32_t* base_ids = nullptr;
   uint64_t base_groups = 1;
@@ -77,27 +75,22 @@ struct RefineArgs {
   const uint8_t* live = nullptr;
 };
 
+/// Value of a dense-array cell no packed key has reached yet.
+constexpr uint32_t kVacant = 0xffffffffu;
+
 /// Direct-indexed pass: `dense` has one cell per possible packed key,
-/// pre-filled with util::FlatIdTable::kVacant. The caller guarantees the
-/// segment radix (cell count) is <= kDenseCellLimit, which is what lets the
-/// gather-based variants treat keys as signed 32-bit indices. Returns the
-/// updated fresh-id counter.
+/// pre-filled with kVacant. The caller guarantees the segment radix (cell
+/// count) is <= kDenseCellLimit, which is what lets the gather-based
+/// variants treat keys as signed 32-bit indices. Returns the updated
+/// fresh-id counter.
 using DenseRefineFn = uint32_t (*)(const RefineArgs& args, uint32_t* dense,
                                    uint32_t fresh);
 
-/// Open-addressing pass through a util::FlatIdTable keyed on the packed
-/// u64 key; it writes every row's id to `args.out` and takes no row mask.
-/// The AVX2 tier batches the Mix64-based hash and feeds
-/// FindOrInsertHashed with prefetching. Returns the updated fresh counter.
-using FlatRefineFn = uint32_t (*)(const RefineArgs& args,
-                                  util::FlatIdTable& table, uint32_t fresh);
-
-/// One dispatch tier's kernels. Instances are immutable statics; the
+/// One dispatch tier's kernel. Instances are immutable statics; the
 /// registry publishes a pointer to the active one.
 struct KernelSet {
   util::CpuTier tier;
   DenseRefineFn dense_refine;
-  FlatRefineFn flat_refine;
 };
 
 /// Largest dense array any driver may admit (cells). Bounded by 2^31 so

@@ -1,5 +1,4 @@
-// AVX2 kernel tier: 8-lane dense refinement with vpgatherdd probes, and
-// 4-lane packed-u64 key + splitmix64 hashing for the flat path.
+// AVX2 kernel tier: 8-lane dense refinement with vpgatherdd probes.
 // Compiled with -mavx2 (per-file flag in src/query/CMakeLists.txt); only
 // ever called after runtime detection, so the rest of the binary stays
 // portable.
@@ -9,14 +8,10 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-
 #include "query/kernels_detail.h"
 
 namespace fdevolve::query::kernels {
 namespace {
-
-constexpr uint32_t kVacant = util::FlatIdTable::kVacant;
 
 /// Lane mask (32-bit lanes, all-ones = live) from 8 tombstone bytes.
 inline __m256i LiveMask8(const uint8_t* live, size_t t) {
@@ -368,105 +363,9 @@ uint32_t Avx2Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
   return detail::DenseRefineRange(a, dense, fresh, t, a.hi);
 }
 
-/// 64x64 -> low 64 multiply (AVX2 has no vpmullq): lo*lo plus the two
-/// cross products shifted into the high half.
-inline __m256i Mul64(__m256i x, __m256i y) {
-  const __m256i lo = _mm256_mul_epu32(x, y);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(x, 32), y),
-                       _mm256_mul_epu32(x, _mm256_srli_epi64(y, 32)));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-/// 4-lane splitmix64 finalizer — must match util::Mix64 bit-for-bit.
-inline __m256i Mix64x4(__m256i x) {
-  x = _mm256_add_epi64(
-      x, _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL)));
-  x = Mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)),
-            _mm256_set1_epi64x(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
-  x = Mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)),
-            _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebULL)));
-  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-}
-
-/// FlatIdTable::HashOf on 4 lanes: seed ^ (Mix64(key) + folded constant).
-inline __m256i HashOf4(__m256i key) {
-  const __m256i mixed = Mix64x4(key);
-  return _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(detail::kHashSeed)),
-      _mm256_add_epi64(
-          mixed,
-          _mm256_set1_epi64x(static_cast<long long>(detail::kHashAdd))));
-}
-
-uint32_t Avx2Flat(const RefineArgs& a, util::FlatIdTable& table,
-                  uint32_t fresh) {
-  constexpr size_t kBlock = 128;
-  constexpr size_t kPrefetchAhead = 8;
-  alignas(32) uint64_t keys[kBlock];
-  alignas(32) uint64_t hashes[kBlock];
-
-  for (size_t b = a.lo; b < a.hi; b += kBlock) {
-    const size_t be = std::min(a.hi, b + kBlock);
-    // Build phase: packed u64 keys + hashes, 4 lanes at a time.
-    size_t t = b;
-    for (; t + 4 <= be; t += 4) {
-      __m256i key;
-      if (a.base_ids != nullptr) {
-        const __m128i id32 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.base_ids + t));
-        if (a.base_groups <= 0xffffffffull) {
-          const __m128i vgroups =
-              _mm_set1_epi32(static_cast<int>(a.base_groups));
-          const __m128i bad =
-              _mm_cmpeq_epi32(_mm_max_epu32(id32, vgroups), id32);
-          if (!_mm_testz_si128(bad, bad)) detail::ThrowBadId();
-        }
-        key = _mm256_cvtepu32_epi64(id32);
-      } else {
-        key = _mm256_setzero_si256();
-      }
-      for (size_t j = 0; j < a.level_count; ++j) {
-        const Level& lv = a.levels[j];
-        __m128i c =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(lv.codes + t));
-        if (lv.has_nulls) {
-          const __m128i isnull = _mm_cmpeq_epi32(
-              c, _mm_set1_epi32(static_cast<int>(relation::kNullCode)));
-          c = _mm_blendv_epi8(
-              c, _mm_set1_epi32(static_cast<int>(lv.null_slot)), isnull);
-        }
-        key = _mm256_add_epi64(
-            Mul64(key,
-                  _mm256_set1_epi64x(static_cast<long long>(lv.stride))),
-            _mm256_cvtepu32_epi64(c));
-      }
-      _mm256_store_si256(reinterpret_cast<__m256i*>(keys + (t - b)), key);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(hashes + (t - b)),
-                         HashOf4(key));
-    }
-    for (; t < be; ++t) {
-      keys[t - b] = detail::PackedKey(a, t);
-      hashes[t - b] = util::FlatIdTable::HashOf(keys[t - b]);
-    }
-    // Probe phase: scalar FindOrInsertHashed fed precomputed hashes, with
-    // the next probe line prefetched a fixed distance ahead.
-    for (t = b; t < be; ++t) {
-      if (t + kPrefetchAhead < be) {
-        table.PrefetchHash(hashes[t + kPrefetchAhead - b]);
-      }
-      bool inserted = false;
-      a.out[t] = table.FindOrInsertHashed(keys[t - b], hashes[t - b], fresh,
-                                          &inserted);
-      if (inserted) ++fresh;
-    }
-  }
-  return fresh;
-}
-
 }  // namespace
 
-const KernelSet kAvx2Kernels{util::CpuTier::kAvx2, Avx2Dense, Avx2Flat};
+const KernelSet kAvx2Kernels{util::CpuTier::kAvx2, Avx2Dense};
 
 }  // namespace fdevolve::query::kernels
 

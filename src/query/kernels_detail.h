@@ -20,12 +20,6 @@ extern const KernelSet kAvx2Kernels;
 
 namespace detail {
 
-/// The additive constant of HashCombine(kHashSeed, key) — everything in it
-/// except Mix64(key) is fixed, so the AVX2 hash kernel folds it to one add.
-constexpr uint64_t kHashSeed = util::FlatIdTable::kHashSeed;
-constexpr uint64_t kHashAdd =
-    0x9e3779b97f4a7c15ULL + (kHashSeed << 12) + (kHashSeed >> 4);
-
 [[noreturn]] inline void ThrowBadId() {
   throw std::invalid_argument("RefinePass: group id out of range");
 }
@@ -56,24 +50,11 @@ inline uint32_t DenseRefineRange(const RefineArgs& a, uint32_t* dense,
     if (a.live != nullptr && a.live[t] == 0) continue;
     const uint64_t key = PackedKey(a, t);
     uint32_t id = dense[key];
-    if (id == util::FlatIdTable::kVacant) {
+    if (id == kVacant) {
       id = fresh++;
       dense[key] = id;
     }
     if (a.out != nullptr) a.out[t] = id;
-  }
-  return fresh;
-}
-
-/// Scalar flat pass over [lo, hi). Flat passes always materialize every
-/// row (see RefineArgs), so there is no row mask and no count-only form.
-inline uint32_t FlatRefineRange(const RefineArgs& a, util::FlatIdTable& table,
-                                uint32_t fresh, size_t lo, size_t hi) {
-  for (size_t t = lo; t < hi; ++t) {
-    const uint64_t key = PackedKey(a, t);
-    bool inserted = false;
-    a.out[t] = table.FindOrInsert(key, fresh, &inserted);
-    if (inserted) ++fresh;
   }
   return fresh;
 }

@@ -10,7 +10,8 @@
 namespace fdevolve::query {
 namespace {
 
-/// Write-cursor value of a group that keeps no rows (a singleton).
+/// Marks a singleton: the write cursor of a group that keeps no rows, and
+/// RefineIds' subgroup for a row no kept group holds.
 constexpr uint32_t kSkip = std::numeric_limits<uint32_t>::max();
 
 void CheckRelation(const relation::Relation& rel, size_t physical_rows,
@@ -50,7 +51,7 @@ StrippedPartition::StrippedPartition(const uint32_t* ids, size_t n,
   std::vector<uint32_t> cursor(group_count, 0u);
   for (size_t t = 0; t < n; ++t) {
     if (mask != nullptr && mask[t] == 0) continue;
-    const uint32_t id = ids[t];
+    const uint32_t id = ids == nullptr ? 0 : ids[t];
     if (id >= group_count) {
       throw std::invalid_argument("StrippedPartition: group id out of range");
     }
@@ -74,7 +75,7 @@ StrippedPartition::StrippedPartition(const uint32_t* ids, size_t n,
   rows_.resize(offset);
   for (size_t t = 0; t < n; ++t) {
     if (mask != nullptr && mask[t] == 0) continue;
-    uint32_t& c = cursor[ids[t]];
+    uint32_t& c = cursor[ids == nullptr ? 0 : ids[t]];
     if (c != kSkip) rows_[c++] = static_cast<uint32_t>(t);
   }
 }
@@ -169,6 +170,53 @@ StrippedPartition StrippedPartition::Refine(const uint32_t* codes,
     begin = end;
   }
   return out;
+}
+
+size_t StrippedPartition::RefineIds(const uint32_t* codes, uint32_t null_slot,
+                                    uint32_t* ids,
+                                    PartitionScratch& scratch) const {
+  if (rows_.size() + singletons_ != physical_rows_) {
+    throw std::logic_error(
+        "StrippedPartition::RefineIds: the partition does not cover every "
+        "row");
+  }
+  PrepareMarks(scratch, size_t{null_slot} + 1);
+  if (scratch.local.size() < scratch.mark.size()) {
+    scratch.local.resize(scratch.mark.size());
+  }
+  uint32_t* mark = scratch.mark.data();
+  uint32_t* local = scratch.local.data();
+  // Each kept row gets the index of its subgroup, numbered across all
+  // groups; a row no kept group holds keeps kSkip. One scan in row order
+  // then hands out ids as subgroups and singletons first appear.
+  std::fill(ids, ids + physical_rows_, kSkip);
+  uint32_t subgroups = 0;
+  size_t begin = 0;
+  for (const uint32_t end : ends_) {
+    const uint32_t gen = NextGeneration(scratch);
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t slot = std::min(codes[rows_[i]], null_slot);
+      if (mark[slot] != gen) {
+        mark[slot] = gen;
+        local[slot] = subgroups++;
+      }
+      ids[rows_[i]] = local[slot];
+    }
+    begin = end;
+  }
+  std::vector<uint32_t>& id_of = scratch.sizes;
+  id_of.assign(subgroups, kSkip);
+  uint32_t fresh = 0;
+  for (size_t t = 0; t < physical_rows_; ++t) {
+    const uint32_t k = ids[t];
+    if (k == kSkip) {
+      ids[t] = fresh++;
+      continue;
+    }
+    if (id_of[k] == kSkip) id_of[k] = fresh++;
+    ids[t] = id_of[k];
+  }
+  return fresh;
 }
 
 size_t StrippedPartition::RefineCount(const relation::Relation& rel, int attr,

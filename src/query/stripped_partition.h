@@ -1,7 +1,7 @@
 // Stripped partitions (TANE; Huhtala et al., Computer Journal 1999): the
 // counting structure behind the repair search's candidate evaluation and
-// the tail of every count-only refinement chain whose packed key misses
-// the dense array (query/group_ids.cpp).
+// the tail of every refinement chain whose packed key misses the dense
+// array (query/group_ids.cpp).
 //
 // The partition π_S groups a relation's live rows by equality on the
 // attribute set S. Its *stripped* form keeps only the groups with two or
@@ -12,15 +12,21 @@
 // the kept rows shrink as attributes are added, so near-unique bases cost
 // almost nothing to count against.
 //
-// Its two clients:
+// Its three clients:
 //   * the repair search builds π̂_X and π̂_XY once per FD and counts every
 //     candidate against refinements of them;
-//   * GroupCountBy / RefineCountBy (and so DistinctCount, SQL
-//     COUNT(DISTINCT ...) and DistinctEvaluator::Count) build one from the
-//     ids of a chain's dense prefix or base (or from its first column's
-//     codes), over the rows the chain's mask selects, when the next
-//     segment would need an open-addressing pass: the count then costs
-//     O(rows + groups) scratch instead of a hash table of 2n slots.
+//   * the refinement chains of query/group_ids.h build one from the ids of
+//     a chain's dense prefix or base (or from its first column's codes)
+//     when the next segment would miss the dense array. A count-only
+//     chain (GroupCountBy / RefineCountBy, and so DistinctCount, SQL
+//     COUNT(DISTINCT ...) and DistinctEvaluator::Count) builds it over the
+//     rows its mask selects and counts against the last level; a
+//     materializing one (GroupBy, RefineBy, GroupRows) writes the last
+//     level's first-appearance ids with RefineIds instead. Both
+//     cost O(rows + groups) scratch instead of a hash table of 2n slots;
+//   * JointGroupCount (and so the clustering predicates) counts the join
+//     of two groupings as one grouping's partition refined by the other's
+//     ids.
 //
 // Unlike query::Grouping, which covers every physical row so its ids stay
 // append-stable under the evaluator's incremental maintenance, a stripped
@@ -51,7 +57,8 @@ struct Grouping;
 struct PartitionScratch {
   std::vector<uint32_t> mark;      ///< slot -> generation last seen in
   std::vector<uint32_t> local;     ///< slot -> subgroup index (Refine)
-  std::vector<uint32_t> sizes;     ///< subgroup sizes, then write cursors
+  /// Refine: subgroup sizes, then write cursors. RefineIds: subgroup -> id.
+  std::vector<uint32_t> sizes;
   std::vector<uint32_t> subgroup;  ///< subgroup of each row of the group
   uint32_t generation = 0;
 };
@@ -70,7 +77,8 @@ class StrippedPartition {
   StrippedPartition() = default;
 
   /// \brief π̂ of rows [0, n) grouped by raw ids: row t belongs to group
-  /// `ids[t]`.
+  /// `ids[t]`. `ids == nullptr` puts every row in group 0 (the trivial
+  /// one-group base, as in kernels::RefineArgs).
   ///
   /// `mask` holds one byte per row, and a 0 byte leaves the row out;
   /// nullptr selects every row. Rows left out are neither counted nor
@@ -113,6 +121,19 @@ class StrippedPartition {
   /// subgroups counted as singletons.
   StrippedPartition Refine(const uint32_t* codes, uint32_t null_slot,
                            PartitionScratch& scratch) const;
+
+  /// \brief Writes the dense first-appearance ids of π_{S∪{A}}, for the
+  /// level RefineCount takes, to `ids[0, n)`, n being the rows the
+  /// partition was built over, and returns |π_{S∪{A}}|.
+  ///
+  /// Rows of one group get one id, and ids are numbered in order of each
+  /// group's first row — exactly the ids a GroupBy/RefineBy pass assigns
+  /// for the same chain. `ids` may alias the ids the partition was built
+  /// from. Requires a partition over every row (built without a mask, and
+  /// not from a tombstoned relation's grouping); throws std::logic_error
+  /// otherwise.
+  size_t RefineIds(const uint32_t* codes, uint32_t null_slot, uint32_t* ids,
+                   PartitionScratch& scratch) const;
 
   /// \brief RefineCount by column `attr` of `rel`.
   ///

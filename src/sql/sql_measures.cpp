@@ -39,22 +39,10 @@ fd::FdMeasures ComputeMeasuresViaSql(const Database& db,
                                      const fd::Fd& fd) {
   const auto& schema = db.Get(table).schema();
   MeasureQueries q = BuildMeasureQueries(schema, fd, table);
-  fd::FdMeasures m;
-  m.distinct_x = ExecuteSql(q.count_x, db);
-  m.distinct_xy = ExecuteSql(q.count_xy, db);
-  m.distinct_y = ExecuteSql(q.count_y, db);
-  if (m.distinct_xy == 0) {
-    m.confidence = 1.0;
-    m.goodness = 0;
-    m.exact = true;
-    return m;
-  }
-  m.confidence =
-      static_cast<double>(m.distinct_x) / static_cast<double>(m.distinct_xy);
-  m.goodness = static_cast<int64_t>(m.distinct_x) -
-               static_cast<int64_t>(m.distinct_y);
-  m.exact = m.distinct_x == m.distinct_xy;
-  return m;
+  const uint64_t x = ExecuteSql(q.count_x, db);
+  const uint64_t xy = ExecuteSql(q.count_xy, db);
+  const uint64_t y = ExecuteSql(q.count_y, db);
+  return fd::MeasuresFromCounts(x, xy, y);
 }
 
 }  // namespace fdevolve::sql

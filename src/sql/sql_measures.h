@@ -24,8 +24,9 @@ MeasureQueries BuildMeasureQueries(const relation::Schema& schema,
                                    const fd::Fd& fd, const std::string& table);
 
 /// Computes FdMeasures by parsing and executing the generated SQL against
-/// the database — numerically identical to fd::ComputeMeasures, via a
-/// completely independent code path (asserted in tests).
+/// the database — numerically identical to fd::ComputeMeasures (asserted
+/// in tests): the three counts come through the SQL engine, independently
+/// of the evaluator, and fd::MeasuresFromCounts turns them into measures.
 fd::FdMeasures ComputeMeasuresViaSql(const Database& db,
                                      const std::string& table,
                                      const fd::Fd& fd);

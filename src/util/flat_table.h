@@ -1,11 +1,12 @@
-// Open-addressing flat hash table for the partition-refinement hot path.
+// Open-addressing flat hash table: DistinctEvaluator's incremental chain
+// tables (query/distinct.h), one per level of a cached grouping's
+// derivation chain, which map (parent id, code) to the level's id as
+// appended rows arrive.
 //
-// std::unordered_map spends the refinement loop chasing node pointers and
+// std::unordered_map spends the lookup chasing node pointers and
 // allocating; this table is a single contiguous slot array with power-of-two
 // capacity and linear probing over HashCombine, so a (group id, code) lookup
-// is one mix, one masked index, and a short cache-resident probe run. A
-// long-lived instance is reset — not reallocated — between passes, which is
-// what makes the refinement engine allocation-free in steady state.
+// is one mix, one masked index, and a short cache-resident probe run.
 #pragma once
 
 #include <cstddef>
@@ -17,16 +18,11 @@
 namespace fdevolve::util {
 
 /// Flat map from a 64-bit key to a 32-bit dense id. Vacancy is tracked via
-/// the value field, so every value must be < kVacant (the refinement engine
-/// stores dense group ids, which are bounded by the tuple count).
+/// the value field, so every value must be < kVacant (the evaluator stores
+/// dense group ids, which are bounded by the tuple count).
 class FlatIdTable {
  public:
   static constexpr uint32_t kVacant = 0xffffffffu;
-
-  /// Seed of the probe hash (HashOf == HashCombine(kHashSeed, key)).
-  /// Public so SIMD kernels can pre-fold the seed-dependent constants of
-  /// HashCombine and compute batch hashes that match HashOf bit-for-bit.
-  static constexpr uint64_t kHashSeed = 0x9e3779b97f4a7c15ULL;
 
   /// Prepares the table for up to `expected` inserts: capacity becomes the
   /// smallest power of two keeping load factor <= 1/2, existing storage is
@@ -44,34 +40,11 @@ class FlatIdTable {
     size_ = 0;
   }
 
-  /// The hash this table indexes by. Exposed so the vectorized kernel
-  /// layer can compute a whole batch of hashes with SIMD and feed them to
-  /// FindOrInsertHashed; must stay in sync with the probe sequence.
-  static uint64_t HashOf(uint64_t key) { return HashCombine(kSeed, key); }
-
-  /// Prefetches the first probe slot of a key whose hash is already known.
-  /// The hint survives a Grow() harmlessly (at worst it warms a stale
-  /// line), so batched probe loops may prefetch a fixed distance ahead.
-  void PrefetchHash(uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[static_cast<size_t>(hash) & mask_]);
-#else
-    (void)hash;
-#endif
-  }
-
   /// Returns the value stored under `key`, inserting `fresh` first if the
   /// key is absent. `*inserted` reports which happened.
   uint32_t FindOrInsert(uint64_t key, uint32_t fresh, bool* inserted) {
-    return FindOrInsertHashed(key, HashOf(key), fresh, inserted);
-  }
-
-  /// FindOrInsert with the hash supplied by the caller (`hash` must equal
-  /// HashOf(key) — the batched kernels compute it with SIMD).
-  uint32_t FindOrInsertHashed(uint64_t key, uint64_t hash, uint32_t fresh,
-                              bool* inserted) {
     if ((size_ + 1) * 2 > slots_.size()) Grow();
-    size_t i = static_cast<size_t>(hash) & mask_;
+    size_t i = static_cast<size_t>(HashCombine(kSeed, key)) & mask_;
     while (true) {
       Slot& s = slots_[i];
       if (s.value == kVacant) {
@@ -99,7 +72,7 @@ class FlatIdTable {
   };
 
   static constexpr size_t kMinCapacity = 16;
-  static constexpr uint64_t kSeed = kHashSeed;
+  static constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
 
   void Grow() {
     std::vector<Slot> old = std::move(slots_);

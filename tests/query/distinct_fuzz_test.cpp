@@ -14,7 +14,6 @@
 // via --seed=N / FDEVOLVE_SEED.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -25,6 +24,7 @@
 #include "query/group_ids.h"
 #include "query/stripped_partition.h"
 #include "relation/relation.h"
+#include "support/first_appearance.h"
 #include "support/fuzz_seed.h"
 #include "util/rng.h"
 
@@ -181,8 +181,7 @@ TEST_P(DistinctFuzz, RefinementFromSharedBaseMatchesGroupByOfUnion) {
     const int n_attrs = 2 + static_cast<int>(rng.Below(5));
     const size_t n_tuples = rng.Below(600);
     // Odd rounds draw 400 values, so two-attribute chains overflow the
-    // dense array: groupings finish on the flat path, counts on a
-    // stripped partition.
+    // dense array and finish on a stripped partition.
     const size_t domain = round % 2 == 1 ? 400 : 1 + rng.Below(8);
     Relation rel =
         RandomNullableRelation(seed() + 606 + static_cast<uint64_t>(round),
@@ -331,40 +330,6 @@ TEST_P(DistinctFuzz, StrippedPartitionEdgeCases) {
   EXPECT_THROW(key.Refine(dead, 0, scratch), std::invalid_argument);
 }
 
-/// Checks a GroupRows result against a std::map oracle over the listed
-/// rows' code tuples (kNullCode is just another code, so NULLs group
-/// together): ids dense in first-appearance order along `rows`, equal
-/// tuples sharing an id, and every group's size equal to the oracle's
-/// count of its tuple.
-void ExpectMatchesOracle(const Relation& rel, const std::vector<uint32_t>& rows,
-                         const AttrSet& attrs, const query::Grouping& g,
-                         const std::string& where) {
-  const std::vector<int> cols = attrs.ToVector();
-  ASSERT_EQ(g.ids.size(), rows.size()) << where;
-  std::map<std::vector<uint32_t>, uint32_t> first_id;
-  std::map<std::vector<uint32_t>, size_t> oracle_size;
-  size_t wrong_ids = 0;
-  std::vector<uint32_t> key(cols.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t j = 0; j < cols.size(); ++j) {
-      key[j] = rel.column(cols[j]).code(rows[i]);
-    }
-    ++oracle_size[key];
-    const uint32_t next = static_cast<uint32_t>(first_id.size());
-    const uint32_t want = first_id.emplace(key, next).first->second;
-    if (g.ids[i] != want) ++wrong_ids;
-  }
-  EXPECT_EQ(wrong_ids, 0u) << where;
-  ASSERT_EQ(g.group_count, first_id.size()) << where;
-  std::vector<size_t> sizes(g.group_count, 0);
-  for (uint32_t id : g.ids) {
-    if (id < sizes.size()) ++sizes[id];
-  }
-  for (const auto& [tuple, id] : first_id) {
-    EXPECT_EQ(sizes[id], oracle_size[tuple]) << where << " group=" << id;
-  }
-}
-
 /// Radix of the fused key over `attrs`: the product of dict_size +
 /// has_nulls, as a double so products past 2^64 still compare.
 double KeyRadix(const Relation& rel, const AttrSet& attrs) {
@@ -383,7 +348,8 @@ TEST_P(DistinctFuzz, GroupRowsOverEveryRowReproducesGroupBy) {
   query::RefineScratch scratch;
   for (int round = 0; round < 8; ++round) {
     const int n_attrs = 2 + static_cast<int>(rng.Below(5));
-    // Odd rounds use wide domains, so most chains need a flat segment.
+    // Odd rounds use wide domains, so most chains finish on a stripped
+    // partition.
     const bool wide = round % 2 == 1;
     const size_t n_tuples = wide ? 1000 + rng.Below(2000) : rng.Below(300);
     const size_t domain = wide ? 300 + rng.Below(3000) : 1 + rng.Below(8);
@@ -414,8 +380,8 @@ TEST_P(DistinctFuzz, GroupRowsOverRowListsMatchesOracle) {
   for (int round = 0; round < 4; ++round) {
     // Eight attributes with dictionaries of a few hundred to a few
     // thousand codes: two of them already overflow the dense array, and
-    // all eight overflow a u64 key, so chains span dense, flat and
-    // several segments.
+    // all eight overflow a u64 key, so chains run a dense prefix and
+    // finish on a stripped partition refined level by level.
     const size_t n_tuples = 3000 + rng.Below(3000);
     const size_t domain = 300 + rng.Below(3000);
     const double null_rate = round % 2 == 0 ? 0.0 : 0.1;
@@ -454,9 +420,14 @@ TEST_P(DistinctFuzz, GroupRowsOverRowListsMatchesOracle) {
         const std::string where = "round=" + std::to_string(round) +
                                   " list=" + std::to_string(l) +
                                   " trial=" + std::to_string(trial);
-        ExpectMatchesOracle(rel, lists[l], s,
-                            query::GroupRows(rel, lists[l], s, scratch),
-                            where);
+        // The std::map oracle over the listed rows' code tuples
+        // (kNullCode is just another code, so NULLs group together).
+        const query::Grouping want =
+            testsupport::FirstAppearanceGrouping(rel, lists[l], s);
+        const query::Grouping got =
+            query::GroupRows(rel, lists[l], s, scratch);
+        EXPECT_EQ(got.ids, want.ids) << where;
+        EXPECT_EQ(got.group_count, want.group_count) << where;
       }
       // The projection on zero attributes has one value: a non-empty
       // list is one group, an empty list has none.

@@ -166,11 +166,24 @@ TEST(RefineByTest, OutOfRangeIdsThrowInsteadOfCorrupting) {
   EXPECT_THROW(RefineBy(r, lying, 1), std::invalid_argument);
 }
 
-// A count-only chain never runs a flat-kernel pass: once its packed key
-// misses the dense array it finishes on a stripped partition, so the
-// scratch's open-addressing table stays unallocated. A materializing pass
-// over the same key does fill it.
-TEST(GroupCountByTest, PastTheDenseLimitCountsWithoutTheFlatTable) {
+TEST(RefineByTest, BaseClaimingMoreGroupsThanRowsThrows) {
+  // Every id is in range, but the claim is malformed: a base of n rows
+  // holds at most n groups, and no call may size per-group scratch by it.
+  Relation r = MakeRel();
+  Grouping huge;
+  huge.ids.assign(r.tuple_count(), 0);
+  huge.group_count = size_t{1} << 40;
+  EXPECT_THROW(RefineBy(r, huge, 1), std::invalid_argument);
+  EXPECT_THROW(RefineBy(r, huge, AttrSet::Of({1, 2})), std::invalid_argument);
+  EXPECT_THROW(RefineCountBy(r, huge, AttrSet::Of({1})),
+               std::invalid_argument);
+}
+
+// Once a chain's packed key misses the dense array it finishes on a
+// stripped partition: the counts match std::set oracles, with NULLs, a
+// row mask and cached bases, and the materializing GroupBy over one scratch
+// numbers the same groups.
+TEST(GroupCountByTest, PastTheDenseLimitMatchesTupleSets) {
   Relation r("wide", Schema({{"a", DataType::kInt64},
                              {"b", DataType::kInt64},
                              {"c", DataType::kInt64}}));
@@ -200,10 +213,8 @@ TEST(GroupCountByTest, PastTheDenseLimitCountsWithoutTheFlatTable) {
   const Grouping base = GroupBy(r, AttrSet::Of({0}), s);
   EXPECT_EQ(RefineCountBy(r, base, AttrSet::Of({1}), s), ab.size());
   EXPECT_EQ(RefineCountBy(r, base, AttrSet::Of({1, 2}), s), abc.size());
-  EXPECT_EQ(s.table.capacity(), 0u);
-
   EXPECT_EQ(GroupBy(r, attrs_ab, s).group_count, ab.size());
-  EXPECT_GT(s.table.capacity(), 0u);
+  EXPECT_EQ(GroupBy(r, attrs_abc, s).group_count, abc.size());
 }
 
 TEST(JointGroupCountTest, OutOfRangeIdsThrow) {
@@ -222,6 +233,17 @@ TEST(JointGroupCountTest, MatchesUnionGroupBy) {
   Grouping gb = GroupBy(r, AttrSet::Of({2}));
   Grouping gu = GroupBy(r, AttrSet::Of({0, 2}));
   EXPECT_EQ(JointGroupCount(ga, gb), gu.group_count);
+}
+
+TEST(JointGroupCountTest, MoreGroupsThanRowsThrows) {
+  Grouping huge;
+  huge.ids.assign(100, 0);
+  huge.group_count = size_t{1} << 40;
+  Grouping one;
+  one.ids.assign(100, 0);
+  one.group_count = 1;
+  EXPECT_THROW(JointGroupCount(huge, one), std::invalid_argument);
+  EXPECT_THROW(JointGroupCount(one, huge), std::invalid_argument);
 }
 
 TEST(JointGroupCountTest, SizeMismatchThrows) {

@@ -136,26 +136,23 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
 // Hand-built out-of-range base ids must throw on every tier — the bounds
 // check is part of the kernel contract, not just the scalar path. A
 // 3-group claim keeps both refinements on the dense path. A 70000-group
-// claim times a 5-value column packs a radix of 350000, above the
-// 65536-cell dense limit of a 100-row pass: RefineBy then runs the flat
-// kernels, whose bounds check must fire on every tier, and RefineCountBy
-// finishes on a stripped partition built from the base ids, whose id
-// check must throw std::invalid_argument as well.
+// claim over 100 rows claims more groups than rows, which RefineBy and
+// RefineCountBy reject before any pass sizes scratch by it.
 TEST_P(KernelTierFuzz, BadBaseIdsThrowOnEveryTier) {
   TierGuard guard;
   Relation rel = RandomNullableRelation(seed(), 3, 100, 5, 0.0);
   query::Grouping dense_bad;
   dense_bad.ids.assign(100, 7);
   dense_bad.group_count = 3;  // lies: ids reach 7
-  query::Grouping flat_bad;
-  flat_bad.ids.resize(100);
-  for (uint32_t t = 0; t < 100; ++t) flat_bad.ids[t] = t;
+  query::Grouping overclaimed;
+  overclaimed.ids.resize(100);
+  for (uint32_t t = 0; t < 100; ++t) overclaimed.ids[t] = t;
   util::Rng rng(seed());
-  flat_bad.ids[rng.Below(100)] = 70000;
-  flat_bad.group_count = 70000;  // lies: one id is 70000
+  overclaimed.ids[rng.Below(100)] = 70000;
+  overclaimed.group_count = 70000;  // lies: one id is 70000
   for (util::CpuTier tier : query::kernels::SupportedTiers()) {
     query::kernels::ForceTier(tier);
-    for (const query::Grouping* bad : {&dense_bad, &flat_bad}) {
+    for (const query::Grouping* bad : {&dense_bad, &overclaimed}) {
       const std::string ctx = std::string(util::CpuTierName(tier)) +
                               " group_count=" +
                               std::to_string(bad->group_count);

@@ -65,13 +65,13 @@ TEST(KernelDispatchTest, ForceTierByNameRejectsUnknownNames) {
   EXPECT_EQ(SelectedTier(), before);  // failed force leaves selection alone
 }
 
-TEST(KernelDispatchTest, EveryTierProvidesBothKernels) {
+TEST(KernelDispatchTest, EveryTierProvidesTheDenseKernel) {
   RestoreTier restore;
   for (CpuTier tier : SupportedTiers()) {
     ForceTier(tier);
     const KernelSet& ks = Active();
+    EXPECT_EQ(ks.tier, tier);
     EXPECT_NE(ks.dense_refine, nullptr) << util::CpuTierName(tier);
-    EXPECT_NE(ks.flat_refine, nullptr) << util::CpuTierName(tier);
   }
 }
 

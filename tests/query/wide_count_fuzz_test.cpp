@@ -1,22 +1,28 @@
-// Differential fuzzing of count-only chains past the dense limit.
+// Differential fuzzing of refinement chains past the dense limit.
 //
-// GroupCountBy and RefineCountBy finish a chain on a stripped partition
-// once its packed key misses the dense array (radix above max(2^16, 4n)
-// cells). The other query fuzz suites mostly draw domains of at most ten
-// values over a few hundred rows, so their counts rarely leave the dense
-// array. This suite draws 2-5 columns of 400-5,000 values over 2k-20k
-// rows, so the radix of every counted set is past the limit, and checks
-// the counts on every kernel tier against independent oracles:
-// DistinctStrategy::kSort, a std::set of the selected rows' code tuples,
-// and the number of groups of the materializing GroupBy that hold a
-// selected row. It covers NULLs, tombstones with and without Compact,
-// arbitrary byte masks through GroupCountBy(rel, attrs, mask, scratch),
-// and cached bases through RefineCountBy and DistinctEvaluator::Count.
-// Reproducible via --seed=N / FDEVOLVE_SEED.
+// Every chain finishes on a stripped partition once its packed key misses
+// the dense array (radix above max(2^16, 4n) cells). The other query fuzz
+// suites mostly draw domains of at most ten values over a few hundred
+// rows, so their chains rarely leave the dense array. This suite draws
+// 2-5 columns of 400-5,000 values over 2k-20k rows, so the radix of every
+// set it groups is past the limit, and checks on every kernel tier:
+//   * counts against DistinctStrategy::kSort, a std::set of the selected
+//     rows' code tuples, and the number of groups of the materializing
+//     GroupBy that hold a selected row — with arbitrary byte masks through
+//     GroupCountBy(rel, attrs, mask, scratch), and cached bases through
+//     RefineCountBy and DistinctEvaluator::Count;
+//   * materialized ids of GroupBy, RefineBy from a cached base, the
+//     evaluator's GroupFor, and GroupRows over repeated, unsorted and
+//     short row lists, against the std::map first-appearance oracle of
+//     tests/support, plus JointGroupCount against the oracle's count.
+// It covers NULLs and tombstones with and without Compact. Reproducible
+// via --seed=N / FDEVOLVE_SEED.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,6 +30,7 @@
 #include "query/group_ids.h"
 #include "query/kernels.h"
 #include "relation/relation.h"
+#include "support/first_appearance.h"
 #include "support/fuzz_seed.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
@@ -273,6 +280,95 @@ TEST_P(WideCountFuzz, CachedBasesCountLikeSort) {
         EXPECT_EQ(eval.Count(both), want) << where;
         query::DistinctEvaluator cold(rel);
         EXPECT_EQ(cold.Count(both), want) << where;
+      }
+    }
+  }
+}
+
+TEST_P(WideCountFuzz, MaterializedIdsMatchFirstAppearanceOracle) {
+  TierGuard guard;
+  util::Rng rng(seed() + 43);
+  // One scratch across every relation, list and tier, the way the sampled
+  // monitor and the evaluator hold one.
+  query::RefineScratch scratch;
+  for (int round = 0; round < kRounds; ++round) {
+    int n_attrs = 0;
+    const Relation rel = MakeRound(rng, round, &n_attrs);
+    const size_t n = rel.tuple_count();
+    std::vector<uint32_t> permuted(n);
+    std::iota(permuted.begin(), permuted.end(), 0u);
+    for (size_t i = n; i > 1; --i) {
+      std::swap(permuted[i - 1], permuted[rng.Below(i)]);
+    }
+    std::vector<uint32_t> repeated;  // drawn with replacement
+    for (size_t i = 0; i < 4096; ++i) {
+      repeated.push_back(static_cast<uint32_t>(rng.Below(n)));
+    }
+    // Far fewer rows than any column has values: the chain starts from
+    // the one-group partition instead of a cursor per dictionary slot.
+    std::vector<uint32_t> short_list;
+    for (size_t i = 0; i < 48; ++i) {
+      short_list.push_back(static_cast<uint32_t>(rng.Below(n)));
+    }
+    const std::vector<std::vector<uint32_t>> lists = {permuted, repeated,
+                                                      short_list};
+    for (int trial = 0; trial < 3; ++trial) {
+      const AttrSet both = RandomWideSet(rng, n_attrs);
+      const std::vector<int> cols = both.ToVector();
+      const size_t head = 1 + rng.Below(cols.size() - 1);
+      AttrSet base_attrs;
+      AttrSet rest;
+      for (size_t j = 0; j < cols.size(); ++j) {
+        (j < head ? base_attrs : rest).Add(cols[j]);
+      }
+      const std::string ctx = "round=" + std::to_string(round) +
+                              " trial=" + std::to_string(trial) +
+                              " base=" + std::to_string(base_attrs.Count()) +
+                              " rest=" + std::to_string(rest.Count()) +
+                              " rows=" + std::to_string(n);
+      ASSERT_TRUE(PastDenseLimit(rel, both)) << ctx;
+      const query::Grouping want =
+          testsupport::FirstAppearanceGrouping(rel, both);
+      std::vector<query::Grouping> want_lists;
+      for (const auto& list : lists) {
+        want_lists.push_back(
+            testsupport::FirstAppearanceGrouping(rel, list, both));
+      }
+      const size_t bad_row = rng.Below(n);
+      for (util::CpuTier tier : query::kernels::SupportedTiers()) {
+        query::kernels::ForceTier(tier);
+        const std::string where = ctx + " " + util::CpuTierName(tier);
+        const query::Grouping g = query::GroupBy(rel, both, scratch);
+        EXPECT_EQ(g.ids, want.ids) << where;
+        EXPECT_EQ(g.group_count, want.group_count) << where;
+
+        const query::Grouping base = query::GroupBy(rel, base_attrs, scratch);
+        const query::Grouping r = query::RefineBy(rel, base, rest, scratch);
+        EXPECT_EQ(r.ids, want.ids) << where;
+        EXPECT_EQ(r.group_count, want.group_count) << where;
+        query::DistinctEvaluator eval(rel);
+        eval.GroupFor(base_attrs);
+        EXPECT_EQ(eval.GroupFor(both).ids, want.ids) << where;
+
+        EXPECT_EQ(query::JointGroupCount(base,
+                                         query::GroupBy(rel, rest, scratch)),
+                  want.group_count)
+            << where;
+
+        // A base id past its group count throws, whichever path refines.
+        query::Grouping bad = base;
+        bad.ids[bad_row] = static_cast<uint32_t>(bad.group_count);
+        EXPECT_THROW(query::RefineBy(rel, bad, rest, scratch),
+                     std::invalid_argument)
+            << where;
+
+        for (size_t l = 0; l < lists.size(); ++l) {
+          const query::Grouping got =
+              query::GroupRows(rel, lists[l], both, scratch);
+          EXPECT_EQ(got.ids, want_lists[l].ids) << where << " list=" << l;
+          EXPECT_EQ(got.group_count, want_lists[l].group_count)
+              << where << " list=" << l;
+        }
       }
     }
   }
