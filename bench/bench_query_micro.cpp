@@ -1,11 +1,15 @@
 // google-benchmark microbenches for the distinct-count engine: the
 // O(n log n) sort plan vs the hash plan (§4.4's complexity discussion),
-// and the refinement-reuse win the repair search depends on.
+// the refinement-reuse win the repair search depends on, and the column
+// statistics the repair planner reads.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "datagen/synthetic.h"
+#include "datagen/tpch.h"
+#include "query/column_stats.h"
 #include "query/distinct.h"
 #include "util/rng.h"
 
@@ -273,5 +277,71 @@ void BM_RefineByOneColumn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RefineByOneColumn)->Arg(10000)->Arg(100000);
+
+/// TPC-H 1 GB/10's lineitem: ~600k rows x 16 columns, the table fdbench's
+/// analyst round plans EXPLAIN REPAIR over.
+const relation::Relation& Lineitem() {
+  static const relation::Relation rel = [] {
+    datagen::TpchOptions o;
+    o.scale = datagen::TpchScale::kLarge;
+    o.scale_divisor = 10;
+    return datagen::MakeTpch(o).Get("lineitem");
+  }();
+  return rel;
+}
+
+/// The same rows with every tenth one tombstoned.
+const relation::Relation& TombstonedLineitem() {
+  static const relation::Relation rel = [] {
+    relation::Relation r = Lineitem();
+    for (size_t t = 0; t < r.tuple_count(); t += 10) r.DeleteRow(t);
+    return r;
+  }();
+  return rel;
+}
+
+// The per-column statistics every EXPLAIN REPAIR computes; /tombstoned:1
+// runs on the copy with 10% of its rows deleted.
+void BM_ColumnStats(benchmark::State& state) {
+  const auto& rel = state.range(0) == 0 ? Lineitem() : TombstonedLineitem();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(query::ComputeColumnStats(rel));
+  }
+}
+BENCHMARK(BM_ColumnStats)
+    ->ArgName("tombstoned")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// Lineitem's rows appended into an empty relation, in batches decoded
+// outside the timed region: the per-append cost of dictionary encoding,
+// index growth and the live counts.
+void BM_AppendRows(benchmark::State& state) {
+  const auto& src = Lineitem();
+  constexpr size_t kBatch = 8192;
+  std::vector<std::vector<relation::Value>> batch;
+  for (auto _ : state) {
+    relation::Relation rel(src.name(), src.schema());
+    for (size_t lo = 0; lo < src.tuple_count(); lo += kBatch) {
+      state.PauseTiming();
+      batch.resize(std::min(kBatch, src.tuple_count() - lo));
+      for (size_t r = 0; r < batch.size(); ++r) {
+        batch[r].clear();
+        for (int i = 0; i < src.attr_count(); ++i) {
+          batch[r].push_back(src.Get(lo + r, i));
+        }
+      }
+      state.ResumeTiming();
+      rel.AppendRows(batch);
+    }
+    state.PauseTiming();  // the relation's teardown is not an append
+    rel = relation::Relation(src.name(), src.schema());
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(src.tuple_count()));
+}
+BENCHMARK(BM_AppendRows)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -4,8 +4,9 @@
 // All statistics are computed over the relation's LIVE rows — a tombstoned
 // row contributes neither to distinct counts nor to NULL fractions, so the
 // stats describe exactly the instance a fresh rebuild of the live rows
-// would produce. On an append-only relation the dictionary answers ndv in
-// O(1); under tombstones one occurrence-count scan per column is paid.
+// would produce. They are read from the live counts every
+// relation::Column maintains, tombstoned or not: the only loop is a max
+// over each column's per-code counts, O(dictionary), with no row scan.
 #pragma once
 
 #include <cstddef>

@@ -5,9 +5,37 @@
 
 namespace fdevolve::relation {
 
+namespace {
+
+/// Encoded width of a non-NULL value: its string payload, or 8 bytes.
+uint64_t EncodedWidth(const Value& v) {
+  return v.is_string() ? v.as_string().size() : 8;
+}
+
+}  // namespace
+
 const Value Column::kNullValue = Value::Null();
 
 Column::Column(DataType type) : type_(type) { BuildIndex(); }
+
+void Column::Count(uint32_t c) {
+  if (c == kNullCode) {
+    ++live_nulls_;
+  } else if (counts_[c]++ == 0) {
+    ++live_distinct_;
+    live_width_ += EncodedWidth(dict_[c]);
+  }
+}
+
+void Column::Uncount(size_t t) {
+  const uint32_t c = codes_[t];
+  if (c == kNullCode) {
+    --live_nulls_;
+  } else if (--counts_[c] == 0) {
+    --live_distinct_;
+    live_width_ -= EncodedWidth(dict_[c]);
+  }
+}
 
 const Value& Column::DictValue(uint32_t code) const {
   if (code == kNullCode) return kNullValue;
@@ -43,6 +71,7 @@ void Column::Append(const Value& v) {
   if (v.is_null()) {
     codes_.push_back(kNullCode);
     ++null_count_;
+    ++live_nulls_;
     return;
   }
   if (!v.MatchesType(type_)) {
@@ -57,6 +86,7 @@ void Column::Append(const Value& v) {
       throw std::length_error("Column: dictionary overflow");
     }
     dict_.push_back(v);
+    counts_.push_back(0);
     if (2 * dict_.size() > index_.size()) {
       BuildIndex();
     } else {
@@ -64,6 +94,7 @@ void Column::Append(const Value& v) {
     }
   }
   codes_.push_back(code);
+  Count(code);
 }
 
 Value Column::Get(size_t t) const {
@@ -77,11 +108,15 @@ void Column::Compact(const std::vector<uint8_t>& live) {
   }
   // Remap surviving codes to first-appearance order over the kept rows —
   // exactly the codes Append would assign when fed the kept values in
-  // order — and drop dictionary entries no survivor references.
+  // order — and drop dictionary entries no survivor references. Every
+  // kept entry occurs, so the recount only sums widths at first
+  // appearance.
   std::vector<uint32_t> remap(dict_.size(), kNullCode);
   std::vector<Value> dict;
   std::vector<uint32_t> codes;
+  std::vector<uint32_t> counts;
   size_t nulls = 0;
+  uint64_t width = 0;
   for (size_t t = 0; t < codes_.size(); ++t) {
     if (live[t] == 0) continue;
     const uint32_t c = codes_[t];
@@ -94,12 +129,19 @@ void Column::Compact(const std::vector<uint8_t>& live) {
     if (m == kNullCode) {
       m = static_cast<uint32_t>(dict.size());
       dict.push_back(dict_[c]);
+      counts.push_back(0);
+      width += EncodedWidth(dict_[c]);
     }
+    ++counts[m];
     codes.push_back(m);
   }
   dict_ = std::move(dict);
   codes_ = std::move(codes);
+  counts_ = std::move(counts);
   null_count_ = nulls;
+  live_nulls_ = nulls;
+  live_distinct_ = dict_.size();
+  live_width_ = width;
   BuildIndex();
 }
 
@@ -116,23 +158,24 @@ Column Column::FromEncoded(DataType type, std::vector<Value> dict,
           DataTypeName(type) + " got " + v.ToString());
     }
   }
-  size_t nulls = 0;
+  // The range check and the live counts share one pass over the codes;
+  // every loaded row is live until the relation replays its deletions.
+  col.dict_ = std::move(dict);
+  col.counts_.assign(col.dict_.size(), 0);
   for (uint32_t c : codes) {
-    if (c == kNullCode) {
-      ++nulls;
-    } else if (c >= dict.size()) {
+    if (c != kNullCode && c >= col.dict_.size()) {
       throw std::invalid_argument(
           "Column::FromEncoded: code " + std::to_string(c) +
-          " out of dictionary range " + std::to_string(dict.size()));
+          " out of dictionary range " + std::to_string(col.dict_.size()));
     }
+    col.Count(c);
   }
-  if (nulls != null_count) {
+  if (col.live_nulls_ != null_count) {
     throw std::invalid_argument(
         "Column::FromEncoded: null count mismatch (codes have " +
-        std::to_string(nulls) + ", declared " + std::to_string(null_count) +
-        ")");
+        std::to_string(col.live_nulls_) + ", declared " +
+        std::to_string(null_count) + ")");
   }
-  col.dict_ = std::move(dict);
   col.codes_ = std::move(codes);
   col.null_count_ = null_count;
   col.BuildIndex();  // throws on a duplicate dictionary value
@@ -194,8 +237,11 @@ void Relation::DeleteRow(size_t t) {
     throw std::invalid_argument("Relation::DeleteRow: row " +
                                 std::to_string(t) + " is already deleted");
   }
-  live_[t] = 0;
+  // Allocate first: a throw here leaves the row live and every count as
+  // it was.
   deletion_log_.push_back(static_cast<uint32_t>(t));
+  live_[t] = 0;
+  for (auto& col : columns_) col.Uncount(t);
   ++dead_count_;
   ++deletes_ever_;
   ++mutation_epoch_;
@@ -233,14 +279,14 @@ Relation Relation::CompactedCopy() const {
 AttrSet Relation::NonNullAttrs() const {
   AttrSet s;
   for (int i = 0; i < attr_count(); ++i) {
-    if (!column(i).has_nulls()) s.Add(i);
+    if (column(i).live_null_count() == 0) s.Add(i);
   }
   return s;
 }
 
 bool Relation::AnyNulls(const AttrSet& attrs) const {
   for (int i : attrs.ToVector()) {
-    if (column(i).has_nulls()) return true;
+    if (column(i).live_null_count() > 0) return true;
   }
   return false;
 }

@@ -4,7 +4,8 @@
 //   * per-tuple dictionary codes for each column, and
 //   * per-column NULL counts (FDs may not involve NULL-able attributes).
 // Dictionary encoding at build time makes every downstream distinct-count a
-// pure integer computation.
+// pure integer computation. Each column also keeps live per-code counts,
+// so column statistics cost O(dictionary), not a scan of the rows.
 #pragma once
 
 #include <cstdint>
@@ -21,17 +22,43 @@ namespace fdevolve::relation {
 inline constexpr uint32_t kNullCode = std::numeric_limits<uint32_t>::max();
 
 /// One dictionary-encoded column.
+///
+/// Beside its codes and dictionary, a column maintains live statistics
+/// over the rows its relation has not deleted: the occurrence count of
+/// every code, the NULL count, the number of codes still occurring, and
+/// the summed encoded width of their values (string payload bytes, 8 per
+/// numeric value). Append counts its row, Relation::DeleteRow uncounts
+/// the deleted row, and Compact and FromEncoded rebuild the counts from
+/// the codes. They are derived state: snapshots do not store them.
 class Column {
  public:
   explicit Column(DataType type);
 
   DataType type() const { return type_; }
   size_t size() const { return codes_.size(); }
+
+  /// NULL cells among all physical rows, dead ones included — what the
+  /// snapshot layer persists, and what the kernels size their NULL slot
+  /// by (dead rows' codes still pass through it).
   size_t null_count() const { return null_count_; }
   bool has_nulls() const { return null_count_ > 0; }
 
-  /// Number of distinct non-NULL values.
+  /// Number of dictionary entries: distinct non-NULL values over all
+  /// physical rows (a value only dead rows hold keeps its code).
   size_t dict_size() const { return dict_.size(); }
+
+  /// Live occurrence count of every code: `live_counts()[c]` rows not
+  /// deleted hold code c (0 once every row holding it is deleted).
+  const std::vector<uint32_t>& live_counts() const { return counts_; }
+
+  /// NULL cells among live rows.
+  size_t live_null_count() const { return live_nulls_; }
+
+  /// Codes with a nonzero live count: distinct non-NULL live values.
+  size_t live_distinct_count() const { return live_distinct_; }
+
+  /// Summed encoded width in bytes of the distinct live values.
+  uint64_t live_width() const { return live_width_; }
 
   /// Dictionary code of row `t` (kNullCode for NULL).
   uint32_t code(size_t t) const { return codes_[t]; }
@@ -72,10 +99,19 @@ class Column {
   /// rows and unreferenced dictionary values are dropped, so the result
   /// is bit-identical to a column built by appending the kept values in
   /// order (Relation::Compact's rebuilt-equivalence guarantee rests on
-  /// this). `live.size()` must equal size().
+  /// this). The live counts are recounted over the kept rows.
+  /// `live.size()` must equal size().
   void Compact(const std::vector<uint8_t>& live);
 
  private:
+  friend class Relation;
+
+  /// Counts one more live row holding code `c` (kNullCode for NULL).
+  void Count(uint32_t c);
+
+  /// Uncounts physical row `t`, which its relation just deleted.
+  void Uncount(size_t t);
+
   /// Slot of `v` in index_: the one holding its code, or the empty slot
   /// where the probe for it ended.
   size_t Probe(const Value& v) const;
@@ -93,6 +129,12 @@ class Column {
   /// grows it; Compact and FromEncoded rebuild it.
   std::vector<uint32_t> index_;
   size_t null_count_ = 0;
+  /// Live statistics, one count per dictionary code (see the class
+  /// comment).
+  std::vector<uint32_t> counts_;
+  size_t live_nulls_ = 0;
+  size_t live_distinct_ = 0;
+  uint64_t live_width_ = 0;
   static const Value kNullValue;
 };
 
@@ -177,9 +219,12 @@ class Relation {
   /// passes (is_live() is the per-row form).
   const std::vector<uint8_t>& live_bitmap() const { return live_; }
 
-  /// Tombstones physical row `t`. Throws std::out_of_range if `t` is not
-  /// a physical row, std::invalid_argument if it is already dead. O(1)
-  /// amortized (the bitmap materializes on the first delete).
+  /// Tombstones physical row `t` and decrements every column's live count
+  /// of the row's code (a code whose count reaches 0 leaves the column's
+  /// live distinct count and width). Throws std::out_of_range if `t` is
+  /// not a physical row, std::invalid_argument if it is already dead; a
+  /// throwing call changes nothing. O(attributes) amortized (the bitmap
+  /// materializes on the first delete).
   void DeleteRow(size_t t);
 
   /// Rewrites the relation to exactly its live rows: dead rows are
@@ -217,11 +262,11 @@ class Relation {
   /// Cell accessor.
   Value Get(size_t tuple, int attr) const { return column(attr).Get(tuple); }
 
-  /// Attributes whose columns contain no NULLs — the candidate pool the
-  /// paper allows for antecedent extension (§6.2.1).
+  /// Attributes whose columns hold no NULL in a live row — the candidate
+  /// pool the paper allows for antecedent extension (§6.2.1).
   AttrSet NonNullAttrs() const;
 
-  /// True if any of the given attributes contains a NULL.
+  /// True if any of the given attributes holds a NULL in a live row.
   bool AnyNulls(const AttrSet& attrs) const;
 
   /// Rough payload size in bytes (codes + dictionaries); used by the

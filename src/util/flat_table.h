@@ -17,28 +17,13 @@
 
 namespace fdevolve::util {
 
-/// Flat map from a 64-bit key to a 32-bit dense id. Vacancy is tracked via
-/// the value field, so every value must be < kVacant (the evaluator stores
-/// dense group ids, which are bounded by the tuple count).
+/// Flat map from a 64-bit key to a 32-bit dense id. It starts empty and
+/// doubles whenever an insert would take it past half full. Vacancy is
+/// tracked via the value field, so every value must be < kVacant (the
+/// evaluator stores dense group ids, which are bounded by the tuple count).
 class FlatIdTable {
  public:
   static constexpr uint32_t kVacant = 0xffffffffu;
-
-  /// Prepares the table for up to `expected` inserts: capacity becomes the
-  /// smallest power of two keeping load factor <= 1/2, existing storage is
-  /// reused when already big enough, and all slots are vacated.
-  void Reset(size_t expected) {
-    size_t cap = kMinCapacity;
-    while (cap < expected * 2) cap <<= 1;
-    if (slots_.size() < cap) {
-      slots_.assign(cap, Slot{0, kVacant});
-    } else {
-      cap = slots_.size();  // keep the larger table; avoids shrink churn
-      for (Slot& s : slots_) s.value = kVacant;
-    }
-    mask_ = cap - 1;
-    size_ = 0;
-  }
 
   /// Returns the value stored under `key`, inserting `fresh` first if the
   /// key is absent. `*inserted` reports which happened.
@@ -61,9 +46,6 @@ class FlatIdTable {
       i = (i + 1) & mask_;
     }
   }
-
-  size_t size() const { return size_; }
-  size_t capacity() const { return slots_.size(); }
 
  private:
   struct Slot {

@@ -21,9 +21,4 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed ^ (Mix64(v) + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
 }
 
-/// Hashes a (group id, code) pair; the workhorse of partition refinement.
-inline uint64_t HashPair(uint32_t a, uint32_t b) {
-  return Mix64((static_cast<uint64_t>(a) << 32) | b);
-}
-
 }  // namespace fdevolve::util

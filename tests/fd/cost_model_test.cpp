@@ -185,6 +185,46 @@ TEST(PlanRepairTest, PlanWorksOnTombstonedRelations) {
   EXPECT_EQ(plan.live_rows, 4u);
 }
 
+TEST(PlanRepairTest, TombstonedRelationPlansLikeItsCompactedCopy) {
+  // Column c's only NULL is in row 0, which is deleted: the live instance
+  // has no NULL in c, so c belongs to the pool as it does in the
+  // compacted copy.
+  Schema schema({{"x", DataType::kInt64},
+                 {"y", DataType::kInt64},
+                 {"c", DataType::kInt64},
+                 {"u", DataType::kInt64}});
+  Relation rel("t", schema);
+  rel.AppendRow({int64_t{0}, int64_t{0}, Value::Null(), int64_t{0}});
+  for (int64_t t = 1; t <= 40; ++t) {
+    rel.AppendRow({Value(t % 4), Value(t % 3), Value(t % 5), Value(t)});
+  }
+  rel.DeleteRow(0);
+  const Fd fd(AttrSet::Of({0}), AttrSet::Of({1}));
+  const RepairPlan plan = PlanRepair(rel, fd);
+  const RepairPlan fresh = PlanRepair(rel.CompactedCopy(), fd);
+  EXPECT_EQ(plan.pool_size, 2);
+  EXPECT_EQ(plan.pool_size, fresh.pool_size);
+  EXPECT_EQ(plan.max_depth, fresh.max_depth);
+  EXPECT_EQ(plan.planned_cost_ms, fresh.planned_cost_ms);
+  ASSERT_EQ(plan.candidates.size(), fresh.candidates.size());
+  for (size_t i = 0; i < plan.candidates.size(); ++i) {
+    const PlannedCandidate& a = plan.candidates[i];
+    const PlannedCandidate& b = fresh.candidates[i];
+    EXPECT_EQ(a.attr, b.attr) << i;
+    EXPECT_EQ(a.ndv, b.ndv) << i;
+    EXPECT_EQ(a.group_slots, b.group_slots) << i;
+    EXPECT_EQ(a.max_group_rows, b.max_group_rows) << i;
+    EXPECT_EQ(a.null_fraction, b.null_fraction) << i;
+    EXPECT_EQ(a.est_cost_ms, b.est_cost_ms) << i;
+    EXPECT_EQ(a.distinct_bound, b.distinct_bound) << i;
+    EXPECT_EQ(a.reachable_bound, b.reachable_bound) << i;
+    EXPECT_EQ(a.best_confidence, b.best_confidence) << i;
+    EXPECT_EQ(a.prunable, b.prunable) << i;
+  }
+  EXPECT_EQ(rel.NonNullAttrs(), rel.CompactedCopy().NonNullAttrs());
+  EXPECT_FALSE(rel.AnyNulls(AttrSet::Of({2})));
+}
+
 TEST(PlanRepairTest, DescribePlanRendersBudgetAndCandidates) {
   Relation rel = MakeDrifted();
   RepairOptions opts;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <string>
+
+#include "support/column_scan.h"
 
 namespace fdevolve::query {
 namespace {
@@ -13,6 +17,14 @@ using relation::Relation;
 using relation::RelationBuilder;
 using relation::Schema;
 using relation::Value;
+
+/// ComputeColumnStats, checked bit for bit against the scan oracle.
+std::vector<ColumnStats> Checked(const Relation& rel) {
+  std::vector<ColumnStats> stats = ComputeColumnStats(rel);
+  testsupport::ExpectStatsIdentical(stats, testsupport::ScanColumnStats(rel),
+                                    rel.name());
+  return stats;
+}
 
 Relation MakeRel() {
   Schema schema({{"uniq", DataType::kInt64},
@@ -26,7 +38,7 @@ Relation MakeRel() {
 }
 
 TEST(ColumnStatsTest, CountsPerColumn) {
-  auto stats = ComputeColumnStats(MakeRel());
+  auto stats = Checked(MakeRel());
   ASSERT_EQ(stats.size(), 3u);
   EXPECT_EQ(stats[0].name, "uniq");
   EXPECT_EQ(stats[0].distinct_count, 3u);
@@ -36,7 +48,7 @@ TEST(ColumnStatsTest, CountsPerColumn) {
 }
 
 TEST(ColumnStatsTest, UniqueDetection) {
-  auto stats = ComputeColumnStats(MakeRel());
+  auto stats = Checked(MakeRel());
   EXPECT_TRUE(stats[0].is_unique);
   EXPECT_FALSE(stats[1].is_unique);
   // A column with NULLs is not considered UNIQUE even if non-null values
@@ -49,7 +61,7 @@ TEST(ColumnStatsTest, UniqueAttrsSet) {
 }
 
 TEST(ColumnStatsTest, NullFractionAndDictWidth) {
-  auto stats = ComputeColumnStats(MakeRel());
+  auto stats = Checked(MakeRel());
   EXPECT_DOUBLE_EQ(stats[0].null_fraction, 0.0);
   EXPECT_DOUBLE_EQ(stats[2].null_fraction, 1.0 / 3.0);
   // Numeric values weigh 8 bytes; strings their payload size ("a", "b").
@@ -60,7 +72,7 @@ TEST(ColumnStatsTest, NullFractionAndDictWidth) {
 TEST(ColumnStatsTest, StatsCoverLiveRowsOnly) {
   Relation rel = MakeRel();
   rel.DeleteRow(0);  // {1, "a", 1} leaves the live instance
-  auto stats = ComputeColumnStats(rel);
+  auto stats = Checked(rel);
   // uniq: {2, 3}; dup: {"a", "b"}; nully: {NULL, 2}.
   EXPECT_EQ(stats[0].distinct_count, 2u);
   EXPECT_TRUE(stats[0].is_unique);
@@ -70,7 +82,7 @@ TEST(ColumnStatsTest, StatsCoverLiveRowsOnly) {
   EXPECT_DOUBLE_EQ(stats[2].null_fraction, 0.5);
   // Ground truth: identical stats on the compacted copy (the fresh-build
   // equivalent of the live instance).
-  auto compacted = ComputeColumnStats(rel.CompactedCopy());
+  auto compacted = Checked(rel.CompactedCopy());
   ASSERT_EQ(stats.size(), compacted.size());
   for (size_t i = 0; i < stats.size(); ++i) {
     EXPECT_EQ(stats[i].distinct_count, compacted[i].distinct_count) << i;
@@ -82,7 +94,7 @@ TEST(ColumnStatsTest, StatsCoverLiveRowsOnly) {
 }
 
 TEST(ColumnStatsTest, MaxGroupRowsTracksHeaviestGroup) {
-  auto stats = ComputeColumnStats(MakeRel());
+  auto stats = Checked(MakeRel());
   EXPECT_EQ(stats[0].max_group_rows, 1u);  // all distinct
   EXPECT_EQ(stats[1].max_group_rows, 2u);  // "a" twice
   EXPECT_EQ(stats[2].max_group_rows, 1u);  // {1, NULL, 2}
@@ -97,7 +109,7 @@ TEST(ColumnStatsTest, MaxGroupRowsCountsNullsAsOneGroup) {
                      .Row({int64_t{7}})
                      .Row({Value::Null()})
                      .Build();
-  auto stats = ComputeColumnStats(rel);
+  auto stats = Checked(rel);
   EXPECT_EQ(stats[0].distinct_count, 1u);
   EXPECT_EQ(stats[0].null_count, 2u);
   EXPECT_EQ(stats[0].max_group_rows, 2u);
@@ -114,14 +126,14 @@ TEST(ColumnStatsTest, MaxGroupRowsIgnoresDeadRows) {
                      .Build();
   rel.DeleteRow(0);
   rel.DeleteRow(1);
-  auto stats = ComputeColumnStats(rel);
+  auto stats = Checked(rel);
   EXPECT_EQ(stats[0].max_group_rows, 1u);  // live: {"x", "y"}
-  auto compacted = ComputeColumnStats(rel.CompactedCopy());
+  auto compacted = Checked(rel.CompactedCopy());
   EXPECT_EQ(stats[0].max_group_rows, compacted[0].max_group_rows);
 }
 
 TEST(ColumnStatsTest, ProjectionUpperBoundIsSoundAndSaturates) {
-  auto stats = ComputeColumnStats(MakeRel());
+  auto stats = Checked(MakeRel());
   // |pi_{dup}| = 2, adding uniq (3 slots): bound = min(3, 2*3) = 3 live.
   EXPECT_EQ(ProjectionUpperBound(2, stats[0], 3), 3u);
   // Adding nully (2 values + NULL slot = 3 slots) with plenty of rows.
@@ -136,7 +148,7 @@ TEST(ColumnStatsTest, ProjectionUpperBoundIsSoundAndSaturates) {
 TEST(ColumnStatsTest, AllRowsDeletedMeansNoUniqueColumns) {
   Relation rel = MakeRel();
   for (size_t t = 0; t < rel.tuple_count(); ++t) rel.DeleteRow(t);
-  auto stats = ComputeColumnStats(rel);
+  auto stats = Checked(rel);
   for (const auto& s : stats) {
     EXPECT_EQ(s.distinct_count, 0u);
     EXPECT_EQ(s.null_count, 0u);
@@ -146,11 +158,41 @@ TEST(ColumnStatsTest, AllRowsDeletedMeansNoUniqueColumns) {
   EXPECT_TRUE(UniqueAttrs(rel).Empty());
 }
 
+TEST(ColumnStatsTest, ValueDeletedThenAppendedAgainCountsOnce) {
+  // "bb" loses its last live row, then comes back under its old code:
+  // it leaves and re-enters ndv and the width sum exactly once each.
+  Schema schema({{"s", DataType::kString}, {"d", DataType::kDouble}});
+  Relation rel = RelationBuilder("t", schema)
+                     .Row({"a", 0.0})
+                     .Row({"bb", -0.0})
+                     .Row({"cccc", std::nan("")})
+                     .Row({"a", std::nan("")})
+                     .Build();
+  auto stats = Checked(rel);
+  EXPECT_EQ(stats[0].distinct_count, 3u);
+  EXPECT_DOUBLE_EQ(stats[0].avg_dict_width, 7.0 / 3.0);
+  // Both zeros share a code; each NaN takes its own.
+  EXPECT_EQ(stats[1].distinct_count, 3u);
+  EXPECT_EQ(stats[1].max_group_rows, 2u);
+  rel.DeleteRow(1);
+  stats = Checked(rel);
+  EXPECT_EQ(stats[0].distinct_count, 2u);
+  EXPECT_DOUBLE_EQ(stats[0].avg_dict_width, 2.5);
+  EXPECT_EQ(stats[1].max_group_rows, 1u);
+  rel.AppendRow({Value("bb"), Value(0.0)});
+  stats = Checked(rel);
+  EXPECT_EQ(stats[0].distinct_count, 3u);
+  EXPECT_EQ(rel.column(0).dict_size(), 3u);  // the old code, not a new one
+  EXPECT_DOUBLE_EQ(stats[0].avg_dict_width, 7.0 / 3.0);
+  testsupport::ExpectStatsIdentical(stats, Checked(rel.CompactedCopy()),
+                                    "compacted");
+}
+
 TEST(ColumnStatsTest, EmptyRelationHasNoUniqueAttrs) {
   Schema schema({{"x", DataType::kInt64}});
   Relation r("e", schema);
   EXPECT_TRUE(UniqueAttrs(r).Empty());
-  auto stats = ComputeColumnStats(r);
+  auto stats = Checked(r);
   EXPECT_FALSE(stats[0].is_unique);
 }
 

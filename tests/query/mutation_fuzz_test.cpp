@@ -12,16 +12,19 @@
 // FDEVOLVE_SEED.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fd/measures.h"
 #include "fd/schema_monitor.h"
+#include "query/column_stats.h"
 #include "query/distinct.h"
 #include "query/group_ids.h"
 #include "relation/relation.h"
 #include "storage/snapshot.h"
+#include "support/column_scan.h"
 #include "support/fuzz_seed.h"
 #include "util/rng.h"
 
@@ -42,15 +45,40 @@ Schema IntSchema(int n_attrs) {
   return Schema(std::move(attrs));
 }
 
-std::vector<Value> RandomRow(util::Rng& rng, int n_attrs, size_t domain,
-                             double null_rate) {
+/// Integer, string and double columns: string widths vary, and the
+/// doubles hold both signed zeros (one code) and NaN (a fresh code per
+/// append).
+Schema MixedSchema() {
+  return Schema({{"i", DataType::kInt64},
+                 {"s", DataType::kString},
+                 {"d", DataType::kDouble},
+                 {"t", DataType::kString}});
+}
+
+/// The cell that draw `k` < `domain` stands for in a column of `type`:
+/// every type takes exactly one draw per cell.
+Value Cell(DataType type, uint64_t k, uint64_t domain) {
+  switch (type) {
+    case DataType::kInt64:
+      return Value(static_cast<int64_t>(k));
+    case DataType::kDouble:
+      if (k == 1) return Value(-0.0);
+      if (k + 1 == domain) return Value(std::nan(""));
+      return Value(static_cast<double>(k) * 0.5);
+    default:
+      return Value(std::string(1 + k % 5, static_cast<char>('a' + k % 26)));
+  }
+}
+
+std::vector<Value> RandomRow(util::Rng& rng, const Schema& schema,
+                             size_t domain, double null_rate) {
   std::vector<Value> row;
-  row.reserve(static_cast<size_t>(n_attrs));
-  for (int i = 0; i < n_attrs; ++i) {
+  row.reserve(static_cast<size_t>(schema.size()));
+  for (const auto& attr : schema.attrs()) {
     if (rng.Chance(null_rate)) {
       row.push_back(Value::Null());
     } else {
-      row.emplace_back(static_cast<int64_t>(rng.Below(domain)));
+      row.push_back(Cell(attr.type, rng.Below(domain), domain));
     }
   }
   return row;
@@ -94,7 +122,7 @@ void RandomMutation(util::Rng& rng, Relation* rel, int n_attrs, size_t domain,
   const std::vector<size_t> live = LiveRows(*rel);
   const double roll = live.empty() ? 0.0 : 1.0;
   if (roll == 0.0 || rng.Chance(0.55)) {
-    rel->AppendRow(RandomRow(rng, n_attrs, domain, null_rate));
+    rel->AppendRow(RandomRow(rng, rel->schema(), domain, null_rate));
     return;
   }
   const size_t victim = live[rng.Below(live.size())];
@@ -102,12 +130,36 @@ void RandomMutation(util::Rng& rng, Relation* rel, int n_attrs, size_t domain,
     rel->DeleteRow(victim);
     return;
   }
+  // Draw order, part of every seed's stream: the new cell, then its
+  // column.
+  const uint64_t k = rng.Below(domain);
+  const auto target = static_cast<int>(rng.Below(static_cast<size_t>(n_attrs)));
   std::vector<Value> derived;
-  for (int i = 0; i < n_attrs; ++i) derived.push_back(rel->Get(victim, i));
-  derived[rng.Below(static_cast<size_t>(n_attrs))] =
-      Value(static_cast<int64_t>(rng.Below(domain)));
+  derived.reserve(static_cast<size_t>(n_attrs));
+  for (int i = 0; i < n_attrs; ++i) {
+    if (i == target) {
+      derived.push_back(Cell(rel->schema().attr(i).type, k, domain));
+    } else {
+      derived.push_back(rel->Get(victim, i));
+    }
+  }
   rel->DeleteRow(victim);
   rel->AppendRow(derived);
+}
+
+/// Every column's live counters equal the scan oracle, and
+/// ComputeColumnStats equals both the oracle's statistics and a fresh
+/// rebuild's, doubles bit for bit.
+void ExpectLiveStatsMatch(const Relation& rel, const std::string& where) {
+  const std::vector<query::ColumnStats> stats = query::ComputeColumnStats(rel);
+  testsupport::ExpectStatsIdentical(stats, testsupport::ScanColumnStats(rel),
+                                    where + " vs scan");
+  testsupport::ExpectStatsIdentical(
+      stats, query::ComputeColumnStats(FreshRebuild(rel)), where + " vs fresh");
+  for (int i = 0; i < rel.attr_count(); ++i) {
+    testsupport::ExpectLiveCountsMatchScan(
+        rel.column(i), rel.live_bitmap(), where + " col=" + std::to_string(i));
+  }
 }
 
 class MutationFuzz : public ::testing::TestWithParam<int> {
@@ -186,6 +238,7 @@ TEST_P(MutationFuzz, CompactionIsRebuildEquivalent) {
           << "round=" << round << " col=" << i;
       EXPECT_EQ(rel.column(i).dict_values(), fresh.column(i).dict_values());
       EXPECT_EQ(rel.column(i).null_count(), fresh.column(i).null_count());
+      EXPECT_EQ(rel.column(i).live_counts(), fresh.column(i).live_counts());
     }
     // The persistent evaluator survives the compaction (full cache
     // rebuild) and keeps agreeing with scratch computation.
@@ -257,6 +310,36 @@ TEST_P(MutationFuzz, SnapshotRoundTripPreservesMutatedState) {
   for (int trial = 0; trial < 8; ++trial) {
     AttrSet s = RandomSubset(rng, n_attrs, 0.5);
     EXPECT_EQ(ea.Count(s), eb.Count(s)) << "trial=" << trial;
+  }
+}
+
+TEST_P(MutationFuzz, LiveColumnCountsMatchScanAndFreshRebuild) {
+  util::Rng rng(seed() + 131);
+  const size_t domain = 3 + rng.Below(6);
+  const double null_rate = rng.Chance(0.5) ? 0.0 : 0.15;
+  Relation rel("mut", MixedSchema());
+  for (int step = 0; step < 100; ++step) {
+    RandomMutation(rng, &rel, rel.attr_count(), domain, null_rate);
+    const std::string where = "step=" + std::to_string(step);
+    ExpectLiveStatsMatch(rel, where);
+    if (step % 30 == 29) {
+      rel.Compact();
+      ExpectLiveStatsMatch(rel, where + " compacted");
+    }
+    if (step % 20 != 15) continue;
+    // The load rebuilds the counts from the codes, then replays the
+    // deletion log through DeleteRow.
+    auto loaded = storage::DeserializeRelation(storage::SerializeRelation(rel));
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    ExpectLiveStatsMatch(*loaded.relation, where + " loaded");
+    testsupport::ExpectStatsIdentical(
+        query::ComputeColumnStats(*loaded.relation),
+        query::ComputeColumnStats(rel), where + " loaded vs live");
+    for (int i = 0; i < rel.attr_count(); ++i) {
+      EXPECT_EQ(loaded.relation->column(i).live_counts(),
+                rel.column(i).live_counts())
+          << where << " col=" << i;
+    }
   }
 }
 
@@ -375,7 +458,7 @@ TEST_P(MutationFuzz, SampledCheckpointResumeReplaysIdenticalEstimates) {
   });
   // Identical suffix fed to both, each through its own relation.
   for (int step = 0; step < 40; ++step) {
-    std::vector<Value> row = RandomRow(rng, n_attrs, 4, 0.0);
+    std::vector<Value> row = RandomRow(rng, rel.schema(), 4, 0.0);
     rel.AppendRow(row);
     live.Poll();
     cloned_rel.AppendRow(row);

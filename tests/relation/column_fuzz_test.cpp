@@ -1,8 +1,10 @@
-// Randomized check of relation::Column's value→code index: FindCode must
-// equal a linear scan of the dictionary over Append streams that cross
-// several index doublings, with NULLs, NaN entries and both signed zeros,
-// and again after Compact and after FromEncoded (each rebuilds the
-// index). Reproducible via --seed=N / FDEVOLVE_SEED.
+// Randomized check of relation::Column's value→code index and live
+// counts: FindCode must equal a linear scan of the dictionary, and the
+// per-code counts, NULL count, distinct count and width must equal a scan
+// of the codes, over Append streams that cross several index doublings,
+// with NULLs, NaN entries (a fresh code per append) and both signed
+// zeros, and again after Compact and after FromEncoded (each rebuilds the
+// index and the counts). Reproducible via --seed=N / FDEVOLVE_SEED.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "relation/relation.h"
+#include "support/column_scan.h"
 #include "support/fuzz_seed.h"
 #include "util/rng.h"
 
@@ -53,9 +56,11 @@ std::vector<Value> Probes(util::Rng& rng, DataType type, uint64_t domain) {
   return probes;
 }
 
-void ExpectIndexMatchesScan(const Column& col,
-                            const std::vector<Value>& probes,
-                            const std::string& where) {
+void ExpectColumnMatchesScan(const Column& col,
+                             const std::vector<Value>& probes,
+                             const std::string& where) {
+  // A standalone column has no tombstones: every row is live.
+  testsupport::ExpectLiveCountsMatchScan(col, {}, where);
   for (const Value& v : probes) {
     EXPECT_EQ(col.FindCode(v), ScanCode(col, v))
         << where << " " << v.ToString();
@@ -88,26 +93,31 @@ TEST_P(ColumnTest, FindCodeMatchesLinearScanThroughGrowthCompactAndLoad) {
     for (size_t i = 0; i < appends; ++i) {
       col.Append(rng.Chance(0.1) ? Value::Null()
                                  : RandomValue(rng, type, domain));
-      if (i % 97 == 0) ExpectIndexMatchesScan(col, probes, name + " append");
+      if (i % 97 == 0) ExpectColumnMatchesScan(col, probes, name + " append");
     }
-    ExpectIndexMatchesScan(col, probes, name + " appended");
+    ExpectColumnMatchesScan(col, probes, name + " appended");
 
     std::vector<uint8_t> live(col.size());
     for (auto& b : live) b = rng.Chance(0.6) ? 1 : 0;
+    const testsupport::ScannedColumn kept = testsupport::ScanColumn(col, live);
     col.Compact(live);
-    ExpectIndexMatchesScan(col, probes, name + " compacted");
+    ExpectColumnMatchesScan(col, probes, name + " compacted");
+    EXPECT_EQ(col.live_null_count(), kept.nulls) << name;
+    EXPECT_EQ(col.live_distinct_count(), kept.distinct) << name;
+    EXPECT_EQ(col.live_width(), kept.width) << name;
 
     Column loaded = Column::FromEncoded(type, col.dict_values(), col.codes(),
                                         col.null_count());
-    ExpectIndexMatchesScan(loaded, probes, name + " loaded");
+    ExpectColumnMatchesScan(loaded, probes, name + " loaded");
     for (size_t i = 0; i < domain; ++i) {
       const Value v = RandomValue(rng, type, 2 * domain);
       loaded.Append(v);
       col.Append(v);
     }
-    ExpectIndexMatchesScan(loaded, probes, name + " loaded+appended");
+    ExpectColumnMatchesScan(loaded, probes, name + " loaded+appended");
     // The loaded column keeps assigning the codes the original does.
     EXPECT_EQ(loaded.codes(), col.codes()) << name;
+    EXPECT_EQ(loaded.live_counts(), col.live_counts()) << name;
   }
 }
 

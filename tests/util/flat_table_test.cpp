@@ -9,42 +9,23 @@ namespace {
 
 TEST(FlatIdTableTest, InsertThenFind) {
   FlatIdTable t;
-  t.Reset(4);
   bool inserted = false;
   EXPECT_EQ(t.FindOrInsert(42, 0, &inserted), 0u);
   EXPECT_TRUE(inserted);
-  EXPECT_EQ(t.FindOrInsert(42, 1, &inserted), 0u);
-  EXPECT_FALSE(inserted);
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(FlatIdTableTest, ResetVacatesAndReusesStorage) {
-  FlatIdTable t;
-  t.Reset(100);
-  bool inserted = false;
-  for (uint64_t k = 0; k < 100; ++k) t.FindOrInsert(k, static_cast<uint32_t>(k), &inserted);
-  EXPECT_EQ(t.size(), 100u);
-  const size_t cap = t.capacity();
-  t.Reset(10);  // smaller: capacity must not shrink, slots must be vacated
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.capacity(), cap);
-  EXPECT_EQ(t.FindOrInsert(5, 7, &inserted), 7u);
+  EXPECT_EQ(t.FindOrInsert(7, 1, &inserted), 1u);
   EXPECT_TRUE(inserted);
-}
-
-TEST(FlatIdTableTest, CapacityIsPowerOfTwoWithHalfLoad) {
-  FlatIdTable t;
-  t.Reset(100);
-  EXPECT_GE(t.capacity(), 200u);
-  EXPECT_EQ(t.capacity() & (t.capacity() - 1), 0u);
+  EXPECT_EQ(t.FindOrInsert(42, 2, &inserted), 0u);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(t.FindOrInsert(7, 2, &inserted), 1u);
+  EXPECT_FALSE(inserted);
 }
 
 TEST(FlatIdTableTest, GrowsWhenUnderprovisionedAndMatchesReference) {
-  // Start tiny and insert far past the reserved size: growth must rehash
-  // without losing or duplicating any mapping. Adversarial-ish keys: dense
-  // low bits and (id << 32 | code) shapes, like the refinement loop emits.
+  // Start empty and insert far past the first capacity: every doubling
+  // must rehash without losing or duplicating any mapping. Adversarial-ish
+  // keys: dense low bits and (id << 32 | code) shapes, like the evaluator's
+  // chain tables see.
   FlatIdTable t;
-  t.Reset(2);
   std::unordered_map<uint64_t, uint32_t> ref;
   uint32_t fresh = 0;
   for (uint64_t i = 0; i < 5000; ++i) {
@@ -56,7 +37,12 @@ TEST(FlatIdTableTest, GrowsWhenUnderprovisionedAndMatchesReference) {
     EXPECT_EQ(got, it->second);
     if (inserted) ++fresh;
   }
-  EXPECT_EQ(t.size(), ref.size());
+  // Every mapping is still there after the last doubling.
+  for (const auto& [key, id] : ref) {
+    bool inserted = true;
+    EXPECT_EQ(t.FindOrInsert(key, fresh, &inserted), id);
+    EXPECT_FALSE(inserted);
+  }
 }
 
 TEST(FlatIdTableTest, WorksWithoutReset) {

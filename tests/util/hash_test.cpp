@@ -27,21 +27,5 @@ TEST(HashTest, HashCombineOrderMatters) {
   EXPECT_NE(ab, ba);
 }
 
-TEST(HashTest, HashPairDistinguishesComponents) {
-  EXPECT_NE(HashPair(1, 2), HashPair(2, 1));
-  EXPECT_NE(HashPair(0, 1), HashPair(1, 0));
-  EXPECT_EQ(HashPair(7, 9), HashPair(7, 9));
-}
-
-TEST(HashTest, HashPairNoObviousCollisionsOnGrid) {
-  std::set<uint64_t> seen;
-  for (uint32_t a = 0; a < 64; ++a) {
-    for (uint32_t b = 0; b < 64; ++b) {
-      seen.insert(HashPair(a, b));
-    }
-  }
-  EXPECT_EQ(seen.size(), 64u * 64u);
-}
-
 }  // namespace
 }  // namespace fdevolve::util
