@@ -131,7 +131,7 @@ int main() {
             << (fast ? " (FDEVOLVE_BENCH_FAST)" : "") << "\n\n";
 
   // (a) Repair-search macro workload: wide pool, depth-2 all-repairs
-  // search — the candidate batches are what fans out.
+  // search — the candidate waves are what fans out.
   datagen::SyntheticSpec macro_spec;
   macro_spec.n_attrs = 16;
   macro_spec.n_tuples = macro_tuples;

@@ -8,7 +8,7 @@
 //       --target=0.95             (AFD confidence target, default 1.0)
 //       --goodness-threshold=N    (prefer repairs with |g| <= N)
 //       --exclude-unique          (drop UNIQUE columns from the pool)
-//       --threads=N               (repair-search width: candidate batches
+//       --threads=N               (repair-search width: candidate waves
 //                                  fan out over N threads; 0 = all cores,
 //                                  1 = sequential; results are identical
 //                                  for every value, only wall time changes)

@@ -44,7 +44,7 @@ struct FdMeasures {
 /// Builds the full measure set from the three raw distinct counts.
 /// Single source of the confidence/goodness arithmetic: every evaluation
 /// path (memoised, fresh, and the repair search's parallel candidate
-/// batches) goes through here, so their floating-point results are
+/// waves) goes through here, so their floating-point results are
 /// bit-identical by construction.
 FdMeasures MeasuresFromCounts(size_t distinct_x, size_t distinct_xy,
                               size_t distinct_y);

@@ -1,6 +1,7 @@
 #include "fd/repair_search.h"
 
 #include <algorithm>
+#include <cassert>
 #include <optional>
 #include <queue>
 #include <unordered_set>
@@ -133,31 +134,48 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   std::vector<relation::AttrSet> found_sets;
   uint64_t seq = 0;
 
-  // Candidate evaluation is batched: one batch is the seed phase or one
-  // node expansion. A batch refines the roots by the expanded node's added
-  // attributes U into its two bases, π̂_XU and π̂_XUY, then fans its
-  // candidates out across the shared pool; each chunk counts against its
-  // own mark array while the bases stay read-only. Counts are exact
-  // integers and results are folded back in batch order with the same
-  // budget, dedup, and seq-number semantics at every width, so the
-  // frontier — and therefore the ranked output — is bit-identical for
-  // every thread count.
+  // Candidate evaluation runs in waves. An expansion (the seed phase or
+  // one popped node) admits its candidates `U ∪ {a}` into the pending wave
+  // sequentially, with the budget, dedup and planner checks below. A wave
+  // is evaluated in two fan-outs across the shared pool: the first refines
+  // the roots by each expansion's added attributes U into its bases π̂_XU
+  // and π̂_XUY, one base per item; the second counts every candidate
+  // against its expansion's bases. Each chunk refines and counts against
+  // its own mark array while the roots and bases stay read-only.
+  //
+  // The frontier pops every node of one depth before any deeper node, and
+  // accepted nodes before expanded ones of their depth, so while a wave of
+  // depth-d expansions is pending no pop can reach one of its children and
+  // done() cannot change. The wave is evaluated before the pop that could:
+  // when it is full, when the frontier runs dry, or when the frontier's
+  // top is deeper than its expansions. Children are then pushed in
+  // admission order with the seq numbers the one-expansion-at-a-time loop
+  // assigns, so the frontier — and therefore the ranked output — is
+  // bit-identical for every thread count. With a wall-clock budget a wave
+  // holds one expansion, so the clock check sees every earlier evaluation.
   const int exec_width = util::ResolveThreads(opts.threads);
+  const size_t wave_expansions =
+      opts.budget_ms > 0.0 ? 1
+                           : static_cast<size_t>(std::max(1, exec_width / 2));
   const size_t y_count = result.original_measures.distinct_y;
-  std::vector<relation::AttrSet> batch_sets;
-  std::vector<int> batch_attrs;
-  std::vector<FdMeasures> batch_measures;
+  // Per expansion: its U, then its bases π̂_XU and π̂_XUY side by side. Per
+  // candidate: U ∪ {a}, a, the index of its expansion, and its measures.
+  std::vector<relation::AttrSet> wave_added;
+  std::vector<StrippedPartition> wave_bases;
+  std::vector<relation::AttrSet> wave_sets;
+  std::vector<int> wave_attrs;
+  std::vector<size_t> wave_expansion;
+  std::vector<FdMeasures> wave_measures;
 
-  // Evaluates the candidates `base_added ∪ {a}` for each `a` of `attrs`
-  // in order; `base_x`/`base_xy` are the parent's |π_XU| and |π_XUY|
-  // counts, which seed the planner's bounds. Returns false when a budget
-  // stopped the batch.
+  // Admits the candidates `base_added ∪ {a}` for each `a` of `attrs` in
+  // order; `base_x`/`base_xy` are the parent's |π_XU| and |π_XUY| counts,
+  // which seed the planner's bounds. Returns false when a budget stopped
+  // the admission.
   std::vector<int> budget_order;
-  auto evaluate_batch = [&](const relation::AttrSet& base_added,
-                            const std::vector<int>& attrs, size_t base_x,
-                            size_t base_xy) -> bool {
-    batch_sets.clear();
-    batch_attrs.clear();
+  auto admit = [&](const relation::AttrSet& base_added,
+                   const std::vector<int>& attrs, size_t base_x,
+                   size_t base_xy) -> bool {
+    const size_t pending = wave_sets.size();
     bool budget_hit = false;
     const int depth = base_added.Count() + 1;
     const size_t reach =
@@ -166,7 +184,7 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
             : 0;
     const std::vector<int>* order = &attrs;
     if (budgeted) {
-      // A budget is spent cheap/high-signal-first: reorder the batch by
+      // A budget is spent cheap/high-signal-first: reorder the expansion by
       // reachable-cardinality bound descending (closer to |π_XUY| = more
       // confidence available), modeled cost ascending, then attribute
       // index. Reordering shifts seq tie-breaks, so budgeted runs trade
@@ -186,9 +204,10 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     }
     for (int a : *order) {
       // Budget checks before dedup, per candidate — the order the
-      // sequential evaluate-and-push used.
+      // sequential evaluate-and-push used. Pending candidates count as
+      // evaluated.
       if (opts.max_evaluations != 0 &&
-          result.stats.candidates_evaluated + batch_sets.size() >=
+          result.stats.candidates_evaluated + wave_sets.size() >=
               opts.max_evaluations) {
         result.stats.stop_reason = StopReason::kMaxEvaluations;
         budget_hit = true;
@@ -221,47 +240,67 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
         }
       }
       result.stats.planned_cost_ms += cost;
-      batch_sets.push_back(std::move(added));
-      batch_attrs.push_back(a);
+      wave_sets.push_back(std::move(added));
+      wave_attrs.push_back(a);
+      wave_expansion.push_back(wave_added.size());
     }
+    if (wave_sets.size() > pending) wave_added.push_back(base_added);
+    // The frontier as the one-at-a-time loop would hold it: the pending
+    // candidates are already pushed there.
+    result.stats.frontier_peak = std::max(result.stats.frontier_peak,
+                                          frontier.size() + wave_sets.size());
+    return !budget_hit;
+  };
 
-    batch_measures.assign(batch_sets.size(), FdMeasures{});
-    if (!batch_sets.empty()) {
-      // The batch's bases π̂_XU and π̂_XUY: the roots refined by U.
-      StrippedPartition base_x;
-      StrippedPartition base_xy;
-      if (!base_added.Empty()) {
-        base_x = root_x.Refine(rel, base_added, chunk_scratch[0]);
-        base_xy = root_xy.Refine(rel, base_added, chunk_scratch[0]);
-      }
-      const StrippedPartition& px = base_added.Empty() ? root_x : base_x;
-      const StrippedPartition& pxy = base_added.Empty() ? root_xy : base_xy;
+  // Evaluates the pending wave and pushes its candidates in admission
+  // order.
+  auto evaluate_wave = [&]() {
+    if (wave_sets.empty()) return;
+    // One scratch per chunk actually used — ParallelFor caps the width at
+    // the item count, so an absurd threads value must not allocate past it.
+    const size_t chunks = std::min<size_t>(
+        static_cast<size_t>(exec_width),
+        std::max(2 * wave_added.size(), wave_sets.size()));
+    if (chunk_scratch.size() < chunks) chunk_scratch.resize(chunks);
 
-      // One scratch per chunk actually used — ParallelFor caps the width
-      // at the batch size, so an absurd threads value must not allocate
-      // past it.
-      const size_t chunks = std::min<size_t>(
-          static_cast<size_t>(exec_width), batch_sets.size());
-      if (chunk_scratch.size() < chunks) chunk_scratch.resize(chunks);
-      util::ThreadPool::Global().ParallelFor(
-          batch_sets.size(), 1, exec_width,
-          [&](int chunk, size_t lo, size_t hi) {
-            query::PartitionScratch& ws =
-                chunk_scratch[static_cast<size_t>(chunk)];
-            for (size_t i = lo; i < hi; ++i) {
-              const int a = batch_attrs[i];
-              batch_measures[i] = MeasuresFromCounts(
-                  px.RefineCount(rel, a, ws), pxy.RefineCount(rel, a, ws),
-                  y_count);
-            }
-          });
-    }
+    // The seed expansion's U is empty: its bases are the roots.
+    wave_bases.resize(2 * wave_added.size());
+    auto base = [&](size_t b) -> const StrippedPartition& {
+      if (wave_added[b / 2].Empty()) return b % 2 == 0 ? root_x : root_xy;
+      return wave_bases[b];
+    };
+    util::ThreadPool::Global().ParallelFor(
+        wave_bases.size(), 1, exec_width,
+        [&](int chunk, size_t lo, size_t hi) {
+          query::PartitionScratch& ws =
+              chunk_scratch[static_cast<size_t>(chunk)];
+          for (size_t b = lo; b < hi; ++b) {
+            const relation::AttrSet& u = wave_added[b / 2];
+            if (u.Empty()) continue;
+            wave_bases[b] = (b % 2 == 0 ? root_x : root_xy).Refine(rel, u, ws);
+          }
+        });
 
-    for (size_t i = 0; i < batch_sets.size(); ++i) {
-      const FdMeasures& m = batch_measures[i];
+    wave_measures.resize(wave_sets.size());
+    util::ThreadPool::Global().ParallelFor(
+        wave_sets.size(), 1, exec_width,
+        [&](int chunk, size_t lo, size_t hi) {
+          query::PartitionScratch& ws =
+              chunk_scratch[static_cast<size_t>(chunk)];
+          for (size_t i = lo; i < hi; ++i) {
+            const int a = wave_attrs[i];
+            const size_t e = wave_expansion[i];
+            wave_measures[i] = MeasuresFromCounts(
+                base(2 * e).RefineCount(rel, a, ws),
+                base(2 * e + 1).RefineCount(rel, a, ws), y_count);
+          }
+        });
+
+    for (size_t i = 0; i < wave_sets.size(); ++i) {
+      const FdMeasures& m = wave_measures[i];
       ++result.stats.candidates_evaluated;
       Node n;
-      n.added = batch_sets[i];
+      n.added = std::move(wave_sets[i]);
       n.confidence = m.confidence;
       n.abs_goodness = m.abs_goodness();
       n.goodness = m.goodness;
@@ -270,19 +309,21 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
       n.distinct_y = m.distinct_y;
       n.seq = seq++;
       frontier.push(std::move(n));
-      result.stats.frontier_peak =
-          std::max(result.stats.frontier_peak, frontier.size());
     }
-    return !budget_hit;
+    wave_added.clear();
+    wave_bases.clear();
+    wave_sets.clear();
+    wave_attrs.clear();
+    wave_expansion.clear();
   };
 
   // Seed the frontier with every single-attribute extension (Algorithm 3
   // line 1: ExtendByOne on the original FD). A budget hit here still falls
   // through to the main loop: already-evaluated exact seeds are accepted
   // before the first expansion attempt stops the search.
-  evaluate_batch(relation::AttrSet(), pool.ToVector(),
-                 result.original_measures.distinct_x,
-                 result.original_measures.distinct_xy);
+  admit(relation::AttrSet(), pool.ToVector(),
+        result.original_measures.distinct_x,
+        result.original_measures.distinct_xy);
 
   const bool has_threshold = opts.goodness_threshold >= 0;
   const auto threshold = static_cast<uint64_t>(
@@ -306,7 +347,14 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     return false;
   };
 
-  while (!frontier.empty() && !done()) {
+  while (true) {
+    if (!wave_sets.empty() &&
+        (wave_added.size() >= wave_expansions || frontier.empty() ||
+         frontier.top().added.Count() > wave_added.front().Count())) {
+      evaluate_wave();
+    }
+    assert(wave_sets.empty() || !done());
+    if (frontier.empty() || done()) break;
     Node node = frontier.top();
     frontier.pop();
 
@@ -340,8 +388,9 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     ++result.stats.nodes_expanded;
     if (node.added.Count() >= max_depth) continue;
 
-    if (!evaluate_batch(node.added, pool.Minus(node.added).ToVector(),
-                        node.distinct_x, node.distinct_xy)) {
+    if (!admit(node.added, pool.Minus(node.added).ToVector(), node.distinct_x,
+               node.distinct_xy)) {
+      evaluate_wave();
       break;
     }
   }

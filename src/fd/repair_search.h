@@ -67,15 +67,18 @@ struct RepairOptions {
   double target_confidence = 1.0;
 
   /// Execution width for candidate evaluation: 0 (default) resolves to
-  /// `hardware_concurrency`, 1 runs every batch inline on the caller, and
-  /// k > 1 fans each frontier batch (the seed candidates, then every node
-  /// expansion's children) out across the shared thread pool.
+  /// `hardware_concurrency`, 1 evaluates every node expansion inline on
+  /// the caller, and k > 1 evaluates the expansions in waves of up to
+  /// max(1, k / 2) expansions of one depth across the shared thread pool.
   ///
-  /// Every candidate in a batch counts against its chunk's own mark array
-  /// while sharing the batch's two stripped base partitions (π̂_XU and
-  /// π̂_XUY, see query::StrippedPartition) read-only; results are merged
-  /// back in batch order with the same `seq` tie-break numbers at every
-  /// width. Ranked output — repairs, measures, and all stats except
+  /// A wave first refines the stripped roots into each expansion's two
+  /// base partitions (π̂_XU and π̂_XUY, see query::StrippedPartition), one
+  /// base per executor, then counts every candidate against its
+  /// expansion's bases, which stay read-only; each executor uses its own
+  /// mark array. Candidates are admitted (budget, dedup, prune) one at a
+  /// time in the sequential order and pushed back in that order with the
+  /// same `seq` tie-break numbers at every width, before any pop could
+  /// reach them. Ranked output — repairs, measures, and all stats except
   /// `elapsed_ms` — is therefore bit-identical for every thread count.
   int threads = 0;
 
@@ -89,9 +92,11 @@ struct RepairOptions {
   bool use_planner = true;
 
   /// Wall-clock latency budget in milliseconds; 0 = unlimited. Checked
-  /// between candidate evaluations, so it is best-effort and
+  /// as each candidate is admitted, so it is best-effort and
   /// timing-dependent: two runs may truncate at different candidates.
-  /// When a budget is set the planner spends it cheap/high-signal-first.
+  /// With it set, a wave holds a single expansion, so the check sees
+  /// every earlier evaluation. When a budget is set the planner spends it
+  /// cheap/high-signal-first.
   double budget_ms = 0.0;
 
   /// Modeled-cost budget in milliseconds (CostModel::CandidateCostMs

@@ -21,7 +21,7 @@
 //     level and writes first-appearance ids from the final partition.
 //
 // Every pass is one sequential sweep: threads fan out over independent
-// work items above this layer (repair-search candidate batches, EB
+// work items above this layer (repair-search candidate waves, EB
 // candidate scoring), never inside a pass. Both paths assign fresh ids in
 // (logical) scan order, so ids are deterministic and dense in order of
 // first appearance. Passing a RefineScratch lets long-lived callers

@@ -29,13 +29,17 @@ void PrepareMarks(PartitionScratch& s, size_t slots) {
   if (s.mark.size() < slots) s.mark.resize(slots, 0u);
 }
 
-/// Starts a new group: returns a generation no mark holds yet.
-uint32_t NextGeneration(PartitionScratch& s) {
-  if (++s.generation == 0) {
+/// Starts a new group: reserves `count` consecutive generations, which no
+/// mark holds yet, and returns the first. The marks are cleared when the
+/// counter would wrap.
+uint32_t ReserveGenerations(PartitionScratch& s, size_t count) {
+  if (count > std::numeric_limits<uint32_t>::max() - s.generation) {
     std::fill(s.mark.begin(), s.mark.end(), 0u);
-    s.generation = 1;
+    s.generation = 0;
   }
-  return s.generation;
+  const uint32_t base = s.generation + 1;
+  s.generation += static_cast<uint32_t>(count);
+  return base;
 }
 
 }  // namespace
@@ -102,7 +106,7 @@ size_t StrippedPartition::RefineCount(const uint32_t* codes,
   size_t count = singletons_;
   size_t begin = 0;
   for (const uint32_t end : ends_) {
-    const uint32_t gen = NextGeneration(scratch);
+    const uint32_t gen = ReserveGenerations(scratch, 1);
     for (size_t i = begin; i < end; ++i) {
       const uint32_t slot = std::min(codes[rows_[i]], null_slot);
       if (mark[slot] != gen) {
@@ -119,11 +123,7 @@ StrippedPartition StrippedPartition::Refine(const uint32_t* codes,
                                             uint32_t null_slot,
                                             PartitionScratch& scratch) const {
   PrepareMarks(scratch, size_t{null_slot} + 1);
-  if (scratch.local.size() < scratch.mark.size()) {
-    scratch.local.resize(scratch.mark.size());
-  }
   uint32_t* mark = scratch.mark.data();
-  uint32_t* local = scratch.local.data();
   std::vector<uint32_t>& sizes = scratch.sizes;
   std::vector<uint32_t>& subgroup = scratch.subgroup;
 
@@ -136,17 +136,19 @@ StrippedPartition StrippedPartition::Refine(const uint32_t* codes,
     const size_t len = end - begin;
     // Number the group's distinct slots in first-appearance order, size
     // each subgroup, and remember every row's subgroup for the scatter.
-    const uint32_t gen = NextGeneration(scratch);
+    // The group reserves a generation per row and marks a slot with the
+    // base plus its subgroup, so a mark below the base is a slot the group
+    // has not seen yet.
+    const uint32_t base = ReserveGenerations(scratch, len);
     if (subgroup.size() < len) subgroup.resize(len);
     sizes.clear();
     for (size_t i = 0; i < len; ++i) {
       const uint32_t slot = std::min(codes[rows_[begin + i]], null_slot);
-      if (mark[slot] != gen) {
-        mark[slot] = gen;
-        local[slot] = static_cast<uint32_t>(sizes.size());
+      if (mark[slot] < base) {
+        mark[slot] = base + static_cast<uint32_t>(sizes.size());
         sizes.push_back(0);
       }
-      subgroup[i] = local[slot];
+      subgroup[i] = mark[slot] - base;
       ++sizes[subgroup[i]];
     }
     // Lay out the multi-row subgroups; sizes become write cursors.
@@ -181,27 +183,24 @@ size_t StrippedPartition::RefineIds(const uint32_t* codes, uint32_t null_slot,
         "row");
   }
   PrepareMarks(scratch, size_t{null_slot} + 1);
-  if (scratch.local.size() < scratch.mark.size()) {
-    scratch.local.resize(scratch.mark.size());
-  }
   uint32_t* mark = scratch.mark.data();
-  uint32_t* local = scratch.local.data();
   // Each kept row gets the index of its subgroup, numbered across all
-  // groups; a row no kept group holds keeps kSkip. One scan in row order
-  // then hands out ids as subgroups and singletons first appear.
+  // groups; a row no kept group holds keeps kSkip. Marks work as in
+  // Refine: the base plus the subgroup's index within its group. One scan
+  // in row order then hands out ids as subgroups and singletons first
+  // appear.
   std::fill(ids, ids + physical_rows_, kSkip);
   uint32_t subgroups = 0;
   size_t begin = 0;
   for (const uint32_t end : ends_) {
-    const uint32_t gen = NextGeneration(scratch);
+    const uint32_t base = ReserveGenerations(scratch, end - begin);
+    uint32_t next = base;
     for (size_t i = begin; i < end; ++i) {
       const uint32_t slot = std::min(codes[rows_[i]], null_slot);
-      if (mark[slot] != gen) {
-        mark[slot] = gen;
-        local[slot] = subgroups++;
-      }
-      ids[rows_[i]] = local[slot];
+      if (mark[slot] < base) mark[slot] = next++;
+      ids[rows_[i]] = subgroups + (mark[slot] - base);
     }
+    subgroups += next - base;
     begin = end;
   }
   std::vector<uint32_t>& id_of = scratch.sizes;

@@ -46,21 +46,23 @@ struct Grouping;
 /// \brief Reusable scratch for StrippedPartition passes: one generation-
 /// stamped mark per dictionary slot of the refining attribute.
 ///
-/// A pass bumps the generation once per group instead of clearing the
-/// marks, so a slot counts as seen in the current group iff its mark
-/// equals the current generation. The marks grow to the largest
-/// dictionary seen and are cleared only when the generation counter
-/// wraps.
+/// A pass reserves fresh generations per group instead of clearing the
+/// marks. RefineCount reserves one, and a slot counts as seen in the
+/// current group iff its mark equals it. Refine and RefineIds reserve one
+/// per row of the group and mark a slot with the group's base plus the
+/// index of the slot's subgroup, so the mark also numbers the subgroup; a
+/// mark below the base is a slot the group has not seen. The marks grow to
+/// the largest dictionary seen and are cleared only when the generation
+/// counter would wrap.
 ///
 /// Thread-safety: one instance per thread. Parallel callers hand each
 /// chunk its own scratch; the partitions themselves are read-only.
 struct PartitionScratch {
   std::vector<uint32_t> mark;      ///< slot -> generation last seen in
-  std::vector<uint32_t> local;     ///< slot -> subgroup index (Refine)
   /// Refine: subgroup sizes, then write cursors. RefineIds: subgroup -> id.
   std::vector<uint32_t> sizes;
   std::vector<uint32_t> subgroup;  ///< subgroup of each row of the group
-  uint32_t generation = 0;
+  uint32_t generation = 0;         ///< last generation reserved
 };
 
 /// \brief π̂_S: the rows of every group of π_S with at least two selected
@@ -108,6 +110,13 @@ class StrippedPartition {
 
   /// Rows the partition keeps: every row of a multi-row group.
   size_t row_count() const { return rows_.size(); }
+
+  /// Same layout: the same kept rows in the same order, the same group
+  /// ends and singletons, over the same rows.
+  bool operator==(const StrippedPartition& o) const {
+    return rows_ == o.rows_ && ends_ == o.ends_ &&
+           singletons_ == o.singletons_ && physical_rows_ == o.physical_rows_;
+  }
 
   /// \brief |π_{S∪{A}}| over the selected rows, visiting only the kept
   /// rows, where A is one level of codes: `codes[t]` for every row t the

@@ -284,13 +284,6 @@ AttrSet Relation::NonNullAttrs() const {
   return s;
 }
 
-bool Relation::AnyNulls(const AttrSet& attrs) const {
-  for (int i : attrs.ToVector()) {
-    if (column(i).live_null_count() > 0) return true;
-  }
-  return false;
-}
-
 Relation Relation::FromEncoded(std::string name, Schema schema,
                                std::vector<Column> columns) {
   if (columns.size() != static_cast<size_t>(schema.size())) {

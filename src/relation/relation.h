@@ -266,9 +266,6 @@ class Relation {
   /// pool the paper allows for antecedent extension (§6.2.1).
   AttrSet NonNullAttrs() const;
 
-  /// True if any of the given attributes holds a NULL in a live row.
-  bool AnyNulls(const AttrSet& attrs) const;
-
   /// Rough payload size in bytes (codes + dictionaries); used by the
   /// Figure 3c "table dimension" axis.
   size_t EstimatedBytes() const;

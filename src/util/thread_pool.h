@@ -1,5 +1,5 @@
 // Shared thread pool and the `ParallelFor` range primitive — the execution
-// layer under the repair search's candidate batches and the ε_EB ranking
+// layer under the repair search's candidate waves and the ε_EB ranking
 // loop.
 //
 // The design follows the morsel-driven shape of the DuckDB/Hyrise schedulers

@@ -222,7 +222,7 @@ TEST(PlanRepairTest, TombstonedRelationPlansLikeItsCompactedCopy) {
     EXPECT_EQ(a.prunable, b.prunable) << i;
   }
   EXPECT_EQ(rel.NonNullAttrs(), rel.CompactedCopy().NonNullAttrs());
-  EXPECT_FALSE(rel.AnyNulls(AttrSet::Of({2})));
+  EXPECT_EQ(rel.column(2).live_null_count(), 0u);
 }
 
 TEST(PlanRepairTest, DescribePlanRendersBudgetAndCandidates) {

@@ -27,7 +27,9 @@ using relation::Relation;
 using relation::Schema;
 using relation::Value;
 
-constexpr int kThreadCounts[] = {2, 3, 8};
+// Extend evaluates its node expansions in waves of max(1, width / 2):
+// widths 2 and 3 hold one expansion per wave, 4 two, 8 four and 16 eight.
+constexpr int kThreadCounts[] = {2, 3, 4, 8, 16};
 
 /// Random NULL-free relation: the candidate pool excludes NULL-able
 /// attributes by default, so NULL-free instances keep the pool wide and
@@ -96,6 +98,8 @@ void ExpectSameResult(const fd::RepairResult& expected,
       << "threads=" << threads;
   EXPECT_EQ(got.stats.stop_reason, expected.stats.stop_reason)
       << "threads=" << threads;
+  EXPECT_EQ(got.stats.planned_cost_ms, expected.stats.planned_cost_ms)
+      << "threads=" << threads;
 }
 
 /// Every thread count shares one counting path, so the reference result
@@ -125,40 +129,60 @@ class ParallelSearchFuzz : public ::testing::TestWithParam<int> {
 TEST_P(ParallelSearchFuzz, ExtendBitIdenticalAcrossThreadCounts) {
   util::Rng rng(seed());
   for (int round = 0; round < 3; ++round) {
-    const int n_attrs = 6 + static_cast<int>(rng.Below(4));
+    // Up to 13 attributes: levels wide enough that one often ends on a
+    // part-filled wave while the frontier already holds deeper nodes.
+    const int n_attrs = 6 + static_cast<int>(rng.Below(8));
     const size_t n_tuples = 100 + rng.Below(500);
     const size_t domain = 2 + rng.Below(6);
     Relation rel = RandomRelation(seed() + static_cast<uint64_t>(round),
                                   n_attrs, n_tuples, domain);
     fd::Fd f = RandomFd(rng, n_attrs);
-    for (auto mode : {fd::SearchMode::kFirstRepair, fd::SearchMode::kAllRepairs,
-                      fd::SearchMode::kTopK}) {
-      fd::RepairOptions opts;
-      opts.mode = mode;
-      opts.max_added_attrs = 2;
-      opts.threads = 1;
-      fd::RepairResult expected = fd::Extend(rel, f, opts);
-      ExpectRecountedMeasures(rel, f, expected);
-      for (int k : kThreadCounts) {
-        opts.threads = k;
-        ExpectSameResult(expected, fd::Extend(rel, f, opts), k);
+    // At depth 3 waves form on two levels, and kFirstRepair/kTopK stop
+    // mid-search.
+    for (int depth : {2, 3}) {
+      for (auto mode : {fd::SearchMode::kFirstRepair,
+                        fd::SearchMode::kAllRepairs, fd::SearchMode::kTopK}) {
+        fd::RepairOptions opts;
+        opts.mode = mode;
+        opts.max_added_attrs = depth;
+        opts.threads = 1;
+        fd::RepairResult expected = fd::Extend(rel, f, opts);
+        ExpectRecountedMeasures(rel, f, expected);
+        for (int k : kThreadCounts) {
+          opts.threads = k;
+          ExpectSameResult(expected, fd::Extend(rel, f, opts), k);
+        }
       }
     }
   }
 }
 
 TEST_P(ParallelSearchFuzz, ExtendBudgetSemanticsIdenticalUnderParallelism) {
-  // The evaluation budget decides mid-batch where the search stops; the
-  // batched path must stop on exactly the same candidate.
+  // A budget decides mid-expansion where the search stops; the wave path
+  // must stop on exactly the same candidate.
   util::Rng rng(seed() + 7);
   Relation rel = RandomRelation(seed() + 7, 8, 400, 3);
   fd::Fd f = RandomFd(rng, 8);
+  fd::RepairOptions base;
+  base.mode = fd::SearchMode::kAllRepairs;
+  base.max_added_attrs = 3;
+  base.threads = 1;
   for (size_t budget : {size_t{1}, size_t{5}, size_t{13}, size_t{40}}) {
-    fd::RepairOptions opts;
-    opts.mode = fd::SearchMode::kAllRepairs;
-    opts.max_added_attrs = 3;
+    fd::RepairOptions opts = base;
     opts.max_evaluations = budget;
-    opts.threads = 1;
+    fd::RepairResult expected = fd::Extend(rel, f, opts);
+    for (int k : kThreadCounts) {
+      opts.threads = k;
+      ExpectSameResult(expected, fd::Extend(rel, f, opts), k);
+    }
+  }
+  // The modeled-cost budget also reorders every expansion by the planner's
+  // bounds and costs.
+  const double full_cost = fd::Extend(rel, f, base).stats.planned_cost_ms;
+  if (full_cost <= 0.0) return;  // already exact or everything pruned
+  for (double fraction : {0.1, 0.4, 0.8}) {
+    fd::RepairOptions opts = base;
+    opts.budget_cost = full_cost * fraction;
     fd::RepairResult expected = fd::Extend(rel, f, opts);
     for (int k : kThreadCounts) {
       opts.threads = k;
