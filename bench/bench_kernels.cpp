@@ -3,15 +3,17 @@
 // For every kernel tier this host can run (baseline scalar is always
 // there; AVX2 when detected), measures ns/tuple for the dispatched inner
 // loop — dense gather refine — plus the fused-chain vs per-level-chain
-// comparison that motivates segment fusion.
+// comparison that motivates segment fusion, and ms per pass of the
+// count-only shapes: one level from a base and three fused levels, on the
+// clean relation and on its tombstoned twin (the masked passes).
 //
 // The bench doubles as a correctness gate: the AVX2 tier, over clean AND
 // tombstoned relations, must produce bit-identical group ids, group
 // counts, and FD measure doubles to the baseline scalar tier, on dense
-// chains and on a chain past the dense limit, which finishes on a
-// stripped partition after the tier's dense prefix. Any divergence makes
-// the process exit non-zero, so CI can run this (FDEVOLVE_BENCH_FAST=1)
-// as a smoke step.
+// chains (one level and three, materializing and count-only) and on a
+// chain past the dense limit, which finishes on a stripped partition after
+// the tier's dense prefix. Any divergence makes the process exit non-zero,
+// so CI can run this (FDEVOLVE_BENCH_FAST=1) as a smoke step.
 //
 // Results land in BENCH_kernels.json in the working directory; validate
 // with scripts/check_bench_json.py.
@@ -84,9 +86,18 @@ int main() {
   const auto rel = datagen::MakeSynthetic(spec);
 
   // Tombstoned twin: delete a deterministic ~10% so the live-masked
-  // count-only path is part of the gate.
+  // count-only path is part of the gate, plus every row holding row 0's
+  // (attribute 0, attribute 3) pair (~0.1%), so some counted groups hold
+  // only dead rows and a pass that ignored the mask would count them.
   auto rel_del = rel;
-  for (size_t t = 3; t < n; t += 10) rel_del.DeleteRow(t);
+  const auto& col0 = rel.column(0);
+  const auto& col3 = rel.column(3);
+  for (size_t t = 0; t < n; ++t) {
+    if (t % 10 == 3 ||
+        (col0.code(t) == col0.code(0) && col3.code(t) == col3.code(0))) {
+      rel_del.DeleteRow(t);
+    }
+  }
 
   const auto dense_attrs = relation::AttrSet::Of({0, 2, 3});
   // Radix past the dense limit: the chain runs a dense prefix on the
@@ -103,6 +114,10 @@ int main() {
   const auto ref_measures = fd::ComputeMeasures(rel, fd);
   const auto base0 = query::GroupBy(rel, relation::AttrSet::Of({0}));
   const auto ref_refine = query::RefineBy(rel, base0, 3);
+  const auto base0_del = query::GroupBy(rel_del, relation::AttrSet::Of({0}));
+  const auto attr3 = relation::AttrSet::Of({3});
+  const size_t ref_count1 = query::RefineCountBy(rel, base0, attr3);
+  const size_t ref_count1_del = query::RefineCountBy(rel_del, base0_del, attr3);
 
   const auto tiers = query::kernels::SupportedTiers();
   std::map<std::string, TierNumbers> results;
@@ -113,6 +128,12 @@ int main() {
                            " tuples, ns/tuple, best of " +
                            std::to_string(kReps) + ")");
   table.SetHeader({"tier", "dense", "fused 3-attr ms"});
+  // Count-only shapes, ms per pass: one row per shape, one column per tier.
+  const std::vector<std::string> count_shapes = {
+      "RefineCountBy 1 attr", "RefineCountBy 1 attr, tombstoned",
+      "GroupCountBy 3 attrs", "GroupCountBy 3 attrs, tombstoned"};
+  std::vector<std::vector<std::string>> count_rows;
+  for (const auto& shape : count_shapes) count_rows.push_back({shape});
 
   for (util::CpuTier tier : tiers) {
     query::kernels::ForceTier(tier);
@@ -133,6 +154,17 @@ int main() {
       g = query::RefineBy(rel, g, 2, scratch);
       g = query::RefineBy(rel, g, 3, scratch);
     });
+
+    const double count_ms[] = {
+        BestMs([&] { query::RefineCountBy(rel, base0, attr3, scratch); }),
+        BestMs([&] {
+          query::RefineCountBy(rel_del, base0_del, attr3, scratch);
+        }),
+        BestMs([&] { query::GroupCountBy(rel, dense_attrs, scratch); }),
+        BestMs([&] { query::GroupCountBy(rel_del, dense_attrs, scratch); })};
+    for (size_t i = 0; i < count_rows.size(); ++i) {
+      count_rows[i].push_back(Fmt(count_ms[i]));
+    }
 
     if (tier == util::CpuTier::kBaseline) baseline_dense = nums.dense_ns;
     // The last (= highest) tier's chain numbers headline the JSON.
@@ -159,6 +191,11 @@ int main() {
     const auto r = query::RefineBy(rel, base0, 3, scratch);
     Gate(r.ids == ref_refine.ids && r.group_count == ref_refine.group_count,
          ctx + "RefineBy ids/count");
+    Gate(query::RefineCountBy(rel, base0, attr3, scratch) == ref_count1,
+         ctx + "RefineCountBy 1 attr");
+    Gate(query::RefineCountBy(rel_del, base0_del, attr3, scratch) ==
+             ref_count1_del,
+         ctx + "RefineCountBy 1 attr (tombstoned)");
     const auto m = fd::ComputeMeasures(rel, fd);
     Gate(m.confidence == ref_measures.confidence &&
              m.goodness == ref_measures.goodness,
@@ -167,6 +204,16 @@ int main() {
   query::kernels::ForceTier(query::kernels::DetectedTier());
 
   table.Print(std::cout);
+  util::TablePrinter counts("count-only shapes (" + std::to_string(n) +
+                            " tuples, ms per pass, best of " +
+                            std::to_string(kReps) + ")");
+  std::vector<std::string> count_header = {"shape"};
+  for (util::CpuTier tier : tiers) {
+    count_header.push_back(util::CpuTierName(tier));
+  }
+  counts.SetHeader(count_header);
+  for (auto& row : count_rows) counts.AddRow(std::move(row));
+  counts.Print(std::cout);
   const std::string best = util::CpuTierName(tiers.back());
   std::cout << "detected: "
             << util::CpuTierName(query::kernels::DetectedTier())

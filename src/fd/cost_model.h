@@ -21,6 +21,7 @@
 //      would overflow clamps to SIZE_MAX and the bound stays sound.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -72,6 +73,35 @@ class CostModel {
                     query::SaturatingMul(
                         query::SaturatingMul(base_distinct, GroupSlots(attr)),
                         top_slot_product));
+  }
+
+  /// Best confidence any set below a branch can reach, given its
+  /// reachable bound and the |π_XY| of its base: min(1, bound / base_xy),
+  /// and 1 when base_xy is 0.
+  static double BestConfidence(size_t reachable_bound, size_t base_xy) {
+    return base_xy == 0
+               ? 1.0
+               : std::min(1.0, static_cast<double>(reachable_bound) /
+                                   static_cast<double>(base_xy));
+  }
+
+  /// Budget-spending order of the one-attribute extensions of a base with
+  /// |π_base| = base_distinct and |π_{base∪Y}| = base_xy: true when adding
+  /// `a` is tried before adding `b`. High signal first (best reachable
+  /// confidence descending), cheap first among ties (modeled cost
+  /// ascending), then attribute index. PlanRepair's seed order (what
+  /// EXPLAIN REPAIR prints) and a budgeted Extend both sort by it.
+  bool SpendsBefore(int a, int b, size_t base_distinct, size_t base_xy,
+                    size_t top_slot_product) const {
+    const double conf_a = BestConfidence(
+        ReachableDistinctBound(base_distinct, a, top_slot_product), base_xy);
+    const double conf_b = BestConfidence(
+        ReachableDistinctBound(base_distinct, b, top_slot_product), base_xy);
+    if (conf_a != conf_b) return conf_a > conf_b;
+    const double cost_a = CandidateCostMs(a);
+    const double cost_b = CandidateCostMs(b);
+    if (cost_a != cost_b) return cost_a < cost_b;
+    return a < b;
   }
 
  private:

@@ -63,10 +63,7 @@ RepairPlan PlanRepair(const relation::Relation& rel, const Fd& fd,
     c.reachable_bound =
         model.ReachableDistinctBound(plan.original.distinct_x, a,
                                      reach_product);
-    c.best_confidence =
-        xy == 0 ? 1.0
-                : std::min(1.0, static_cast<double>(c.reachable_bound) /
-                                    static_cast<double>(xy));
+    c.best_confidence = CostModel::BestConfidence(c.reachable_bound, xy);
     // Mirror of the executing search's prune test: exactness is decided on
     // integers, approximate targets on the correctly-rounded ratio.
     c.prunable = plan.target_confidence >= 1.0
@@ -78,18 +75,14 @@ RepairPlan PlanRepair(const relation::Relation& rel, const Fd& fd,
     plan.candidates.push_back(c);
   }
 
-  // Budget-spending order: high-signal first, cheap first among ties, then
-  // attribute index for full determinism. Prunable branches sink.
+  // Budget-spending order, the one a budgeted Extend spends in; prunable
+  // branches sink.
   std::stable_sort(plan.candidates.begin(), plan.candidates.end(),
-                   [](const PlannedCandidate& a, const PlannedCandidate& b) {
+                   [&](const PlannedCandidate& a, const PlannedCandidate& b) {
                      if (a.prunable != b.prunable) return !a.prunable;
-                     if (a.best_confidence != b.best_confidence) {
-                       return a.best_confidence > b.best_confidence;
-                     }
-                     if (a.est_cost_ms != b.est_cost_ms) {
-                       return a.est_cost_ms < b.est_cost_ms;
-                     }
-                     return a.attr < b.attr;
+                     return model.SpendsBefore(a.attr, b.attr,
+                                               plan.original.distinct_x, xy,
+                                               reach_product);
                    });
   return plan;
 }

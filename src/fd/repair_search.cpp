@@ -184,22 +184,16 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
             : 0;
     const std::vector<int>* order = &attrs;
     if (budgeted) {
-      // A budget is spent cheap/high-signal-first: reorder the expansion by
-      // reachable-cardinality bound descending (closer to |π_XUY| = more
-      // confidence available), modeled cost ascending, then attribute
-      // index. Reordering shifts seq tie-breaks, so budgeted runs trade
-      // the bit-identity guarantee for better use of the budget.
+      // A budget is spent in the order PlanRepair prints
+      // (CostModel::SpendsBefore): high signal first, cheap first among
+      // ties. Reordering shifts seq tie-breaks, so budgeted runs trade the
+      // bit-identity guarantee for better use of the budget.
       budget_order = attrs;
-      std::stable_sort(
-          budget_order.begin(), budget_order.end(), [&](int a, int b) {
-            const size_t ba = model->ReachableDistinctBound(base_x, a, reach);
-            const size_t bb = model->ReachableDistinctBound(base_x, b, reach);
-            if (ba != bb) return ba > bb;
-            const double ca = model->CandidateCostMs(a);
-            const double cb = model->CandidateCostMs(b);
-            if (ca != cb) return ca < cb;
-            return a < b;
-          });
+      std::stable_sort(budget_order.begin(), budget_order.end(),
+                       [&](int a, int b) {
+                         return model->SpendsBefore(a, b, base_x, base_xy,
+                                                    reach);
+                       });
       order = &budget_order;
     }
     for (int a : *order) {

@@ -63,12 +63,12 @@ DistinctEvaluator::DistinctEvaluator(const relation::Relation& rel)
     : rel_(rel), watermark_(rel.version()) {
   mutation_seen_ = rel.has_tombstones();
   tomb_pos_ = rel.deletion_log().size();
-  epoch_seen_ = rel.mutation_epoch();
   compactions_seen_ = rel.compactions();
 }
 
 void DistinctEvaluator::MaybeAdvance() {
-  if (rel_.version() != watermark_ || rel_.mutation_epoch() != epoch_seen_ ||
+  if (rel_.version() != watermark_ ||
+      rel_.deletion_log().size() != tomb_pos_ ||
       rel_.compactions() != compactions_seen_) {
     Advance();
   }
@@ -86,7 +86,6 @@ void DistinctEvaluator::Advance() {
     by_size_.clear();
     watermark_ = rel_.version();
     compactions_seen_ = rel_.compactions();
-    epoch_seen_ = rel_.mutation_epoch();
     mutation_seen_ = rel_.has_tombstones();
     tomb_pos_ = rel_.deletion_log().size();
     return;
@@ -99,7 +98,8 @@ void DistinctEvaluator::Advance() {
         "relation");
   }
   const bool appended = n != watermark_;
-  const bool mutated = rel_.mutation_epoch() != epoch_seen_;
+  // Between compactions the deletion log only grows.
+  const bool mutated = rel_.deletion_log().size() != tomb_pos_;
   if (!appended && !mutated) return;
   if (appended) {
     // Popcount-ascending bucket order advances every grouping's base
@@ -132,7 +132,6 @@ void DistinctEvaluator::Advance() {
     }
   }
   watermark_ = n;
-  epoch_seen_ = rel_.mutation_epoch();
 }
 
 void DistinctEvaluator::BuildLiveRefcounts(CachedGrouping& cg) {
@@ -244,22 +243,20 @@ size_t DistinctEvaluator::Count(const relation::AttrSet& attrs) {
     return memo->second;
   }
   size_t result;
-  if (mutation_seen_) {
-    // Tombstones active: the dictionary fast path is invalid and a
-    // count-only memo would be dropped on every Advance, so route every
-    // nontrivial query through a refcounted cached grouping — repeated
-    // monitor checks then stay O(Δ) per mutation.
+  if (rel_.tuple_count() == 0 || attrs.Count() <= 1) {
+    // O(1) from the live row count or the column's live counts, tombstoned
+    // or not; not worth counting as a miss.
+    result = GroupCountBy(rel_, attrs, scratch_);
+  } else if (mutation_seen_) {
+    // Tombstones active: a count-only memo would be dropped on every
+    // Advance, so route the query through a refcounted cached grouping —
+    // repeated monitor checks then stay O(Δ) per mutation.
     if (rel_.live_count() == 0) {
       result = 0;
-    } else if (attrs.Empty()) {
-      result = 1;
     } else {
       GroupFor(attrs);  // ensures a refcounted cache entry exists
       result = cache_.find(attrs)->second.live_groups;
     }
-  } else if (rel_.tuple_count() == 0 || attrs.Empty() || attrs.Count() == 1) {
-    // O(1) via the dictionary fast path; not worth counting as a miss.
-    result = GroupCountBy(rel_, attrs, scratch_);
   } else if (auto it = cache_.find(attrs); it != cache_.end()) {
     result = it->second.grouping.group_count;
   } else {

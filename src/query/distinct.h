@@ -27,8 +27,8 @@ enum class DistinctStrategy {
 ///
 /// Empty attrs yields 1 when any live row exists, 0 otherwise.
 /// The hash strategy is count-only: it never materializes group ids, and a
-/// single attribute on an append-only relation is answered from the
-/// column dictionary in O(1).
+/// single attribute is answered from the column's live counts in O(1),
+/// tombstoned or not.
 ///
 /// The trailing `int` is ignored; it is kept so that callers that still
 /// pass a thread count compile. Every pass runs sequentially.
@@ -74,18 +74,20 @@ size_t DistinctCount(const relation::Relation& rel,
 /// prefix), so purely-static workloads pay nothing for them.
 ///
 /// \par Deletions and compaction
-/// The evaluator also tracks relation::Relation::mutation_epoch() and the
-/// deletion log. Cached groupings keep covering every physical row (their
-/// ids never change — deletion does not reassign row ids or codes), and
-/// each grows a per-group LIVE REFCOUNT vector the first time a deletion
-/// is observed: Count() then answers with the number of groups whose
-/// refcount is nonzero. Folding one deleted row into one cached grouping
-/// is a single decrement via its maintained ids — O(cached groupings) per
-/// deleted row overall, independent of relation size — and appends keep
-/// their O(levels) cost (a fresh row increments its group's refcount as
-/// its id is assigned). Under tombstones every Count() is routed through
-/// a cached grouping (the dictionary fast path is no longer valid), so
-/// monitor-style workloads stay O(Δ) per check.
+/// The evaluator also tracks the relation's deletion log: entries past the
+/// ones it has folded are new deletions. Cached groupings keep covering
+/// every physical row (their ids never change — deletion does not reassign
+/// row ids or codes), and each grows a per-group LIVE REFCOUNT vector the
+/// first time a deletion is observed: Count() then answers with the number
+/// of groups whose refcount is nonzero. Folding one deleted row into one
+/// cached grouping is a single decrement via its maintained ids —
+/// O(cached groupings) per deleted row overall, independent of relation
+/// size — and appends keep their O(levels) cost (a fresh row increments
+/// its group's refcount as its id is assigned). Under tombstones every
+/// multi-attribute Count() is routed through a cached grouping, so
+/// monitor-style workloads stay O(Δ) per check; the empty set and single
+/// attributes read the live row count and the column's live counts,
+/// tombstoned or not, and cache nothing.
 ///
 /// A Compact() reassigns physical row ids and codes wholesale; the
 /// evaluator detects it via relation::Relation::compactions() and drops
@@ -137,7 +139,7 @@ class DistinctEvaluator {
   /// compaction instead resets the caches entirely.
   ///
   /// Count() and GroupFor() call this automatically when the relation's
-  /// version, mutation epoch, or compaction counter has moved, so
+  /// version, deletion log, or compaction counter has moved, so
   /// explicit calls are only needed to control *when* the work happens.
   /// Throws std::logic_error if the relation shrank without a compaction
   /// (a stale-cache pairing bug — see relation::Relation's class
@@ -201,7 +203,7 @@ class DistinctEvaluator {
   const Grouping& Insert(const relation::AttrSet& attrs, Grouping g,
                          const relation::AttrSet* base_key);
 
-  /// Runs Advance() if the relation's version, mutation epoch, or
+  /// Runs Advance() if the relation's version, deletion log, or
   /// compaction counter moved since the last query; resets the caches
   /// outright when a compaction happened.
   void MaybeAdvance();
@@ -241,7 +243,6 @@ class DistinctEvaluator {
   // Mutation tracking (see the class comment's deletion paragraph).
   bool mutation_seen_ = false;    ///< refcounts are materialized
   size_t tomb_pos_ = 0;           ///< deletion-log entries already folded
-  size_t epoch_seen_ = 0;         ///< rel_.mutation_epoch() snapshot
   size_t compactions_seen_ = 0;   ///< rel_.compactions() snapshot
 };
 

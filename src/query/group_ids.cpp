@@ -347,7 +347,7 @@ size_t GroupCountBy(const relation::Relation& rel,
     if (mask != nullptr) {
       return MaskedDistinct(col.codes().data(), n, col.dict_size(), mask);
     }
-    // |π_A| falls straight out of the dictionary: no per-tuple work.
+    // Every physical row: |π_A| falls straight out of the dictionary.
     return col.dict_size() + (col.has_nulls() ? 1 : 0);
   }
   // Count-only fused chain: when every level fits one segment — the common
@@ -361,6 +361,13 @@ size_t GroupCountBy(const relation::Relation& rel,
 
 size_t GroupCountBy(const relation::Relation& rel,
                     const relation::AttrSet& attrs, RefineScratch& scratch) {
+  // The empty set and a single attribute need no per-tuple work, tombstoned
+  // or not: the live row count, or the column's live counts.
+  if (attrs.Empty()) return rel.live_count() > 0 ? 1 : 0;
+  if (attrs.Count() == 1) {
+    const relation::Column& col = rel.column(attrs.ToVector()[0]);
+    return col.live_distinct_count() + (col.live_null_count() > 0 ? 1 : 0);
+  }
   return GroupCountBy(rel, attrs, LiveMask(rel), scratch);
 }
 

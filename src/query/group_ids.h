@@ -140,15 +140,15 @@ Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
 /// \brief |GroupBy(rel, attrs).group_count| without materializing
 /// `Grouping::ids`, restricted to the relation's LIVE rows.
 ///
-/// On an append-only relation a single attribute is answered straight
-/// from the column dictionary (dict_size + has_nulls) with no per-tuple
-/// work at all; longer sets run the refinement chain but skip writing ids
-/// on the final pass, and finish on a stripped partition once the packed
-/// key misses the dense array. When the relation carries tombstones the
-/// final pass (or the partition) skips dead rows — the count is the
-/// number of groups with at least one live row — while intermediate
-/// materializing passes still cover every physical row, keeping their
-/// ids append-stable.
+/// A single attribute is answered straight from the column's live counts
+/// (live_distinct_count, plus one when a live row is NULL), tombstoned or
+/// not, with no per-tuple work at all; longer sets run the refinement
+/// chain but skip writing ids on the final pass, and finish on a stripped
+/// partition once the packed key misses the dense array. When the
+/// relation carries tombstones the final pass (or the partition) skips
+/// dead rows — the count is the number of groups with at least one live
+/// row — while intermediate materializing passes still cover every
+/// physical row, keeping their ids append-stable.
 size_t GroupCountBy(const relation::Relation& rel,
                     const relation::AttrSet& attrs);
 size_t GroupCountBy(const relation::Relation& rel,

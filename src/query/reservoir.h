@@ -3,7 +3,7 @@
 // Sampled FD monitoring (fd::SchemaMonitor's sampled source) needs a fixed
 // memory budget regardless of stream length: a uniform sample of the live
 // rows, maintained under INSERT/DELETE/UPDATE through the same
-// version()/mutation_epoch()/compactions() contract the incremental
+// version()/deletion_log()/compactions() contract the incremental
 // caches use. The classic streaming answer is Vitter's Algorithm R over a
 // fixed-capacity reservoir (DuckDB's physical_reservoir_sample operator is
 // the production shape of the same idea), adapted here for the

@@ -244,7 +244,6 @@ void Relation::DeleteRow(size_t t) {
   for (auto& col : columns_) col.Uncount(t);
   ++dead_count_;
   ++deletes_ever_;
-  ++mutation_epoch_;
 }
 
 size_t Relation::Compact() {
@@ -256,10 +255,9 @@ size_t Relation::Compact() {
     deletion_log_.clear();
     dead_count_ = 0;
   }
-  // Epoch and incarnation move even for a no-op compaction: callers that
+  // The incarnation moves even for a no-op compaction: callers that
   // trigger Compact() deterministically (the server's policy) must see
   // identical counters on replay regardless of whether rows were dead.
-  ++mutation_epoch_;
   ++compactions_;
   return removed;
 }
@@ -271,7 +269,6 @@ Relation Relation::CompactedCopy() const {
   // lifetime counters restart at the compacted contents.
   copy.appends_ever_ = copy.tuple_count_;
   copy.deletes_ever_ = 0;
-  copy.mutation_epoch_ = 0;
   copy.compactions_ = 0;
   return copy;
 }
@@ -329,7 +326,6 @@ void Relation::RestoreLifetimeCounters(size_t appends_ever,
   appends_ever_ = appends_ever;
   deletes_ever_ = deletes_ever;
   compactions_ = compactions;
-  mutation_epoch_ = deletes_ever + compactions;
 }
 
 void RequireNoTombstones(const Relation& rel, const char* where) {

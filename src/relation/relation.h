@@ -147,22 +147,24 @@ class Column {
 /// tombstone bitmap and records it in an ordered deletion log; the bytes
 /// of the row stay in place until Compact() rewrites the relation.
 ///
-/// Downstream caches therefore need TWO counters, not one:
+/// Downstream caches therefore track three things, not one:
 ///
 ///   * `version()` — the physical row watermark (== tuple_count()). It
 ///     grows by one per append and only ever moves backwards at a
-///     Compact(), which also bumps `compactions()`. Rows [0, version())
-///     have immutable codes between compactions.
-///   * `mutation_epoch()` — a monotone change counter bumped by every
-///     DeleteRow() and every Compact(). A cache whose epoch snapshot is
-///     stale must re-fold the deletion log (or rebuild, after a
-///     compaction) before trusting any live-row-derived result.
+///     Compact(). Rows [0, version()) have immutable codes between
+///     compactions.
+///   * `deletion_log()` — the dead row ids in deletion order. Between
+///     compactions it only grows: a cache that has folded fewer entries
+///     must fold the rest before trusting any live-row-derived result.
+///   * `compactions()` — bumped by every Compact(), which reassigns row
+///     ids and codes wholesale (and clears the deletion log): a cache that
+///     saw fewer compactions rebuilds.
 ///
 /// A consumer that diffs only `version()` (the historical append-only
 /// contract) would silently keep counting deleted rows. Tombstone-unaware
 /// scans must call RequireNoTombstones() at entry so that misuse is a
 /// hard error instead of silent corruption; incremental caches
-/// (query::DistinctEvaluator) track both counters plus `compactions()`.
+/// (query::DistinctEvaluator) track all three.
 class Relation {
  public:
   Relation(std::string name, Schema schema);
@@ -174,7 +176,7 @@ class Relation {
 
   /// Physical row watermark: the number of physical rows currently
   /// stored, dead ones included. NOT the number of tuples ever appended
-  /// once deletions exist — see `mutation_epoch()` and the class comment
+  /// once deletions exist — see `deletion_log()` and the class comment
   /// for the cache-invalidation contract. Shrinks only at Compact().
   size_t version() const { return tuple_count_; }
 
@@ -193,11 +195,6 @@ class Relation {
   size_t dead_count() const { return dead_count_; }
 
   bool has_tombstones() const { return dead_count_ > 0; }
-
-  /// Monotone mutation counter: bumped by every DeleteRow() and every
-  /// Compact(). Appends do NOT bump it — the append fast path stays
-  /// diffable via version() alone.
-  size_t mutation_epoch() const { return mutation_epoch_; }
 
   /// Number of Compact() calls over the relation's lifetime — the
   /// incarnation counter caches compare to detect that physical row ids
@@ -234,8 +231,8 @@ class Relation {
   /// Rebuilt-equivalence guarantee: the compacted relation is
   /// bit-identical at the encoded layer (dictionary order, codes, null
   /// counts, watermark) to a fresh relation built by AppendRow-ing the
-  /// live rows in physical order. Clears the tombstone state, bumps
-  /// mutation_epoch() and compactions(); appends_ever()/deletes_ever()
+  /// live rows in physical order. Clears the tombstone state and the
+  /// deletion log, bumps compactions(); appends_ever()/deletes_ever()
   /// keep their lifetime values. Returns the number of rows removed.
   size_t Compact();
 
@@ -280,10 +277,9 @@ class Relation {
   /// Restores the lifetime mutation counters after a snapshot load, so
   /// consumers keyed to mutation history (monitors via appends_ever() +
   /// deletes_ever(), reservoir samplers via compactions()) resume against
-  /// the same watermarks they checkpointed. mutation_epoch() is derived
-  /// (every DeleteRow and Compact bumps it exactly once, appends never
-  /// do), not passed. Throws std::invalid_argument when the counters are
-  /// impossible for this relation's current physical state.
+  /// the same watermarks they checkpointed. Throws std::invalid_argument
+  /// when the counters are impossible for this relation's current
+  /// physical state.
   void RestoreLifetimeCounters(size_t appends_ever, size_t deletes_ever,
                                size_t compactions);
 
@@ -302,7 +298,6 @@ class Relation {
   std::vector<uint8_t> live_;
   std::vector<uint32_t> deletion_log_;  ///< dead row ids, deletion order
   size_t dead_count_ = 0;
-  size_t mutation_epoch_ = 0;
   size_t compactions_ = 0;
   size_t appends_ever_ = 0;
   size_t deletes_ever_ = 0;

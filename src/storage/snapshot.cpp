@@ -17,12 +17,12 @@ constexpr char kMagic[4] = {'F', 'D', 'E', 'V'};
 constexpr size_t kHeaderSize = 4 + 4 + 4;  // magic + version + kind
 constexpr size_t kTrailerSize = 8;         // FNV-1a checksum
 
-/// Kinds 3 (monitor checkpoint) and 5 (sampled monitor checkpoint) are
-/// retired: never reused, and still named by KindName so that loading an
-/// old file fails with an error that says what the file is.
+/// Kinds 2 (database catalog), 3 (monitor checkpoint) and 5 (sampled
+/// monitor checkpoint) are retired: never reused, and still named by
+/// KindName so that loading an old file fails with an error that says what
+/// the file is.
 enum PayloadKind : uint32_t {
   kKindRelation = 1,
-  kKindDatabase = 2,
   kKindServer = 4,
 };
 
@@ -30,8 +30,8 @@ const char* KindName(uint32_t kind) {
   switch (kind) {
     case kKindRelation:
       return "relation";
-    case kKindDatabase:
-      return "database";
+    case 2:
+      return "database catalog (retired kind 2)";
     case 3:
       return "monitor checkpoint (retired kind 3)";
     case kKindServer:
@@ -153,33 +153,28 @@ void WriteRelationPayload(BinaryWriter& w, const relation::Relation& rel) {
     }
     w.U32Array(col.codes());
   }
-  // v2 tombstone section: dead physical row ids in deletion order (empty
+  // Tombstone section: dead physical row ids in deletion order (empty
   // array for all-live relations — one u32 of overhead, no branch on read).
   w.U32Array(rel.deletion_log());
-  // v3 lifetime-counter section: the mutation history watermarks the
-  // monitor cadence (appends_ever + deletes_ever) and the reservoir
-  // samplers (compactions) are keyed to. mutation_epoch is derived on
-  // restore, not stored.
+  // Lifetime-counter section: the mutation history watermarks the monitor
+  // cadence (appends_ever + deletes_ever) and the reservoir samplers
+  // (compactions) are keyed to.
   w.U64(rel.appends_ever());
   w.U64(rel.deletes_ever());
   w.U64(rel.compactions());
 }
 
-/// Reads the mutation history that follows a relation's rows. The v2
+/// Reads the mutation history that follows a relation's rows. The
 /// deletion log replays through DeleteRow, so the loaded relation's
 /// tombstone bitmap, deletion log, and mutation counters are rebuilt the
 /// same deterministic way the live writer built them; DeleteRow itself
 /// rejects out-of-range and duplicate ids, so a corrupt log fails the load
-/// instead of fabricating state. The v3 lifetime counters follow;
+/// instead of fabricating state. The lifetime counters follow;
 /// RestoreLifetimeCounters throws std::invalid_argument on impossible
 /// counters — the same corrupt-payload path FromEncoded's structural
 /// checks take.
-void ReadMutationHistory(BinaryReader& r, uint32_t version,
-                         relation::Relation* rel) {
-  if (version >= 2) {
-    for (uint32_t id : r.U32Array()) rel->DeleteRow(id);
-  }
-  if (version < 3) return;
+void ReadMutationHistory(BinaryReader& r, relation::Relation* rel) {
+  for (uint32_t id : r.U32Array()) rel->DeleteRow(id);
   const uint64_t appends = r.U64();
   const uint64_t deletes = r.U64();
   const uint64_t compactions = r.U64();
@@ -188,7 +183,7 @@ void ReadMutationHistory(BinaryReader& r, uint32_t version,
                                static_cast<size_t>(compactions));
 }
 
-relation::Relation ReadRelationPayload(BinaryReader& r, uint32_t version) {
+relation::Relation ReadRelationPayload(BinaryReader& r) {
   std::string name = r.Str();
   uint32_t attr_count = r.U32();
   std::vector<relation::Attribute> attrs;
@@ -213,7 +208,7 @@ relation::Relation ReadRelationPayload(BinaryReader& r, uint32_t version) {
     }
     relation::Relation rel(std::move(name), std::move(schema));
     for (uint64_t t = 0; t < tuples; ++t) rel.AppendRow({});
-    ReadMutationHistory(r, version, &rel);
+    ReadMutationHistory(r, &rel);
     return rel;
   }
 
@@ -261,7 +256,7 @@ relation::Relation ReadRelationPayload(BinaryReader& r, uint32_t version) {
   }
   relation::Relation rel = relation::Relation::FromEncoded(
       std::move(name), std::move(schema), std::move(columns));
-  ReadMutationHistory(r, version, &rel);
+  ReadMutationHistory(r, &rel);
   return rel;
 }
 
@@ -283,12 +278,9 @@ void WriteFdsAndDrift(BinaryWriter& w, const std::vector<fd::MonitoredFd>& fds,
     w.U64(ev.fd_index);
     w.U64(ev.tuple_count);
     WriteMeasures(w, ev.measures);
-    // v2: the event's direction. v1 files predate recovery events, so the
-    // reader's default (kViolated = 0) is exactly what they meant.
     w.U8(static_cast<uint8_t>(ev.kind));
-    // v3: sampled-estimate fields. Exact events write their defaults
-    // (approx=0, degenerate intervals) — which is also what v1/v2 files
-    // load as, since their writers only had exact monitors.
+    // Sampled-estimate fields: exact events write their defaults
+    // (approx=0, degenerate intervals).
     w.U8(ev.approx ? 1 : 0);
     w.F64(ev.confidence_lo);
     w.F64(ev.confidence_hi);
@@ -297,8 +289,7 @@ void WriteFdsAndDrift(BinaryWriter& w, const std::vector<fd::MonitoredFd>& fds,
   }
 }
 
-void ReadFdsAndDrift(BinaryReader& r, uint32_t version,
-                     std::vector<fd::MonitoredFd>* fds,
+void ReadFdsAndDrift(BinaryReader& r, std::vector<fd::MonitoredFd>* fds,
                      std::vector<fd::DriftEvent>* drift_log) {
   uint32_t fd_count = r.U32();
   fds->reserve(fd_count);
@@ -323,25 +314,21 @@ void ReadFdsAndDrift(BinaryReader& r, uint32_t version,
     }
     ev.tuple_count = r.U64();
     ev.measures = ReadMeasures(r);
-    if (version >= 2) {
-      uint8_t kind = r.U8();
-      if (kind > static_cast<uint8_t>(fd::DriftKind::kRecovered)) {
-        throw util::BinaryIoError("bad drift kind " + std::to_string(kind));
-      }
-      ev.kind = static_cast<fd::DriftKind>(kind);
+    const uint8_t kind = r.U8();
+    if (kind > static_cast<uint8_t>(fd::DriftKind::kRecovered)) {
+      throw util::BinaryIoError("bad drift kind " + std::to_string(kind));
     }
-    if (version >= 3) {
-      uint8_t approx = r.U8();
-      if (approx > 1) {
-        throw util::BinaryIoError("bad drift approx flag " +
-                                  std::to_string(approx));
-      }
-      ev.approx = approx != 0;
-      ev.confidence_lo = r.F64();
-      ev.confidence_hi = r.F64();
-      ev.goodness_lo = r.F64();
-      ev.goodness_hi = r.F64();
+    ev.kind = static_cast<fd::DriftKind>(kind);
+    const uint8_t approx = r.U8();
+    if (approx > 1) {
+      throw util::BinaryIoError("bad drift approx flag " +
+                                std::to_string(approx));
     }
+    ev.approx = approx != 0;
+    ev.confidence_lo = r.F64();
+    ev.confidence_hi = r.F64();
+    ev.goodness_lo = r.F64();
+    ev.goodness_hi = r.F64();
     drift_log->push_back(std::move(ev));
   }
 }
@@ -354,17 +341,17 @@ void WriteMonitorStatePayload(BinaryWriter& w, const fd::MonitorState& s) {
   WriteFdsAndDrift(w, s.fds, s.drift_log);
 }
 
-fd::MonitorState ReadMonitorStatePayload(BinaryReader& r, uint32_t version) {
+fd::MonitorState ReadMonitorStatePayload(BinaryReader& r) {
   fd::MonitorState s;
   s.check_interval = static_cast<size_t>(r.U64());
   s.inserts_since_check = static_cast<size_t>(r.U64());
   s.checks_run = static_cast<size_t>(r.U64());
   s.watermark = static_cast<size_t>(r.U64());
-  ReadFdsAndDrift(r, version, &s.fds, &s.drift_log);
+  ReadFdsAndDrift(r, &s.fds, &s.drift_log);
   return s;
 }
 
-// Reservoir state (v3) — the sampler's full replay state. Structural
+// Reservoir state — the sampler's full replay state. Structural
 // validation against the paired relation happens in ReservoirSampler's
 // restore constructor; here only self-consistency is checked.
 
@@ -398,8 +385,8 @@ query::ReservoirState ReadReservoirState(BinaryReader& r) {
   return s;
 }
 
-// The catalog section of the database/server payloads (tables + declared
-// FDs), factored so the server payload is exactly "catalog then monitors".
+// The catalog section of the server payload (tables + declared FDs): the
+// server payload is exactly "catalog then monitors".
 
 void WriteDatabasePayload(BinaryWriter& w, const sql::Database& db) {
   const auto tables = db.TableNames();
@@ -413,11 +400,10 @@ void WriteDatabasePayload(BinaryWriter& w, const sql::Database& db) {
   }
 }
 
-void ReadDatabasePayload(BinaryReader& r, uint32_t version,
-                         sql::Database* db) {
+void ReadDatabasePayload(BinaryReader& r, sql::Database* db) {
   uint32_t table_count = r.U32();
   for (uint32_t i = 0; i < table_count; ++i) {
-    db->AddRelation(ReadRelationPayload(r, version));
+    db->AddRelation(ReadRelationPayload(r));
   }
   uint32_t fd_count = r.U32();
   for (uint32_t i = 0; i < fd_count; ++i) {
@@ -442,13 +428,11 @@ BinaryWriter OpenWriter(uint32_t kind) {
   return w;
 }
 
-/// Verifies the envelope, fills `*version_out` with the file's format
-/// version (payload readers branch on it), and returns the payload range
-/// — or fills `error`. `not_snapshot` (optional) is set when the input
-/// lacks the magic entirely — the structured "try another format" signal.
+/// Verifies the envelope and returns the payload range — or fills
+/// `error`. `not_snapshot` (optional) is set when the input lacks the
+/// magic entirely — the structured "try another format" signal.
 std::optional<std::string_view> OpenEnvelope(std::string_view bytes,
                                              uint32_t expected_kind,
-                                             uint32_t* version_out,
                                              std::string* error,
                                              bool* not_snapshot = nullptr) {
   if (bytes.size() < kHeaderSize + kTrailerSize) {
@@ -483,7 +467,6 @@ std::optional<std::string_view> OpenEnvelope(std::string_view bytes,
     }
     return std::nullopt;
   }
-  *version_out = version;
   const uint32_t kind = header.U32();
   if (kind != expected_kind) {
     if (error) {
@@ -546,13 +529,12 @@ std::string SerializeRelation(const relation::Relation& rel) {
 
 RelationSnapshotResult DeserializeRelation(std::string_view bytes) {
   RelationSnapshotResult result;
-  uint32_t version = 0;
-  auto payload = OpenEnvelope(bytes, kKindRelation, &version, &result.error,
+  auto payload = OpenEnvelope(bytes, kKindRelation, &result.error,
                               &result.not_a_snapshot);
   if (!payload) return result;
   try {
     BinaryReader r(*payload);
-    relation::Relation rel = ReadRelationPayload(r, version);
+    relation::Relation rel = ReadRelationPayload(r);
     if (!r.AtEnd()) {
       result.error = "trailing bytes after relation payload";
       return result;
@@ -564,38 +546,13 @@ RelationSnapshotResult DeserializeRelation(std::string_view bytes) {
   return result;
 }
 
-std::string SerializeDatabase(const sql::Database& db) {
-  BinaryWriter w = OpenWriter(kKindDatabase);
-  WriteDatabasePayload(w, db);
-  return Seal(std::move(w));
-}
-
-bool DeserializeDatabase(std::string_view bytes, sql::Database* db,
-                         std::string* error) {
-  uint32_t version = 0;
-  auto payload = OpenEnvelope(bytes, kKindDatabase, &version, error);
-  if (!payload) return false;
-  try {
-    BinaryReader r(*payload);
-    ReadDatabasePayload(r, version, db);
-    if (!r.AtEnd()) {
-      if (error) *error = "trailing bytes after database payload";
-      return false;
-    }
-  } catch (const std::exception& e) {
-    if (error) *error = std::string("corrupt database snapshot: ") + e.what();
-    return false;
-  }
-  return true;
-}
-
 std::string SerializeServerState(
     const sql::Database& db, const std::vector<ServerMonitorState>& monitors,
     const std::vector<ServerMonitorState>& sampled) {
   BinaryWriter w = OpenWriter(kKindServer);
   WriteDatabasePayload(w, db);
-  // The exact section, then the v3 sampled section (one u32 of overhead
-  // when empty), whose entries additionally carry their reservoir.
+  // The exact section, then the sampled section (one u32 of overhead when
+  // empty), whose entries additionally carry their reservoir.
   for (const auto* section : {&monitors, &sampled}) {
     const bool is_sampled = section == &sampled;
     w.U32(static_cast<uint32_t>(section->size()));
@@ -618,15 +575,12 @@ bool DeserializeServerState(std::string_view bytes, sql::Database* db,
                             std::vector<ServerMonitorState>* monitors,
                             std::string* error,
                             std::vector<ServerMonitorState>* sampled) {
-  uint32_t version = 0;
-  auto payload = OpenEnvelope(bytes, kKindServer, &version, error);
+  auto payload = OpenEnvelope(bytes, kKindServer, error);
   if (!payload) return false;
   try {
     BinaryReader r(*payload);
-    ReadDatabasePayload(r, version, db);
-    // v1/v2 payloads end after the exact section.
-    const int sections = version >= 3 ? 2 : 1;
-    for (int section = 0; section < sections; ++section) {
+    ReadDatabasePayload(r, db);
+    for (int section = 0; section < 2; ++section) {
       const bool is_sampled = section == 1;
       const std::string what =
           is_sampled ? "sampled monitor state" : "monitor state";
@@ -641,7 +595,7 @@ bool DeserializeServerState(std::string_view bytes, sql::Database* db,
       for (uint32_t i = 0; i < count; ++i) {
         ServerMonitorState m;
         m.table = r.Str();
-        m.state = ReadMonitorStatePayload(r, version);
+        m.state = ReadMonitorStatePayload(r);
         if (is_sampled) m.state.reservoir = ReadReservoirState(r);
         if (!db->Has(m.table)) {
           throw util::BinaryIoError(what + " references unknown table '" +
@@ -685,18 +639,6 @@ RelationSnapshotResult LoadRelationSnapshot(const std::string& path) {
   auto bytes = ReadFileBytes(path, &result.error);
   if (!bytes) return result;
   return DeserializeRelation(*bytes);
-}
-
-bool SaveDatabaseSnapshot(const sql::Database& db, const std::string& path,
-                          std::string* error) {
-  return WriteFileBytes(SerializeDatabase(db), path, error);
-}
-
-bool LoadDatabaseSnapshot(const std::string& path, sql::Database* db,
-                          std::string* error) {
-  auto bytes = ReadFileBytes(path, error);
-  if (!bytes) return false;
-  return DeserializeDatabase(*bytes, db, error);
 }
 
 bool SaveServerSnapshot(const sql::Database& db,

@@ -4,10 +4,9 @@
 // every restart; snapshots instead serialize the *encoded* layer directly
 // (per-column dictionary + dense codes + row watermark, no per-cell Value
 // boxing), in the spirit of DuckDB's persisted column segments and
-// Hyrise's binary table export. Three payload kinds share one envelope:
+// Hyrise's binary table export. Two payload kinds share one envelope:
 //
 //   * Relation          — one dictionary-encoded relation;
-//   * Database catalog  — named relations + declared FDs;
 //   * Server state      — the durable state of a server::Service (or of
 //     the CLI's monitor loop, which checkpoints in the same format): the
 //     whole catalog plus one relation-free fd::MonitorState per monitor,
@@ -20,35 +19,30 @@
 // File layout (all integers little-endian, see util/binary_io.h):
 //
 //   offset 0: magic "FDEV"            (4 bytes)
-//             format version u32     (currently 3; v1/v2 files still load)
-//             payload kind u32       (1 = relation, 2 = database,
-//                                     4 = server state; 3 and 5 are
-//                                     retired and never reused)
+//             format version u32     (3)
+//             payload kind u32       (1 = relation, 4 = server state;
+//                                     2, 3 and 5 are retired and never
+//                                     reused)
 //             payload bytes
 //   trailer:  FNV-1a u64 over everything before the trailer
 //
-// Version history:
+// Format version 3: each relation payload ends with its tombstone
+// deletion log (a u32 array of dead physical row ids in deletion order;
+// empty for all-live relations) and its lifetime mutation counters; each
+// drift-log entry carries a kind byte (0 = violated, 1 = recovered), an
+// approx byte and four interval doubles (confidence lo/hi, goodness lo/hi;
+// see fd::DriftEvent — all-default for exact events); the server-state
+// payload ends with a sampled-monitor section (count + per-entry table
+// name, monitor state, reservoir state; empty when no sampled monitors
+// exist). Versions 1 and 2 predate tombstones and sampled monitors; no
+// current writer produces them, and readers reject them.
 //
-//   v1 — append-only relations; drift events carry no kind.
-//   v2 — each relation payload ends with its tombstone deletion log (a
-//        u32 array of dead physical row ids in deletion order; empty for
-//        all-live relations), and each drift-log entry carries a kind
-//        byte (0 = violated, 1 = recovered). A v1 file therefore loads
-//        as an all-live relation whose drift events default to violated
-//        — exactly what v1 writers could express.
-//   v3 — each drift-log entry additionally carries an approx byte and
-//        four interval doubles (confidence lo/hi, goodness lo/hi; see
-//        fd::DriftEvent — all-default for exact events), the server-state
-//        payload ends with a sampled-monitor section (count + per-entry
-//        table name, monitor state, reservoir state; empty when no
-//        sampled monitors exist). v1/v2 files load with exact-event
-//        defaults and an empty sampled section — exactly what their
-//        writers could express.
-//
-// Retired kinds: v1–v3 writers also produced standalone monitor
-// checkpoints (kind 3, relation + one exact monitor) and sampled monitor
-// checkpoints (kind 5, v3 only). Readers no longer parse them; loading one
-// fails with a kind-mismatch error that names the retired kind.
+// Retired kinds: earlier writers also produced database catalogs (kind 2,
+// the catalog alone: a server state with no monitors holds the same),
+// standalone monitor checkpoints (kind 3, relation + one exact monitor)
+// and sampled monitor checkpoints (kind 5). Readers no longer parse them;
+// loading one fails with a kind-mismatch error that names the retired
+// kind.
 //
 // Integrity policy: loads verify size, magic, version, kind, and checksum
 // before parsing, then parse with bounds-checked reads and validate every
@@ -81,9 +75,9 @@
 namespace fdevolve::storage {
 
 /// Format version written by this build. Readers accept every version in
-/// [kMinFormatVersion, kFormatVersion] (see the version history above).
+/// [kMinFormatVersion, kFormatVersion] (see the file layout above).
 inline constexpr uint32_t kFormatVersion = 3;
-inline constexpr uint32_t kMinFormatVersion = 1;
+inline constexpr uint32_t kMinFormatVersion = 3;
 
 /// Result of loading a relation snapshot (mirrors relation::CsvResult).
 struct RelationSnapshotResult {
@@ -115,7 +109,6 @@ using ServerSampledMonitorState = ServerMonitorState;
 
 /// Serializes to a complete snapshot byte string (envelope + checksum).
 std::string SerializeRelation(const relation::Relation& rel);
-std::string SerializeDatabase(const sql::Database& db);
 
 /// Writes the catalog, then `monitors` as the exact section and `sampled`
 /// as the sampled section. Throws std::invalid_argument when an entry's
@@ -127,8 +120,6 @@ std::string SerializeServerState(
 
 /// Parses a complete snapshot byte string of the matching kind.
 RelationSnapshotResult DeserializeRelation(std::string_view bytes);
-bool DeserializeDatabase(std::string_view bytes, sql::Database* db,
-                         std::string* error);
 
 /// Adds the snapshot's catalog into `db` (normally empty) and fills
 /// `monitors` with the exact section and, when non-null, `sampled` with
@@ -137,7 +128,7 @@ bool DeserializeDatabase(std::string_view bytes, sql::Database* db,
 /// and its watermark must equal that table's tuple count (the pairing
 /// guarantee SchemaMonitor's restore constructor relies on); sampled
 /// states additionally carry their reservoir, validated on restore by
-/// ReservoirSampler. A v3 file with a sampled section fails the load when
+/// ReservoirSampler. A file with a sampled section fails the load when
 /// `sampled` is null rather than silently dropping monitors. On failure
 /// `*db` may hold a partial load.
 bool DeserializeServerState(std::string_view bytes, sql::Database* db,
@@ -152,14 +143,6 @@ bool DeserializeServerState(std::string_view bytes, sql::Database* db,
 bool SaveRelationSnapshot(const relation::Relation& rel,
                           const std::string& path, std::string* error);
 RelationSnapshotResult LoadRelationSnapshot(const std::string& path);
-
-bool SaveDatabaseSnapshot(const sql::Database& db, const std::string& path,
-                          std::string* error);
-/// Adds the snapshot's relations and FDs into `db` (normally empty;
-/// duplicate table names fail). On failure `*db` may hold a partial load,
-/// matching sql::LoadCatalog's semantics.
-bool LoadDatabaseSnapshot(const std::string& path, sql::Database* db,
-                          std::string* error);
 
 bool SaveServerSnapshot(const sql::Database& db,
                         const std::vector<ServerMonitorState>& monitors,

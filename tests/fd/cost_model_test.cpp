@@ -225,6 +225,40 @@ TEST(PlanRepairTest, TombstonedRelationPlansLikeItsCompactedCopy) {
   EXPECT_EQ(rel.column(2).live_null_count(), 0u);
 }
 
+TEST(PlanRepairTest, BudgetedExtendSpendsInPlanOrder) {
+  // x -> y fails; adding b (4 values) repairs it, adding a (8 values) does
+  // not. Both branches reach best confidence 1, so the plan puts the
+  // cheaper b first, and a budget of exactly b's modeled cost must buy b.
+  Schema schema({{"x", DataType::kInt64},
+                 {"y", DataType::kInt64},
+                 {"a", DataType::kInt64},
+                 {"b", DataType::kInt64}});
+  Relation rel("t", schema);
+  for (int64_t i = 0; i < 40; ++i) {
+    const int64_t b = (i / 2) % 4;
+    rel.AppendRow({Value(i % 2), Value(b), Value((i / 5) % 8), Value(b)});
+  }
+  const Fd fd(AttrSet::Of({0}), AttrSet::Of({1}));
+  RepairOptions opts;
+  opts.max_added_attrs = 1;
+  const RepairPlan plan = PlanRepair(rel, fd, opts);
+  ASSERT_EQ(plan.candidates.size(), 2u);
+  EXPECT_EQ(plan.candidates[0].attr, 3);
+  EXPECT_EQ(plan.candidates[0].best_confidence, 1.0);
+  EXPECT_EQ(plan.candidates[1].best_confidence, 1.0);
+  EXPECT_LT(plan.candidates[0].est_cost_ms, plan.candidates[1].est_cost_ms);
+  const RepairResult unbudgeted = Extend(rel, fd, opts);
+  ASSERT_TRUE(unbudgeted.found());
+  EXPECT_EQ(unbudgeted.repairs[0].added, AttrSet::Of({3}));
+
+  opts.budget_cost = plan.candidates[0].est_cost_ms;
+  const RepairResult res = Extend(rel, fd, opts);
+  EXPECT_EQ(res.stats.candidates_evaluated, 1u);
+  EXPECT_EQ(res.stats.stop_reason, StopReason::kBudget);
+  ASSERT_EQ(res.repairs.size(), 1u);
+  EXPECT_EQ(res.repairs[0].added, AttrSet::Of({3}));
+}
+
 TEST(PlanRepairTest, DescribePlanRendersBudgetAndCandidates) {
   Relation rel = MakeDrifted();
   RepairOptions opts;

@@ -13,6 +13,7 @@ using relation::DataType;
 using relation::Relation;
 using relation::RelationBuilder;
 using relation::Schema;
+using relation::Value;
 
 Relation MakeRel() {
   Schema schema({{"a", DataType::kInt64}, {"b", DataType::kString}});
@@ -211,6 +212,32 @@ TEST(DistinctEvaluatorTest, AdvanceMaintainsDerivedGroupings) {
   EXPECT_EQ(eval.Count(AttrSet::Of({0, 1})),
             DistinctCount(r, AttrSet::Of({0, 1})));
   EXPECT_EQ(eval.GroupFor(AttrSet::Of({0, 1})).ids.size(), r.tuple_count());
+}
+
+TEST(DistinctEvaluatorTest, SingleAttributeCountsAfterDeletesCacheNothing) {
+  // Deleting row 5 (b's only NULL) and every a = 6 row changes both
+  // single-attribute counts. They are read from the columns' live counts,
+  // so they keep no refcounted grouping; only the pair takes one.
+  Schema schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
+  Relation r("t", schema);
+  for (int64_t t = 0; t < 1000; ++t) {
+    r.AppendRow({Value(t % 7), t == 5 ? Value::Null() : Value(t % 3)});
+  }
+  DistinctEvaluator eval(r);
+  for (size_t t = 0; t < 1000; ++t) {
+    if (t == 5 || t % 7 == 6) r.DeleteRow(t);
+  }
+  const auto sort_count = [&](const AttrSet& s) {
+    return DistinctCount(r, s, DistinctStrategy::kSort);
+  };
+  EXPECT_EQ(eval.Count(AttrSet::Of({0})), 6u);
+  EXPECT_EQ(eval.Count(AttrSet::Of({0})), sort_count(AttrSet::Of({0})));
+  EXPECT_EQ(eval.cache_size(), 0u);
+  EXPECT_EQ(eval.Count(AttrSet::Of({1})), 3u);
+  EXPECT_EQ(eval.Count(AttrSet::Of({1})), sort_count(AttrSet::Of({1})));
+  EXPECT_EQ(eval.cache_size(), 0u);
+  EXPECT_EQ(eval.Count(AttrSet::Of({0, 1})), sort_count(AttrSet::Of({0, 1})));
+  EXPECT_EQ(eval.cache_size(), 1u);
 }
 
 TEST(DistinctEvaluatorTest, EmptyAttrSetAdvances) {

@@ -103,6 +103,13 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
     for (int trial = 0; trial < 4; ++trial) {
       const AttrSet attrs = RandomSubset(rng, n_attrs, 0.5);
       const int refine_attr = static_cast<int>(rng.Below(n_attrs));
+      const int other_attr =
+          (refine_attr + 1 + static_cast<int>(rng.Below(n_attrs - 1))) %
+          n_attrs;
+      // One level and two from a base: on tombstoned rounds the counts
+      // are the masked single- and multi-level passes.
+      const AttrSet one = AttrSet::Of({refine_attr});
+      const AttrSet two = AttrSet::Of({refine_attr, other_attr});
       const fd::Fd fd(AttrSet::Of({0}), AttrSet::Of({1}));
 
       // Baseline truth.
@@ -110,6 +117,9 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
       const auto ref_group = query::GroupBy(rel, attrs);
       const size_t ref_count = query::GroupCountBy(rel, attrs);
       const auto ref_refine = query::RefineBy(rel, ref_group, refine_attr);
+      const auto ref_refine2 = query::RefineBy(rel, ref_group, two);
+      const size_t ref_count1 = query::RefineCountBy(rel, ref_group, one);
+      const size_t ref_count2 = query::RefineCountBy(rel, ref_group, two);
       const auto ref_measures = fd::ComputeMeasures(rel, fd);
 
       for (util::CpuTier tier : tiers) {
@@ -125,6 +135,11 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
         const auto r = query::RefineBy(rel, g, refine_attr, s);
         EXPECT_EQ(r.ids, ref_refine.ids) << ctx;
         EXPECT_EQ(r.group_count, ref_refine.group_count) << ctx;
+        const auto r2 = query::RefineBy(rel, g, two, s);
+        EXPECT_EQ(r2.ids, ref_refine2.ids) << ctx;
+        EXPECT_EQ(r2.group_count, ref_refine2.group_count) << ctx;
+        EXPECT_EQ(query::RefineCountBy(rel, g, one, s), ref_count1) << ctx;
+        EXPECT_EQ(query::RefineCountBy(rel, g, two, s), ref_count2) << ctx;
         const auto m = fd::ComputeMeasures(rel, fd);
         EXPECT_EQ(m.confidence, ref_measures.confidence) << ctx;
         EXPECT_EQ(m.goodness, ref_measures.goodness) << ctx;
@@ -137,7 +152,9 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
 // check is part of the kernel contract, not just the scalar path. A
 // 3-group claim keeps both refinements on the dense path. A 70000-group
 // claim over 100 rows claims more groups than rows, which RefineBy and
-// RefineCountBy reject before any pass sizes scratch by it.
+// RefineCountBy reject before any pass sizes scratch by it. A bad id on a
+// dead row only is never checked by a masked count-only pass, single- or
+// multi-level, while a materializing pass, which covers every row, throws.
 TEST_P(KernelTierFuzz, BadBaseIdsThrowOnEveryTier) {
   TierGuard guard;
   Relation rel = RandomNullableRelation(seed(), 3, 100, 5, 0.0);
@@ -150,8 +167,34 @@ TEST_P(KernelTierFuzz, BadBaseIdsThrowOnEveryTier) {
   util::Rng rng(seed());
   overclaimed.ids[rng.Below(100)] = 70000;
   overclaimed.group_count = 70000;  // lies: one id is 70000
+  // One dead row inside the AVX2 loop's 16-row batches, one in its
+  // scalar tail (rows 96-99).
+  Relation del = rel;
+  const size_t dead_body = rng.Below(96);
+  const size_t dead_tail = 96 + rng.Below(4);
+  del.DeleteRow(dead_body);
+  del.DeleteRow(dead_tail);
+  query::Grouping dead_bad;
+  dead_bad.ids.resize(100);
+  for (uint32_t t = 0; t < 100; ++t) dead_bad.ids[t] = t % 3;
+  dead_bad.group_count = 3;
+  const query::Grouping dead_fixed = dead_bad;
+  dead_bad.ids[dead_body] = 7;  // lies only on the dead rows
+  dead_bad.ids[dead_tail] = 9;
   for (util::CpuTier tier : query::kernels::SupportedTiers()) {
     query::kernels::ForceTier(tier);
+    const std::string dead_ctx = std::string(util::CpuTierName(tier)) +
+                                 " dead rows " + std::to_string(dead_body) +
+                                 "," + std::to_string(dead_tail);
+    for (const AttrSet& attrs : {AttrSet::Of({1}), AttrSet::Of({1, 2})}) {
+      size_t count = 0;
+      EXPECT_NO_THROW(count = query::RefineCountBy(del, dead_bad, attrs))
+          << dead_ctx;
+      EXPECT_EQ(count, query::RefineCountBy(del, dead_fixed, attrs))
+          << dead_ctx;
+    }
+    EXPECT_THROW(query::RefineBy(del, dead_bad, 1), std::invalid_argument)
+        << dead_ctx;
     for (const query::Grouping* bad : {&dense_bad, &overclaimed}) {
       const std::string ctx = std::string(util::CpuTierName(tier)) +
                               " group_count=" +

@@ -222,23 +222,23 @@ TEST(RelationTest, DeleteRowRejectsBadRows) {
 
 TEST(RelationTest, MutationCountersSplitAppendFromDelete) {
   Relation r = MakeSmall();
-  EXPECT_EQ(r.mutation_epoch(), 0u);
   EXPECT_EQ(r.appends_ever(), 3u);
   EXPECT_EQ(r.deletes_ever(), 0u);
+  EXPECT_EQ(r.compactions(), 0u);
   r.AppendRow({int64_t{4}, "d", 4.5});
-  // Appends move the watermark but not the epoch.
+  // Appends move the watermark but not the deletion counters.
   EXPECT_EQ(r.version(), 4u);
-  EXPECT_EQ(r.mutation_epoch(), 0u);
+  EXPECT_EQ(r.deletes_ever(), 0u);
+  EXPECT_TRUE(r.deletion_log().empty());
   EXPECT_EQ(r.appends_ever(), 4u);
   r.DeleteRow(2);
-  // Deletes move the epoch but not the watermark.
+  // Deletes move the deletion counters but not the watermark.
   EXPECT_EQ(r.version(), 4u);
-  EXPECT_EQ(r.mutation_epoch(), 1u);
   EXPECT_EQ(r.deletes_ever(), 1u);
-  const size_t epoch = r.mutation_epoch();
+  EXPECT_EQ(r.deletion_log().size(), 1u);
   r.Compact();
   EXPECT_EQ(r.version(), 3u);
-  EXPECT_GT(r.mutation_epoch(), epoch);
+  EXPECT_TRUE(r.deletion_log().empty());
   EXPECT_EQ(r.compactions(), 1u);
   // Lifetime counters survive the compaction.
   EXPECT_EQ(r.appends_ever(), 4u);

@@ -124,7 +124,8 @@ TEST(EngineTest, UpdateValidatesBeforeMutating) {
   EXPECT_THROW(ExecuteSql("UPDATE t SET zz = 1", db), std::exception);
   EXPECT_THROW(ExecuteSql("UPDATE t SET a = 'nope'", db), std::exception);
   EXPECT_EQ(ExecuteSql("SELECT COUNT(*) FROM t", db), 4u);
-  EXPECT_EQ(db.Get("t").mutation_epoch(), 0u);
+  EXPECT_EQ(db.Get("t").deletes_ever(), 0u);
+  EXPECT_EQ(db.Get("t").compactions(), 0u);
   // Int literals coerce into double columns (SET c was declared INT64 in
   // MakeDb's schema for t — use Places' Lat-style column instead: c is
   // int64, so coerce the other way is rejected).

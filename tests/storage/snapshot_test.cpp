@@ -203,9 +203,14 @@ TEST(SnapshotTest, DatabaseRoundTripsTablesAndFds) {
   db.DeclareFd("mixed", "id -> city", "label1");
   db.DeclareFd("pairs", "x -> y");
 
+  // A server state with no monitors is the catalog alone.
   sql::Database back;
+  std::vector<ServerMonitorState> monitors;
   std::string err;
-  ASSERT_TRUE(DeserializeDatabase(SerializeDatabase(db), &back, &err)) << err;
+  ASSERT_TRUE(DeserializeServerState(SerializeServerState(db, {}), &back,
+                                     &monitors, &err))
+      << err;
+  EXPECT_TRUE(monitors.empty());
   ASSERT_EQ(back.TableNames(), db.TableNames());
   ExpectEncodedIdentical(db.Get("mixed"), back.Get("mixed"));
   ExpectEncodedIdentical(db.Get("pairs"), back.Get("pairs"));
@@ -239,14 +244,12 @@ TEST(SnapshotTest, KindMismatchIsDetected) {
   std::string bytes = SerializeRelation(rel);
   sql::Database db;
   std::string err;
-  EXPECT_FALSE(DeserializeDatabase(bytes, &db, &err));
-  EXPECT_NE(err.find("kind mismatch"), std::string::npos) << err;
   std::vector<ServerMonitorState> monitors;
   EXPECT_FALSE(DeserializeServerState(bytes, &db, &monitors, &err));
   EXPECT_NE(err.find("kind mismatch"), std::string::npos) << err;
-  // Retired kinds 3 (monitor checkpoint) and 5 (sampled monitor
-  // checkpoint): the error says what the file is.
-  for (char kind : {'\3', '\5'}) {
+  // Retired kinds 2 (database catalog), 3 (monitor checkpoint) and 5
+  // (sampled monitor checkpoint): the error says what the file is.
+  for (char kind : {'\2', '\3', '\5'}) {
     std::string retired = bytes;
     retired[8] = kind;  // kind field, little-endian low byte
     Reseal(retired);
@@ -390,10 +393,11 @@ TEST(SnapshotTest, WritesCurrentFormatVersion) {
             kFormatVersion);
 }
 
-TEST(SnapshotTest, V1RelationFixtureStillLoads) {
+TEST(SnapshotTest, V1RelationFixtureIsRejected) {
   // A pre-tombstone v1 file, byte-built the way the v1 writer laid it
-  // out: no deletion-log section, no drift kinds. Guards the promise that
-  // bumping the format does not orphan existing snapshots.
+  // out: no deletion-log section, no lifetime counters. No writer has
+  // produced one since format version 2, so readers refuse it by version
+  // instead of guessing at its layout.
   util::BinaryWriter w;
   w.Bytes("FDEV", 4);
   w.U32(1);  // format version 1
@@ -411,17 +415,11 @@ TEST(SnapshotTest, V1RelationFixtureStillLoads) {
   w.U64(w.Checksum());
 
   auto loaded = DeserializeRelation(w.buffer());
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(loaded.relation->name(), "legacy");
-  EXPECT_EQ(loaded.relation->tuple_count(), 3u);
-  EXPECT_EQ(loaded.relation->live_count(), 3u);  // v1 = all live
-  EXPECT_FALSE(loaded.relation->has_tombstones());
-  EXPECT_EQ(loaded.relation->Get(1, 0), Value(int64_t{20}));
-  // The loaded relation re-serializes as v2 (same logical content, now
-  // with an empty deletion-log section).
-  auto again = DeserializeRelation(SerializeRelation(*loaded.relation));
-  ASSERT_TRUE(again.ok()) << again.error;
-  ExpectEncodedIdentical(*loaded.relation, *again.relation);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_FALSE(loaded.not_a_snapshot);
+  EXPECT_NE(loaded.error.find("unsupported snapshot version 1"),
+            std::string::npos)
+      << loaded.error;
 }
 
 TEST(SnapshotTest, DriftKindSurvivesCheckpointRoundTrip) {
