@@ -22,7 +22,8 @@ EbCandidate ScoreCandidate(const relation::Relation& rel,
   Clustering c_a(query::GroupBy(rel, only_a, scratch));
   c.h_xy_given_xa = ConditionalEntropy(ground_truth, c_xa);
   c.h_a_given_xy = ConditionalEntropy(c_a, ground_truth);
-  c.vi = VariationOfInformation(ground_truth, c_xa);
+  // VariationOfInformation(ground_truth, c_xa), reusing its first term.
+  c.vi = c.h_xy_given_xa + ConditionalEntropy(c_xa, ground_truth);
   return c;
 }
 

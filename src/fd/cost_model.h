@@ -9,8 +9,12 @@
 //      live rows (C_X -> C_XA and C_XY -> C_XAY) plus the key/dictionary
 //      work proportional to the groups the added column can create. The
 //      search itself counts on stripped partitions, which visit only the
-//      rows of multi-row groups, so these constants no longer describe
-//      what it does and await recalibration.
+//      rows of multi-row groups, and at its last level (the depth limit,
+//      exactness as the target) a candidate costs one pass that stops at
+//      the first row violating exactness, so these constants no longer
+//      describe what it does and await recalibration. They stay one
+//      price per candidate whatever its depth, so budget_cost still
+//      truncates a search at the same candidate on every run.
 //
 //   2. Sound cardinality bounds. |π_{S∪{A}}| ≤ min(n_live, |π_S|·slots(A))
 //      where slots(A) is A's ndv plus a NULL slot, and projection counts

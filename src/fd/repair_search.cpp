@@ -81,10 +81,11 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     return target >= 1.0 ? x == xy : confidence >= target;
   };
 
-  // Every candidate X∪U∪{a} -> Y costs two counts, |π_XUa| and |π_XUaY|,
-  // and both run on stripped partitions. The roots π̂_X and π̂_XY are built
-  // once, sequentially, and their group counts are the original FD's
-  // |π_X| and |π_XY|.
+  // A candidate X∪U∪{a} -> Y above the last level costs two counts,
+  // |π_XUa| and |π_XUaY|, and both run on stripped partitions; one at the
+  // last level costs a single exactness pass (see last_level below). The
+  // roots π̂_X and π̂_XY are built once, sequentially, and their group
+  // counts are the original FD's |π_X| and |π_XY|.
   using query::StrippedPartition;
   std::vector<query::PartitionScratch> chunk_scratch(1);
   const StrippedPartition root_x =
@@ -107,6 +108,25 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
       opts.max_added_attrs > 0
           ? std::min(opts.max_added_attrs, pool.Count())
           : pool.Count();
+
+  // The last level: candidates of depth max_depth when the target is
+  // exactness. Such a node is never expanded, and a non-exact one is only
+  // popped and discarded, for nodes_expanded or pruned_supersets. So its
+  // expansion refines π̂_XU alone, and each candidate takes one
+  // RefineCountIfDetermines pass against Y's ids (the column's codes for a
+  // one-attribute Y, otherwise GroupBy ids built on first use), which
+  // stops at the first violating row. An exact candidate gets the counts
+  // the two-count path would give; a violated one gets `violated`, whose
+  // confidence 0 sorts it after every exact node of its depth, so no other
+  // field of it is ever read. Repairs and stats stay bit-identical.
+  auto last_level = [&](const relation::AttrSet& u) {
+    return target >= 1.0 && u.Count() + 1 == max_depth;
+  };
+  const std::vector<int> rhs_attrs = fd.rhs().ToVector();
+  std::vector<uint32_t> rhs_ids;
+  const uint32_t* y_ids = rhs_attrs.size() == 1
+                              ? rel.column(rhs_attrs[0]).codes().data()
+                              : nullptr;
 
   // Planner state. The cardinality bound for candidate C = base∪{a} covers
   // every superset S ⊇ C within the depth limit:
@@ -138,10 +158,11 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   // one popped node) admits its candidates `U ∪ {a}` into the pending wave
   // sequentially, with the budget, dedup and planner checks below. A wave
   // is evaluated in two fan-outs across the shared pool: the first refines
-  // the roots by each expansion's added attributes U into its bases π̂_XU
-  // and π̂_XUY, one base per item; the second counts every candidate
-  // against its expansion's bases. Each chunk refines and counts against
-  // its own mark array while the roots and bases stay read-only.
+  // the roots by each expansion's added attributes U into its bases, one
+  // base per item (π̂_XU and π̂_XUY, or π̂_XU alone at the last level); the
+  // second evaluates every candidate against its expansion's bases. Each
+  // chunk refines and counts against its own scratch while the roots and
+  // bases stay read-only.
   //
   // The frontier pops every node of one depth before any deeper node, and
   // accepted nodes before expanded ones of their depth, so while a wave of
@@ -151,15 +172,22 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   // top is deeper than its expansions. Children are then pushed in
   // admission order with the seq numbers the one-expansion-at-a-time loop
   // assigns, so the frontier — and therefore the ranked output — is
-  // bit-identical for every thread count. With a wall-clock budget a wave
-  // holds one expansion, so the clock check sees every earlier evaluation.
+  // bit-identical for every thread count.
+  //
+  // A wave holds up to `width` bases: max(1, width / 2) two-base
+  // expansions above the last level, `width` one-base expansions at it.
+  // With a wall-clock budget it holds one expansion, so the clock check
+  // sees every earlier evaluation.
   const int exec_width = util::ResolveThreads(opts.threads);
-  const size_t wave_expansions =
-      opts.budget_ms > 0.0 ? 1
-                           : static_cast<size_t>(std::max(1, exec_width / 2));
+  auto wave_capacity = [&](const relation::AttrSet& u) -> size_t {
+    if (opts.budget_ms > 0.0) return 1;
+    return static_cast<size_t>(
+        std::max(1, last_level(u) ? exec_width : exec_width / 2));
+  };
   const size_t y_count = result.original_measures.distinct_y;
-  // Per expansion: its U, then its bases π̂_XU and π̂_XUY side by side. Per
-  // candidate: U ∪ {a}, a, the index of its expansion, and its measures.
+  const FdMeasures violated = MeasuresFromCounts(0, 1, y_count);
+  // Per expansion: its U, then its bases side by side. Per candidate:
+  // U ∪ {a}, a, the index of its expansion, and its measures.
   std::vector<relation::AttrSet> wave_added;
   std::vector<StrippedPartition> wave_bases;
   std::vector<relation::AttrSet> wave_sets;
@@ -250,17 +278,24 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   // order.
   auto evaluate_wave = [&]() {
     if (wave_sets.empty()) return;
+    // Bases per expansion: π̂_XU, then π̂_XUY above the last level.
+    const bool last = last_level(wave_added.front());
+    const size_t per = last ? 1 : 2;
+    if (last && y_ids == nullptr) {
+      rhs_ids = query::GroupBy(rel, fd.rhs()).ids;
+      y_ids = rhs_ids.data();
+    }
     // One scratch per chunk actually used — ParallelFor caps the width at
     // the item count, so an absurd threads value must not allocate past it.
     const size_t chunks = std::min<size_t>(
         static_cast<size_t>(exec_width),
-        std::max(2 * wave_added.size(), wave_sets.size()));
+        std::max(per * wave_added.size(), wave_sets.size()));
     if (chunk_scratch.size() < chunks) chunk_scratch.resize(chunks);
 
     // The seed expansion's U is empty: its bases are the roots.
-    wave_bases.resize(2 * wave_added.size());
+    wave_bases.resize(per * wave_added.size());
     auto base = [&](size_t b) -> const StrippedPartition& {
-      if (wave_added[b / 2].Empty()) return b % 2 == 0 ? root_x : root_xy;
+      if (wave_added[b / per].Empty()) return b % per == 0 ? root_x : root_xy;
       return wave_bases[b];
     };
     util::ThreadPool::Global().ParallelFor(
@@ -269,9 +304,10 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
           query::PartitionScratch& ws =
               chunk_scratch[static_cast<size_t>(chunk)];
           for (size_t b = lo; b < hi; ++b) {
-            const relation::AttrSet& u = wave_added[b / 2];
+            const relation::AttrSet& u = wave_added[b / per];
             if (u.Empty()) continue;
-            wave_bases[b] = (b % 2 == 0 ? root_x : root_xy).Refine(rel, u, ws);
+            wave_bases[b] =
+                (b % per == 0 ? root_x : root_xy).Refine(rel, u, ws);
           }
         });
 
@@ -283,10 +319,18 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
               chunk_scratch[static_cast<size_t>(chunk)];
           for (size_t i = lo; i < hi; ++i) {
             const int a = wave_attrs[i];
-            const size_t e = wave_expansion[i];
-            wave_measures[i] = MeasuresFromCounts(
-                base(2 * e).RefineCount(rel, a, ws),
-                base(2 * e + 1).RefineCount(rel, a, ws), y_count);
+            const size_t b = per * wave_expansion[i];  // its first base
+            if (last) {
+              const std::optional<size_t> c =
+                  base(b).RefineCountIfDetermines(rel, a, y_ids, ws);
+              wave_measures[i] =
+                  c ? MeasuresFromCounts(*c, *c, y_count) : violated;
+              continue;
+            }
+            wave_measures[i] =
+                MeasuresFromCounts(base(b).RefineCount(rel, a, ws),
+                                   base(b + 1).RefineCount(rel, a, ws),
+                                   y_count);
           }
         });
 
@@ -343,7 +387,8 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
 
   while (true) {
     if (!wave_sets.empty() &&
-        (wave_added.size() >= wave_expansions || frontier.empty() ||
+        (wave_added.size() >= wave_capacity(wave_added.front()) ||
+         frontier.empty() ||
          frontier.top().added.Count() > wave_added.front().Count())) {
       evaluate_wave();
     }

@@ -68,14 +68,21 @@ struct RepairOptions {
 
   /// Execution width for candidate evaluation: 0 (default) resolves to
   /// `hardware_concurrency`, 1 evaluates every node expansion inline on
-  /// the caller, and k > 1 evaluates the expansions in waves of up to
-  /// max(1, k / 2) expansions of one depth across the shared thread pool.
+  /// the caller, and k > 1 evaluates the expansions of one depth in waves
+  /// across the shared thread pool. A wave's capacity is counted in
+  /// bases: up to k of them, so max(1, k / 2) two-base expansions, or k
+  /// one-base expansions at the last level.
   ///
-  /// A wave first refines the stripped roots into each expansion's two
-  /// base partitions (π̂_XU and π̂_XUY, see query::StrippedPartition), one
-  /// base per executor, then counts every candidate against its
-  /// expansion's bases, which stay read-only; each executor uses its own
-  /// mark array. Candidates are admitted (budget, dedup, prune) one at a
+  /// A wave first refines the stripped roots into each expansion's base
+  /// partitions (see query::StrippedPartition), one base per executor,
+  /// then evaluates every candidate against its expansion's bases, which
+  /// stay read-only; each executor uses its own scratch. Above the depth
+  /// limit an expansion has two bases, π̂_XU and π̂_XUY, and a candidate
+  /// costs two counts. At the limit, with `target_confidence` 1 (the last
+  /// level), it has one base, π̂_XU, and a candidate costs one pass that
+  /// stops at the first row violating exactness: such a node is never
+  /// expanded, so nothing but its exactness is read. Candidates are
+  /// admitted (budget, dedup, prune) one at a
   /// time in the sequential order and pushed back in that order with the
   /// same `seq` tie-break numbers at every width, before any pop could
   /// reach them. Ranked output — repairs, measures, and all stats except

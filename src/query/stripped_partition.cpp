@@ -119,6 +119,38 @@ size_t StrippedPartition::RefineCount(const uint32_t* codes,
   return count;
 }
 
+std::optional<size_t> StrippedPartition::RefineCountIfDetermines(
+    const uint32_t* codes, uint32_t null_slot, const uint32_t* y,
+    PartitionScratch& scratch) const {
+  PrepareMarks(scratch, size_t{null_slot} + 1);
+  uint32_t* mark = scratch.mark.data();
+  std::vector<uint32_t>& first_y = scratch.rhs;
+
+  size_t count = singletons_;
+  size_t begin = 0;
+  for (const uint32_t end : ends_) {
+    // Marks work as in Refine: the base plus the slot's subgroup index, so
+    // each subgroup's first Y id sits in a vector as long as the group.
+    const size_t len = end - begin;
+    const uint32_t base = ReserveGenerations(scratch, len);
+    if (first_y.size() < len) first_y.resize(len);
+    uint32_t next = base;
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t t = rows_[i];
+      const uint32_t slot = std::min(codes[t], null_slot);
+      if (mark[slot] < base) {
+        mark[slot] = next++;
+        first_y[mark[slot] - base] = y[t];
+      } else if (first_y[mark[slot] - base] != y[t]) {
+        return std::nullopt;
+      }
+    }
+    count += next - base;
+    begin = end;
+  }
+  return count;
+}
+
 StrippedPartition StrippedPartition::Refine(const uint32_t* codes,
                                             uint32_t null_slot,
                                             PartitionScratch& scratch) const {
@@ -224,6 +256,17 @@ size_t StrippedPartition::RefineCount(const relation::Relation& rel, int attr,
   const relation::Column& col = rel.column(attr);
   return RefineCount(col.codes().data(),
                      static_cast<uint32_t>(col.dict_size()), scratch);
+}
+
+std::optional<size_t> StrippedPartition::RefineCountIfDetermines(
+    const relation::Relation& rel, int attr, const uint32_t* y,
+    PartitionScratch& scratch) const {
+  CheckRelation(rel, physical_rows_,
+                "StrippedPartition::RefineCountIfDetermines");
+  const relation::Column& col = rel.column(attr);
+  return RefineCountIfDetermines(col.codes().data(),
+                                 static_cast<uint32_t>(col.dict_size()), y,
+                                 scratch);
 }
 
 StrippedPartition StrippedPartition::Refine(const relation::Relation& rel,

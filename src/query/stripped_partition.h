@@ -14,7 +14,9 @@
 //
 // Its three clients:
 //   * the repair search builds π̂_X and π̂_XY once per FD and counts every
-//     candidate against refinements of them;
+//     candidate against refinements of them; at its depth limit, where
+//     only exactness is read, it refines π̂_X alone and checks each
+//     candidate with one RefineCountIfDetermines pass;
 //   * the refinement chains of query/group_ids.h build one from the ids of
 //     a chain's dense prefix or base (or from its first column's codes)
 //     when the next segment would miss the dense array. A count-only
@@ -35,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "relation/relation.h"
@@ -53,7 +56,9 @@ struct Grouping;
 /// index of the slot's subgroup, so the mark also numbers the subgroup; a
 /// mark below the base is a slot the group has not seen. The marks grow to
 /// the largest dictionary seen and are cleared only when the generation
-/// counter would wrap.
+/// counter would wrap. RefineCountIfDetermines marks as Refine does and
+/// keeps each subgroup's first Y id by subgroup index, so its Y ids take
+/// one entry per row of the longest group, not one per dictionary slot.
 ///
 /// Thread-safety: one instance per thread. Parallel callers hand each
 /// chunk its own scratch; the partitions themselves are read-only.
@@ -62,6 +67,7 @@ struct PartitionScratch {
   /// Refine: subgroup sizes, then write cursors. RefineIds: subgroup -> id.
   std::vector<uint32_t> sizes;
   std::vector<uint32_t> subgroup;  ///< subgroup of each row of the group
+  std::vector<uint32_t> rhs;       ///< subgroup -> Y id of its first row
   uint32_t generation = 0;         ///< last generation reserved
 };
 
@@ -125,6 +131,22 @@ class StrippedPartition {
   size_t RefineCount(const uint32_t* codes, uint32_t null_slot,
                      PartitionScratch& scratch) const;
 
+  /// \brief |π_{S∪{A}}| when S∪{A} → Y holds exactly on the selected rows,
+  /// std::nullopt when it does not.
+  ///
+  /// `codes` and `null_slot` are the level RefineCount takes, and `y[t]`
+  /// is row t's Y id: a column's codes (kNullCode included, so NULLs
+  /// compare equal, as in GroupBy) or a grouping's ids, compared as raw
+  /// values. One pass over the kept rows counts each group's distinct
+  /// slots, as RefineCount does, and remembers the Y id each slot first
+  /// carried; it returns std::nullopt at the first row whose slot carries
+  /// another. A count it returns therefore equals |π_{S∪{A}∪Y}| too — the
+  /// repair search's exactness test (Definition 4) at its depth limit,
+  /// where nothing else about a candidate is read.
+  std::optional<size_t> RefineCountIfDetermines(
+      const uint32_t* codes, uint32_t null_slot, const uint32_t* y,
+      PartitionScratch& scratch) const;
+
   /// \brief π̂_{S∪{A}} for the level RefineCount takes: every kept group
   /// split by its codes, subgroups in first-appearance order, single-row
   /// subgroups counted as singletons.
@@ -151,6 +173,12 @@ class StrippedPartition {
   /// when its row count differs.
   size_t RefineCount(const relation::Relation& rel, int attr,
                      PartitionScratch& scratch) const;
+
+  /// \brief RefineCountIfDetermines by column `attr` of `rel`; `y` holds
+  /// one Y id per row of `rel`.
+  std::optional<size_t> RefineCountIfDetermines(
+      const relation::Relation& rel, int attr, const uint32_t* y,
+      PartitionScratch& scratch) const;
 
   /// \brief Refine by column `attr` of `rel`.
   StrippedPartition Refine(const relation::Relation& rel, int attr,

@@ -176,6 +176,17 @@ Column Column::FromEncoded(DataType type, std::vector<Value> dict,
         std::to_string(col.live_nulls_) + ", declared " +
         std::to_string(null_count) + ")");
   }
+  // Every writer's dictionary holds only values some physical row holds
+  // (Append interns a value with its row, and Compact drops the values no
+  // survivor holds). Readers rely on it: an unmasked single-column
+  // COUNT(DISTINCT ...) answers dict_size() plus the NULL slot.
+  if (col.live_distinct_ != col.dict_.size()) {
+    throw std::invalid_argument(
+        "Column::FromEncoded: " +
+        std::to_string(col.dict_.size() - col.live_distinct_) + " of " +
+        std::to_string(col.dict_.size()) +
+        " dictionary values are held by no row");
+  }
   col.codes_ = std::move(codes);
   col.null_count_ = null_count;
   col.BuildIndex();  // throws on a duplicate dictionary value

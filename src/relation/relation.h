@@ -75,10 +75,12 @@ class Column {
   /// Rebuilds a column directly at the encoded layer — the snapshot load
   /// path, which must not re-dictionary-encode per cell. Validates that
   /// every dictionary value matches `type`, that every code is either
-  /// < dict.size() or kNullCode, and that the kNullCode count equals
-  /// `null_count`; building the value→code index checks that the values
-  /// are distinct (NaN, equal to nothing, may repeat, as Append lets it).
-  /// Throws std::invalid_argument otherwise.
+  /// < dict.size() or kNullCode, that the kNullCode count equals
+  /// `null_count`, and that some row holds every dictionary value (read
+  /// off the live counts the pass over the codes builds); building the
+  /// value→code index checks that the values are distinct (NaN, equal to
+  /// nothing, may repeat, as Append lets it). Throws
+  /// std::invalid_argument otherwise.
   static Column FromEncoded(DataType type, std::vector<Value> dict,
                             std::vector<uint32_t> codes, size_t null_count);
 

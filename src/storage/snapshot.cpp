@@ -248,8 +248,9 @@ relation::Relation ReadRelationPayload(BinaryReader& r) {
           std::to_string(codes.size()) + " codes for " +
           std::to_string(tuples) + " tuples");
     }
-    // FromEncoded re-validates code ranges, null counts, and dictionary
-    // uniqueness — the structural invariants a checksum cannot see.
+    // FromEncoded re-validates code ranges, null counts, and that every
+    // dictionary value is distinct and held by a row — the structural
+    // invariants a checksum cannot see.
     columns.push_back(relation::Column::FromEncoded(
         type, std::move(dict), std::move(codes),
         static_cast<size_t>(null_count)));

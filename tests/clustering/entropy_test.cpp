@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "datagen/synthetic.h"
+#include "support/entropy_oracle.h"
+#include "util/rng.h"
 
 namespace fdevolve::clustering {
 namespace {
@@ -133,6 +138,57 @@ TEST(MutualInformationTest, IndependentClusteringsHaveNearZeroMi) {
   Clustering a(r, AttrSet::Of({0}));
   Clustering b(r, AttrSet::Of({1}));
   EXPECT_NEAR(MutualInformation(a, b), 0.0, 1e-12);
+}
+
+/// A clustering of `n` tuples into at most `k` clusters, ids renumbered
+/// densely in first-appearance order. `skew` > 0 sends most tuples to a
+/// few clusters.
+Clustering RandomClustering(util::Rng& rng, size_t n, size_t k, bool skew) {
+  std::vector<uint32_t> raw(n);
+  for (uint32_t& id : raw) {
+    const uint64_t bound = skew && rng.Chance(0.8) ? std::min<size_t>(k, 3) : k;
+    id = static_cast<uint32_t>(rng.Below(bound));
+  }
+  std::vector<uint32_t> dense(k, UINT32_MAX);
+  query::Grouping g;
+  g.ids.resize(n);
+  for (size_t t = 0; t < n; ++t) {
+    uint32_t& d = dense[raw[t]];
+    if (d == UINT32_MAX) d = static_cast<uint32_t>(g.group_count++);
+    g.ids[t] = d;
+  }
+  return Clustering(std::move(g));
+}
+
+TEST(EntropyOracleTest, MatchesUnorderedMapFormulationBitForBit) {
+  // Joint tables from a handful of pairs up to ~n distinct pairs, so the
+  // map rehashes past its reserve in the larger cases.
+  util::Rng rng(20260926);
+  for (size_t n : {size_t{1}, size_t{17}, size_t{600}, size_t{5000}}) {
+    for (size_t k : {size_t{1}, size_t{4}, size_t{60}, size_t{2500}}) {
+      for (bool skew : {false, true}) {
+        const Clustering a = RandomClustering(rng, n, k, skew);
+        const Clustering b = RandomClustering(rng, n, k + 3, !skew);
+        auto bits = [](double v) {
+          uint64_t u = 0;
+          std::memcpy(&u, &v, sizeof u);
+          return u;
+        };
+        EXPECT_EQ(bits(ConditionalEntropy(a, b)),
+                  bits(testsupport::OracleConditionalEntropy(a, b)))
+            << "n=" << n << " k=" << k << " skew=" << skew;
+        EXPECT_EQ(bits(ConditionalEntropy(b, a)),
+                  bits(testsupport::OracleConditionalEntropy(b, a)))
+            << "n=" << n << " k=" << k << " skew=" << skew;
+        EXPECT_EQ(bits(VariationOfInformation(a, b)),
+                  bits(testsupport::OracleVariationOfInformation(a, b)))
+            << "n=" << n << " k=" << k << " skew=" << skew;
+        EXPECT_EQ(bits(MutualInformation(a, b)),
+                  bits(testsupport::OracleMutualInformation(a, b)))
+            << "n=" << n << " k=" << k << " skew=" << skew;
+      }
+    }
+  }
 }
 
 TEST(EntropyTest, MismatchedInstancesThrow) {

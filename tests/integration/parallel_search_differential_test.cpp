@@ -27,44 +27,57 @@ using relation::Relation;
 using relation::Schema;
 using relation::Value;
 
-// Extend evaluates its node expansions in waves of max(1, width / 2):
-// widths 2 and 3 hold one expansion per wave, 4 two, 8 four and 16 eight.
+// Extend evaluates its node expansions in waves of up to `width` bases:
+// max(1, width / 2) two-base expansions above the last level, `width`
+// one-base expansions at it. Widths 2 and 3 hold one expansion per wave
+// above the last level (two and three at it), 4 two (four), 8 four
+// (eight) and 16 eight (sixteen).
 constexpr int kThreadCounts[] = {2, 3, 4, 8, 16};
 
-/// Random NULL-free relation: the candidate pool excludes NULL-able
-/// attributes by default, so NULL-free instances keep the pool wide and
-/// the search deep.
+/// Random relation of `n_attrs` NULL-free attributes, then one attribute
+/// that is NULL on about a quarter of the rows. The candidate pool
+/// excludes NULL-able attributes by default, so the pool stays wide and
+/// the search deep; only an FD's consequent uses the last attribute.
 Relation RandomRelation(uint64_t seed, int n_attrs, size_t n_tuples,
                         size_t domain) {
   std::vector<relation::Attribute> attrs;
-  for (int i = 0; i < n_attrs; ++i) {
+  for (int i = 0; i <= n_attrs; ++i) {
     attrs.push_back({"a" + std::to_string(i), DataType::kInt64});
   }
   Relation rel("fuzz", Schema(std::move(attrs)));
   util::Rng rng(seed);
   for (size_t t = 0; t < n_tuples; ++t) {
     std::vector<Value> row;
-    row.reserve(static_cast<size_t>(n_attrs));
+    row.reserve(static_cast<size_t>(n_attrs) + 1);
     for (int i = 0; i < n_attrs; ++i) {
       row.emplace_back(static_cast<int64_t>(rng.Below(domain)));
     }
+    row.push_back(rng.Below(4) == 0
+                      ? Value::Null()
+                      : Value(static_cast<int64_t>(rng.Below(domain))));
     rel.AppendRow(row);
   }
   return rel;
 }
 
-/// Random FD with a 1-2 attribute antecedent; never trivial.
+/// Random FD over a RandomRelation of `n_attrs`: a 1-2 attribute
+/// antecedent of NULL-free attributes and a consequent of one attribute,
+/// or of two about a third of the time, that may be the NULL-bearing one.
+/// A one-attribute consequent reaches Extend's last level as a column's
+/// codes, a two-attribute one as GroupBy ids. Never trivial.
 fd::Fd RandomFd(util::Rng& rng, int n_attrs) {
-  const int rhs = static_cast<int>(rng.Below(static_cast<size_t>(n_attrs)));
+  AttrSet rhs;
+  const int rhs_size = rng.Below(3) == 0 ? 2 : 1;
+  while (rhs.Count() < rhs_size) {
+    rhs.Add(static_cast<int>(rng.Below(static_cast<size_t>(n_attrs) + 1)));
+  }
   AttrSet lhs;
   const int lhs_size = 1 + static_cast<int>(rng.Below(2));
   while (lhs.Count() < lhs_size) {
     const int a = static_cast<int>(rng.Below(static_cast<size_t>(n_attrs)));
-    if (a != rhs) lhs.Add(a);
+    if (!rhs.Contains(a)) lhs.Add(a);
   }
-  AttrSet rhs_set;
-  rhs_set.Add(rhs);
-  return fd::Fd(lhs, rhs_set);
+  return fd::Fd(lhs, rhs);
 }
 
 void ExpectSameResult(const fd::RepairResult& expected,

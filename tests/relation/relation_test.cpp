@@ -193,6 +193,30 @@ TEST(RelationTest, FromEncodedValidates) {
                std::invalid_argument);
 }
 
+TEST(ColumnTest, FromEncodedRejectsDictionaryValueNoRowHolds) {
+  // Dictionary {10, 20} with codes {0, 0, 0}: no row holds 20, so the
+  // column would report two values where its rows hold one.
+  EXPECT_THROW(Column::FromEncoded(DataType::kInt64,
+                                   {Value(int64_t{10}), Value(int64_t{20})},
+                                   {0u, 0u, 0u}, 0),
+               std::invalid_argument);
+  // NULLs hold no dictionary value, and an empty column no value at all.
+  EXPECT_THROW(Column::FromEncoded(DataType::kInt64, {Value(int64_t{10})},
+                                   {kNullCode, kNullCode}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(
+      Column::FromEncoded(DataType::kInt64, {Value(int64_t{10})}, {}, 0),
+      std::invalid_argument);
+  // Every value held once is enough, and deletions replayed later may
+  // leave a value only dead rows hold.
+  const Column c = Column::FromEncoded(
+      DataType::kInt64, {Value(int64_t{10}), Value(int64_t{20})},
+      {1u, kNullCode, 0u}, 1);
+  EXPECT_EQ(c.dict_size(), 2u);
+  EXPECT_EQ(c.live_distinct_count(), 2u);
+  EXPECT_TRUE(Column::FromEncoded(DataType::kInt64, {}, {}, 0).size() == 0);
+}
+
 TEST(RelationTest, DeleteRowTombstonesWithoutMovingBytes) {
   Relation r = MakeSmall();
   EXPECT_FALSE(r.has_tombstones());

@@ -155,6 +155,32 @@ TEST(SnapshotTest, DictionaryHoldingBothSignedZerosFailsLoad) {
       << loaded.error;
 }
 
+TEST(SnapshotTest, DictionaryValueNoRowHoldsFailsLoad) {
+  // Dictionary {10, 20} over codes {0, 0, 0}: no writer makes one, and a
+  // column loaded from it would count two distinct values where its rows
+  // hold one. The checksum-valid file fails the load instead.
+  Schema schema({{"a", DataType::kInt64}});
+  Relation rel = RelationBuilder("unused", schema)
+                     .Row({int64_t{10}})
+                     .Row({int64_t{20}})
+                     .Row({int64_t{10}})
+                     .Build();
+  ASSERT_EQ(rel.column(0).codes(), (std::vector<uint32_t>{0u, 1u, 0u}));
+  std::string bytes = SerializeRelation(rel);
+  const uint32_t codes[] = {0u, 1u, 0u};
+  const std::string pattern(reinterpret_cast<const char*>(codes),
+                            sizeof codes);
+  const size_t at = bytes.find(pattern);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(pattern, at + 1), std::string::npos);
+  bytes[at + sizeof(uint32_t)] = 0;  // the middle row's code 1 -> 0
+  Reseal(bytes);
+  auto loaded = DeserializeRelation(bytes);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error.find("held by no row"), std::string::npos)
+      << loaded.error;
+}
+
 TEST(SnapshotTest, ZeroAttributeRelationKeepsTupleCount) {
   // AppendRow({}) on an empty schema counts tuples with no columns; the
   // snapshot must carry that count even though no column encodes it.
