@@ -152,7 +152,7 @@ int main() {
       },
       SameRepairResult, &repair_curve);
 
-  // (b) ε_EB ranking: one candidate slice per worker.
+  // (b) ε_EB ranking: one candidate per item, claimed by a free executor.
   ok &= Measure<std::vector<clustering::EbCandidate>>(
       "eb ranking (" + std::to_string(macro_tuples) + " tuples, 16 attrs)",
       [&](int threads) {

@@ -38,7 +38,8 @@ std::vector<EbCandidate> RankEb(const relation::Relation& rel,
   relation::RequireNoTombstones(rel, "clustering::RankEb");
   // Ground truth: C_XY (§5). Built once; each candidate costs one
   // refinement of C_X plus two entropy passes. Candidate scoring fans out
-  // across the pool, one scratch arena per chunk.
+  // across the pool, one candidate per item and one scratch arena per
+  // executor slot.
   const int width = util::ResolveThreads(threads);
   query::RefineScratch scratch;
   const Clustering ground_truth(query::GroupBy(rel, fd.AllAttrs(), scratch));
@@ -53,11 +54,9 @@ std::vector<EbCandidate> RankEb(const relation::Relation& rel,
     std::vector<query::RefineScratch> worker(
         std::min<size_t>(static_cast<size_t>(width), attrs.size()));
     util::ThreadPool::Global().ParallelFor(
-        attrs.size(), 1, width, [&](int chunk, size_t lo, size_t hi) {
-          query::RefineScratch& ws = worker[static_cast<size_t>(chunk)];
-          for (size_t i = lo; i < hi; ++i) {
-            out[i] = ScoreCandidate(rel, ground_truth, base_x, attrs[i], ws);
-          }
+        attrs.size(), width, [&](int slot, size_t i) {
+          out[i] = ScoreCandidate(rel, ground_truth, base_x, attrs[i],
+                                  worker[static_cast<size_t>(slot)]);
         });
   } else {
     for (size_t i = 0; i < attrs.size(); ++i) {

@@ -45,9 +45,10 @@ struct EbCandidate {
 ///
 /// `threads` is the width of candidate scoring: 0 (default) resolves to
 /// `hardware_concurrency`, 1 forces the exact sequential code path, k > 1
-/// scores candidate slices on the shared thread pool (each worker refines
-/// C_X and runs its entropy passes against its own scratch; the ground
-/// truth C_XY, built once by sequential passes, is shared read-only).
+/// scores candidates on the shared thread pool, one candidate per item
+/// (each executor refines C_X and runs its entropy passes against its own
+/// scratch; the ground truth C_XY, built once by sequential passes, is
+/// shared read-only).
 /// Scores land in a slot per candidate and the final sort's tie-break is
 /// total, so the ranking is identical for every thread count.
 std::vector<EbCandidate> RankEb(const relation::Relation& rel,

@@ -1,6 +1,7 @@
 #include "fd/ordering.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace fdevolve::fd {
 
@@ -16,16 +17,18 @@ double ConflictScore(const Fd& fd, const std::vector<Fd>& all) {
   return sum / static_cast<double>(all.size());
 }
 
-std::vector<OrderedFd> OrderFds(const relation::Relation& rel,
-                                const std::vector<Fd>& fds,
-                                const OrderingOptions& opts) {
-  query::DistinctEvaluator eval(rel);
+std::vector<OrderedFd> RankFds(const std::vector<Fd>& fds,
+                               const std::vector<FdMeasures>& measures,
+                               const OrderingOptions& opts) {
+  if (measures.size() != fds.size()) {
+    throw std::invalid_argument("fd::RankFds: one measure set per FD");
+  }
   std::vector<OrderedFd> out;
   out.reserve(fds.size());
   for (size_t i = 0; i < fds.size(); ++i) {
     OrderedFd o;
     o.fd = fds[i];
-    o.measures = ComputeMeasures(eval, fds[i]);
+    o.measures = measures[i];
     o.conflict = opts.include_conflict ? ConflictScore(fds[i], fds) : 0.0;
     o.rank = (o.measures.inconsistency() + o.conflict) / 2.0;
     o.original_index = i;
@@ -37,6 +40,16 @@ std::vector<OrderedFd> OrderFds(const relation::Relation& rel,
                      return a.original_index < b.original_index;
                    });
   return out;
+}
+
+std::vector<OrderedFd> OrderFds(const relation::Relation& rel,
+                                const std::vector<Fd>& fds,
+                                const OrderingOptions& opts) {
+  query::DistinctEvaluator eval(rel);
+  std::vector<FdMeasures> measures;
+  measures.reserve(fds.size());
+  for (const Fd& f : fds) measures.push_back(ComputeMeasures(eval, f));
+  return RankFds(fds, measures, opts);
 }
 
 }  // namespace fdevolve::fd

@@ -39,8 +39,20 @@ struct OrderedFd {
   size_t original_index = 0;
 };
 
-/// Sorts FDs by descending rank (ties broken by declaration order).
-/// This is `OrderFDs` from Algorithm 1.
+/// \brief Ranks FDs whose measures are already counted: `measures[i]`
+/// belongs to `fds[i]`. Sorts by descending O_F, ties broken by
+/// declaration order.
+///
+/// The single home of the O_F formula and its tie-break: OrderFds ranks
+/// through it, and so does FindFdRepairs, from the counts each Extend run
+/// takes of its own FD. Throws std::invalid_argument when the two vectors
+/// differ in length.
+std::vector<OrderedFd> RankFds(const std::vector<Fd>& fds,
+                               const std::vector<FdMeasures>& measures,
+                               const OrderingOptions& opts = {});
+
+/// Counts each FD's measures through one shared DistinctEvaluator, then
+/// ranks them with RankFds. This is `OrderFDs` from Algorithm 1.
 std::vector<OrderedFd> OrderFds(const relation::Relation& rel,
                                 const std::vector<Fd>& fds,
                                 const OrderingOptions& opts = {});

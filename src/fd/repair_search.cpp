@@ -1,6 +1,7 @@
 #include "fd/repair_search.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <optional>
 #include <queue>
@@ -81,29 +82,8 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     return target >= 1.0 ? x == xy : confidence >= target;
   };
 
-  // A candidate X∪U∪{a} -> Y above the last level costs two counts,
-  // |π_XUa| and |π_XUaY|, and both run on stripped partitions; one at the
-  // last level costs a single exactness pass (see last_level below). The
-  // roots π̂_X and π̂_XY are built once, sequentially, and their group
-  // counts are the original FD's |π_X| and |π_XY|.
-  using query::StrippedPartition;
-  std::vector<query::PartitionScratch> chunk_scratch(1);
-  const StrippedPartition root_x =
-      StrippedPartition::FromGrouping(rel, query::GroupBy(rel, fd.lhs()));
-  const StrippedPartition root_xy =
-      root_x.Refine(rel, fd.rhs(), chunk_scratch[0]);
-  result.original_measures =
-      MeasuresFromCounts(root_x.group_count(), root_xy.group_count(),
-                         query::GroupCountBy(rel, fd.rhs()));
-  if (satisfies_target(result.original_measures.distinct_x,
-                       result.original_measures.distinct_xy,
-                       result.original_measures.confidence)) {
-    result.already_exact = true;
-    result.stats.elapsed_ms = timer.ElapsedMs();
-    return result;
-  }
-
   const relation::AttrSet pool = CandidatePool(rel, fd, opts.pool);
+  const std::vector<int> pool_attrs = pool.ToVector();
   const int max_depth =
       opts.max_added_attrs > 0
           ? std::min(opts.max_added_attrs, pool.Count())
@@ -114,7 +94,7 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   // popped and discarded, for nodes_expanded or pruned_supersets. So its
   // expansion refines π̂_XU alone, and each candidate takes one
   // RefineCountIfDetermines pass against Y's ids (the column's codes for a
-  // one-attribute Y, otherwise GroupBy ids built on first use), which
+  // one-attribute Y, otherwise GroupBy ids built with the roots), which
   // stops at the first violating row. An exact candidate gets the counts
   // the two-count path would give; a violated one gets `violated`, whose
   // confidence 0 sorts it after every exact node of its depth, so no other
@@ -122,11 +102,78 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   auto last_level = [&](const relation::AttrSet& u) {
     return target >= 1.0 && u.Count() + 1 == max_depth;
   };
+  const bool seeds_last = last_level(relation::AttrSet());
+
+  // A candidate X∪U∪{a} -> Y above the last level costs two counts,
+  // |π_XUa| and |π_XUaY|, and both run on stripped partitions; one at the
+  // last level costs a single exactness pass. The roots π̂_X and π̂_XY are
+  // built once per search, and their group counts are the original FD's
+  // |π_X| and |π_XY|. π̂_X is built on the caller; one fan-out then
+  // refines it by Y into π̂_XY while the other executors take the rest of
+  // the root work: for a multi-attribute Y, |π_Y| and (when the search has
+  // a last level) the GroupBy ids of Y; and |π_Xa| on π̂_X for every pool
+  // attribute a, which the seed wave reads instead of counting. The seed
+  // counts are taken before the exact check and the seed admission, so a
+  // seed that admission drops discards its count; once π̂_XY shows that
+  // the FD already meets the target, the seed counts no executor has
+  // claimed yet are skipped, since nothing reads them. At a seed level
+  // that is the last, RefineCountIfDetermines reads π̂_X alone and no seed
+  // count is taken.
+  using query::StrippedPartition;
+  const int exec_width = util::ResolveThreads(opts.threads);
+  std::vector<query::PartitionScratch> slot_scratch;
+  const StrippedPartition root_x =
+      StrippedPartition::FromGrouping(rel, query::GroupBy(rel, fd.lhs()));
+  StrippedPartition root_xy;
   const std::vector<int> rhs_attrs = fd.rhs().ToVector();
+  const bool multi_y = rhs_attrs.size() > 1;
   std::vector<uint32_t> rhs_ids;
-  const uint32_t* y_ids = rhs_attrs.size() == 1
-                              ? rel.column(rhs_attrs[0]).codes().data()
-                              : nullptr;
+  size_t y_count = multi_y ? 0 : query::GroupCountBy(rel, fd.rhs());
+  // |π_Xa| by attribute a, for the seed wave.
+  std::vector<size_t> seed_x(static_cast<size_t>(rel.attr_count()));
+  std::atomic<bool> already_met{false};
+  {
+    const size_t first_seed = multi_y ? 2 : 1;
+    const size_t items = first_seed + (seeds_last ? 0 : pool_attrs.size());
+    slot_scratch.resize(
+        std::min<size_t>(static_cast<size_t>(exec_width), items));
+    util::ThreadPool::Global().ParallelFor(
+        items, exec_width, [&](int slot, size_t i) {
+          query::PartitionScratch& ws =
+              slot_scratch[static_cast<size_t>(slot)];
+          if (i == 0) {
+            root_xy = root_x.Refine(rel, fd.rhs(), ws);
+            const size_t x = root_x.group_count();
+            const size_t xy = root_xy.group_count();
+            const double confidence = MeasuresFromCounts(x, xy, 0).confidence;
+            already_met.store(satisfies_target(x, xy, confidence),
+                              std::memory_order_relaxed);
+          } else if (i < first_seed) {
+            if (target >= 1.0 && max_depth >= 1) {
+              query::Grouping y = query::GroupBy(rel, fd.rhs());
+              y_count = y.group_count;
+              rhs_ids = std::move(y.ids);
+            } else {
+              y_count = query::GroupCountBy(rel, fd.rhs());
+            }
+          } else if (!already_met.load(std::memory_order_relaxed)) {
+            const int a = pool_attrs[i - first_seed];
+            seed_x[static_cast<size_t>(a)] = root_x.RefineCount(rel, a, ws);
+          }
+        });
+  }
+  const uint32_t* const y_ids = multi_y
+                                    ? rhs_ids.data()
+                                    : rel.column(rhs_attrs[0]).codes().data();
+  result.original_measures = MeasuresFromCounts(
+      root_x.group_count(), root_xy.group_count(), y_count);
+  if (satisfies_target(result.original_measures.distinct_x,
+                       result.original_measures.distinct_xy,
+                       result.original_measures.confidence)) {
+    result.already_exact = true;
+    result.stats.elapsed_ms = timer.ElapsedMs();
+    return result;
+  }
 
   // Planner state. The cardinality bound for candidate C = base∪{a} covers
   // every superset S ⊇ C within the depth limit:
@@ -161,8 +208,8 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   // the roots by each expansion's added attributes U into its bases, one
   // base per item (π̂_XU and π̂_XUY, or π̂_XU alone at the last level); the
   // second evaluates every candidate against its expansion's bases. Each
-  // chunk refines and counts against its own scratch while the roots and
-  // bases stay read-only.
+  // executor refines and counts against its slot's scratch while the roots
+  // and bases stay read-only.
   //
   // The frontier pops every node of one depth before any deeper node, and
   // accepted nodes before expanded ones of their depth, so while a wave of
@@ -174,17 +221,18 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   // assigns, so the frontier — and therefore the ranked output — is
   // bit-identical for every thread count.
   //
-  // A wave holds up to `width` bases: max(1, width / 2) two-base
-  // expansions above the last level, `width` one-base expansions at it.
+  // A wave holds up to max(1, width / 2) two-base expansions above the
+  // last level and 2 × width one-base expansions at it: the pool hands out
+  // one item at a time, so the extra bases and candidates fill the
+  // executors that finish early instead of waiting for the next wave.
   // With a wall-clock budget it holds one expansion, so the clock check
-  // sees every earlier evaluation.
-  const int exec_width = util::ResolveThreads(opts.threads);
+  // sees every earlier evaluation. Capacities are counted in size_t, so no
+  // threads value overflows them.
+  const size_t width = static_cast<size_t>(exec_width);
   auto wave_capacity = [&](const relation::AttrSet& u) -> size_t {
     if (opts.budget_ms > 0.0) return 1;
-    return static_cast<size_t>(
-        std::max(1, last_level(u) ? exec_width : exec_width / 2));
+    return last_level(u) ? 2 * width : std::max<size_t>(1, width / 2);
   };
-  const size_t y_count = result.original_measures.distinct_y;
   const FdMeasures violated = MeasuresFromCounts(0, 1, y_count);
   // Per expansion: its U, then its bases side by side. Per candidate:
   // U ∪ {a}, a, the index of its expansion, and its measures.
@@ -281,57 +329,49 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     // Bases per expansion: π̂_XU, then π̂_XUY above the last level.
     const bool last = last_level(wave_added.front());
     const size_t per = last ? 1 : 2;
-    if (last && y_ids == nullptr) {
-      rhs_ids = query::GroupBy(rel, fd.rhs()).ids;
-      y_ids = rhs_ids.data();
-    }
-    // One scratch per chunk actually used — ParallelFor caps the width at
+    // One scratch per slot actually used — ParallelFor caps the width at
     // the item count, so an absurd threads value must not allocate past it.
-    const size_t chunks = std::min<size_t>(
-        static_cast<size_t>(exec_width),
-        std::max(per * wave_added.size(), wave_sets.size()));
-    if (chunk_scratch.size() < chunks) chunk_scratch.resize(chunks);
+    const size_t slots = std::min<size_t>(
+        width, std::max(per * wave_added.size(), wave_sets.size()));
+    if (slot_scratch.size() < slots) slot_scratch.resize(slots);
 
-    // The seed expansion's U is empty: its bases are the roots.
+    // The seed expansion's U is empty: its bases are the roots, and the
+    // root fan-out already counted its candidates' |π_Xa|. Every other
+    // expansion of a wave is of the same depth, so the seed wave is the
+    // seed expansion alone.
+    const bool seed = wave_added.front().Empty();
     wave_bases.resize(per * wave_added.size());
     auto base = [&](size_t b) -> const StrippedPartition& {
-      if (wave_added[b / per].Empty()) return b % per == 0 ? root_x : root_xy;
+      if (seed) return b % per == 0 ? root_x : root_xy;
       return wave_bases[b];
     };
-    util::ThreadPool::Global().ParallelFor(
-        wave_bases.size(), 1, exec_width,
-        [&](int chunk, size_t lo, size_t hi) {
-          query::PartitionScratch& ws =
-              chunk_scratch[static_cast<size_t>(chunk)];
-          for (size_t b = lo; b < hi; ++b) {
-            const relation::AttrSet& u = wave_added[b / per];
-            if (u.Empty()) continue;
-            wave_bases[b] =
-                (b % per == 0 ? root_x : root_xy).Refine(rel, u, ws);
-          }
-        });
+    if (!seed) {
+      util::ThreadPool::Global().ParallelFor(
+          wave_bases.size(), exec_width, [&](int slot, size_t b) {
+            const StrippedPartition& root = b % per == 0 ? root_x : root_xy;
+            wave_bases[b] = root.Refine(rel, wave_added[b / per],
+                                        slot_scratch[static_cast<size_t>(slot)]);
+          });
+    }
 
     wave_measures.resize(wave_sets.size());
     util::ThreadPool::Global().ParallelFor(
-        wave_sets.size(), 1, exec_width,
-        [&](int chunk, size_t lo, size_t hi) {
+        wave_sets.size(), exec_width, [&](int slot, size_t i) {
           query::PartitionScratch& ws =
-              chunk_scratch[static_cast<size_t>(chunk)];
-          for (size_t i = lo; i < hi; ++i) {
-            const int a = wave_attrs[i];
-            const size_t b = per * wave_expansion[i];  // its first base
-            if (last) {
-              const std::optional<size_t> c =
-                  base(b).RefineCountIfDetermines(rel, a, y_ids, ws);
-              wave_measures[i] =
-                  c ? MeasuresFromCounts(*c, *c, y_count) : violated;
-              continue;
-            }
+              slot_scratch[static_cast<size_t>(slot)];
+          const int a = wave_attrs[i];
+          const size_t b = per * wave_expansion[i];  // its first base
+          if (last) {
+            const std::optional<size_t> c =
+                base(b).RefineCountIfDetermines(rel, a, y_ids, ws);
             wave_measures[i] =
-                MeasuresFromCounts(base(b).RefineCount(rel, a, ws),
-                                   base(b + 1).RefineCount(rel, a, ws),
-                                   y_count);
+                c ? MeasuresFromCounts(*c, *c, y_count) : violated;
+            return;
           }
+          const size_t x = seed ? seed_x[static_cast<size_t>(a)]
+                                : base(b).RefineCount(rel, a, ws);
+          wave_measures[i] = MeasuresFromCounts(
+              x, base(b + 1).RefineCount(rel, a, ws), y_count);
         });
 
     for (size_t i = 0; i < wave_sets.size(); ++i) {
@@ -359,7 +399,7 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   // line 1: ExtendByOne on the original FD). A budget hit here still falls
   // through to the main loop: already-evaluated exact seeds are accepted
   // before the first expansion attempt stops the search.
-  admit(relation::AttrSet(), pool.ToVector(),
+  admit(relation::AttrSet(), pool_attrs,
         result.original_measures.distinct_x,
         result.original_measures.distinct_xy);
 
@@ -463,11 +503,22 @@ FindRepairsOutcome FindFdRepairs(const relation::Relation& rel,
                                  const std::vector<Fd>& fds,
                                  const RepairOptions& opts,
                                  const OrderingOptions& ordering) {
+  // Each Extend is a pure function of (rel, fd, opts), so the FDs run in
+  // declaration order and are ranked afterwards by the |π_X|, |π_XY| and
+  // |π_Y| their own searches counted, not by a second count of them.
+  std::vector<RepairResult> results;
+  std::vector<FdMeasures> measures;
+  results.reserve(fds.size());
+  measures.reserve(fds.size());
+  for (const Fd& f : fds) {
+    results.push_back(Extend(rel, f, opts));
+    measures.push_back(results.back().original_measures);
+  }
   FindRepairsOutcome outcome;
-  outcome.order = OrderFds(rel, fds, ordering);
-  outcome.results.reserve(outcome.order.size());
+  outcome.order = RankFds(fds, measures, ordering);
+  outcome.results.reserve(results.size());
   for (const OrderedFd& of : outcome.order) {
-    outcome.results.push_back(Extend(rel, of.fd, opts));
+    outcome.results.push_back(std::move(results[of.original_index]));
   }
   return outcome;
 }

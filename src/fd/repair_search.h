@@ -67,16 +67,17 @@ struct RepairOptions {
   double target_confidence = 1.0;
 
   /// Execution width for candidate evaluation: 0 (default) resolves to
-  /// `hardware_concurrency`, 1 evaluates every node expansion inline on
-  /// the caller, and k > 1 evaluates the expansions of one depth in waves
-  /// across the shared thread pool. A wave's capacity is counted in
-  /// bases: up to k of them, so max(1, k / 2) two-base expansions, or k
-  /// one-base expansions at the last level.
+  /// `hardware_concurrency`, 1 runs everything inline on the caller, and
+  /// k > 1 fans out across the shared thread pool, whose executors claim
+  /// one item at a time. The roots fan out first: π̂_X is refined by Y
+  /// into π̂_XY beside the seed candidates' |π_Xa| counts. The expansions
+  /// of one depth are then evaluated in waves of max(1, k / 2) two-base
+  /// expansions, or 2k one-base expansions at the last level.
   ///
   /// A wave first refines the stripped roots into each expansion's base
-  /// partitions (see query::StrippedPartition), one base per executor,
-  /// then evaluates every candidate against its expansion's bases, which
-  /// stay read-only; each executor uses its own scratch. Above the depth
+  /// partitions (see query::StrippedPartition), one base per item, then
+  /// evaluates every candidate against its expansion's bases, which stay
+  /// read-only; each executor uses its own slot's scratch. Above the depth
   /// limit an expansion has two bases, π̂_XU and π̂_XUY, and a candidate
   /// costs two counts. At the limit, with `target_confidence` 1 (the last
   /// level), it has one base, π̂_XU, and a candidate costs one pass that
@@ -174,12 +175,21 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
 
 /// \brief Outcome of Algorithm 1 over a whole declared FD set.
 struct FindRepairsOutcome {
-  std::vector<OrderedFd> order;        ///< repair order actually used
+  /// The FDs in O_F order (§4.1), the order in which `results` are
+  /// reported; equal, field by field, to OrderFds(rel, fds, ordering).
+  std::vector<OrderedFd> order;
   std::vector<RepairResult> results;   ///< one per FD, in `order` sequence
 };
 
-/// \brief Runs Algorithm 1: orders the FDs by O_F, then repairs each
-/// violated one. `opts.threads` applies to each per-FD Extend run.
+/// \brief Runs Algorithm 1: repairs each violated FD and reports them in
+/// O_F order.
+///
+/// Each Extend run is a pure function of (rel, fd, opts), so the FDs run
+/// in declaration order, and the |π_X|, |π_XY| and |π_Y| each run counts
+/// for its own FD (RepairResult::original_measures) rank them through
+/// RankFds: no second count. `opts.threads` applies to each per-FD Extend
+/// run. Throws std::logic_error, as Extend does, on a relation that
+/// carries tombstones.
 FindRepairsOutcome FindFdRepairs(const relation::Relation& rel,
                                  const std::vector<Fd>& fds,
                                  const RepairOptions& opts = {},

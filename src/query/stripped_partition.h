@@ -61,7 +61,7 @@ struct Grouping;
 /// one entry per row of the longest group, not one per dictionary slot.
 ///
 /// Thread-safety: one instance per thread. Parallel callers hand each
-/// chunk its own scratch; the partitions themselves are read-only.
+/// executor slot its own scratch; the partitions themselves are read-only.
 struct PartitionScratch {
   std::vector<uint32_t> mark;      ///< slot -> generation last seen in
   /// Refine: subgroup sizes, then write cursors. RefineIds: subgroup -> id.

@@ -5,7 +5,7 @@
 namespace fdevolve::util {
 namespace {
 
-/// True while the current thread is executing a pool chunk; a ParallelFor
+/// True while the current thread is executing a pool item; a ParallelFor
 /// issued from such a context runs inline instead of re-entering the pool.
 thread_local bool t_in_pool_task = false;
 
@@ -48,7 +48,7 @@ void ThreadPool::EnsureWorkers(int target) {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_in_pool_task = true;  // chunks run by this thread are pool tasks
+  t_in_pool_task = true;  // items run by this thread are pool tasks
   uint64_t seen_gen = 0;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
@@ -57,7 +57,8 @@ void ThreadPool::WorkerLoop() {
       seen_gen = job_gen_;
       std::shared_ptr<Job> job = job_;
       lock.unlock();
-      RunChunks(job);
+      const int slot = job->next_slot.fetch_add(1, std::memory_order_relaxed);
+      if (slot < job->width) RunItems(*job, slot);
       lock.lock();
       continue;
     }
@@ -65,50 +66,44 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::RunChunks(const std::shared_ptr<Job>& job) {
-  int ran = 0;
+void ThreadPool::RunItems(Job& job, int slot) {
+  size_t ran = 0;
   std::exception_ptr first_error;
   while (true) {
-    const int c = job->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (c >= job->width) break;
-    const size_t begin = static_cast<size_t>(c) * job->chunk_size;
-    const size_t end = std::min(job->n, begin + job->chunk_size);
+    const size_t i = job.next_item.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) break;
     try {
-      (*job->fn)(c, begin, end);
+      (*job.fn)(slot, i);
     } catch (...) {
       if (first_error == nullptr) first_error = std::current_exception();
     }
     ++ran;
   }
-  if (ran == 0 && first_error == nullptr) return;
+  if (ran == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (first_error != nullptr && job->error == nullptr) {
-    job->error = first_error;
+  if (first_error != nullptr && job.error == nullptr) {
+    job.error = first_error;
   }
-  job->finished += ran;
-  if (job->finished == job->width) done_cv_.notify_all();
+  job.finished += ran;
+  if (job.finished == job.n) done_cv_.notify_all();
 }
 
-void ThreadPool::ParallelFor(size_t n, size_t grain, int threads,
-                             const RangeFn& fn) {
+void ThreadPool::ParallelFor(size_t n, int threads, const ItemFn& fn) {
   if (n == 0) return;
-  const size_t g = std::max<size_t>(grain, 1);
-  const size_t max_chunks = (n + g - 1) / g;
-  int width = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(ResolveThreads(threads)), max_chunks));
+  const int width = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(ResolveThreads(threads)), n));
   if (width <= 1 || t_in_pool_task) {
-    fn(0, 0, n);
-    return;
-  }
-  // ceil(n / width) rows per chunk can leave trailing chunks empty when
-  // width does not divide n (e.g. n=5, width=4 -> chunk 3 starts past n);
-  // shrink width to the number of non-empty chunks so every invocation
-  // honors the documented non-empty [begin, end) contract.
-  const size_t chunk_size =
-      (n + static_cast<size_t>(width) - 1) / static_cast<size_t>(width);
-  width = static_cast<int>((n + chunk_size - 1) / chunk_size);
-  if (width <= 1) {
-    fn(0, 0, n);
+    // The sequential path keeps the parallel one's error contract: every
+    // item runs, then the first exception is rethrown.
+    std::exception_ptr error;
+    for (size_t i = 0; i < n; ++i) {
+      try {
+        fn(0, i);
+      } catch (...) {
+        if (error == nullptr) error = std::current_exception();
+      }
+    }
+    if (error != nullptr) std::rethrow_exception(error);
     return;
   }
 
@@ -121,7 +116,6 @@ void ThreadPool::ParallelFor(size_t n, size_t grain, int threads,
   job->fn = &fn;
   job->n = n;
   job->width = width;
-  job->chunk_size = chunk_size;
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_ = job;
@@ -129,17 +123,17 @@ void ThreadPool::ParallelFor(size_t n, size_t grain, int threads,
   }
   work_cv_.notify_all();
 
-  // The caller is an executor too; with chunk claiming this also covers the
-  // case where workers are busy waking up.
+  // The caller is an executor too, so the items complete even while the
+  // workers are still waking up.
   const bool was_in_task = t_in_pool_task;
   t_in_pool_task = true;
-  RunChunks(job);
+  RunItems(*job, 0);
   t_in_pool_task = was_in_task;
 
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return job->finished == job->width; });
+    done_cv_.wait(lock, [&] { return job->finished == job->n; });
     job_ = nullptr;
     error = job->error;
   }
