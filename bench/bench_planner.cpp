@@ -14,7 +14,10 @@
 //   1. First-repair work — candidates evaluated and wall time to the
 //      first minimal repair, fixed-rank (use_planner=false) vs planned,
 //      at three sizes. Hard gate: the planned search evaluates strictly
-//      fewer candidates and finds the same repair.
+//      fewer candidates and finds the same repair. Plan gate (hard) at
+//      each size: EXPLAIN REPAIR plans what Extend runs, so PlanRepair's
+//      PRUNED seeds number exactly Extend's pruned_by_bound, planner on
+//      (the six junk columns) and off (none).
 //   2. Identity gate (hard, exit-nonzero) — kAllRepairs with no budget:
 //      planner on and off must return the same repairs with bit-identical
 //      measures (the planning-never-changes-answers contract the fuzz
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "fd/planner.h"
 #include "fd/repair_search.h"
 #include "relation/relation.h"
 #include "util/rng.h"
@@ -117,6 +121,27 @@ FirstRepairRun TimeFirstRepair(const Relation& rel, bool use_planner) {
           res.stats.elapsed_ms};
 }
 
+/// Hard gate: with one added attribute and no budget, the plan marks
+/// PRUNED exactly the seeds the search prunes, planner on or off.
+void CheckPlanAgreement(const Relation& rel) {
+  for (bool use_planner : {true, false}) {
+    fd::RepairOptions opts = BaseOptions();
+    opts.use_planner = use_planner;
+    const fd::RepairPlan plan = fd::PlanRepair(rel, XtoY(), opts);
+    size_t prunable = 0;
+    for (const auto& c : plan.candidates) prunable += c.prunable ? 1 : 0;
+    const fd::RepairResult res = fd::Extend(rel, XtoY(), opts);
+    if (prunable != res.stats.pruned_by_bound) {
+      std::cerr << "PLAN GATE FAIL: " << rel.tuple_count()
+                << " rows, planner " << (use_planner ? "on" : "off")
+                << ": the plan marks " << prunable
+                << " seeds PRUNED, the search pruned "
+                << res.stats.pruned_by_bound << "\n";
+      ++g_gate_failures;
+    }
+  }
+}
+
 /// Hard gate: with no budget, planning must not change the repair set or
 /// any of its measures — same contract the planner fuzz suite checks.
 void CheckRepairIdentity(const Relation& rel) {
@@ -188,6 +213,7 @@ int main() {
     Relation rel = BuildRelation(sizes[i], kSeed);
     fixed.push_back(TimeFirstRepair(rel, /*use_planner=*/false));
     planned.push_back(TimeFirstRepair(rel, /*use_planner=*/true));
+    CheckPlanAgreement(rel);
     if (planned[i].evaluated >= fixed[i].evaluated) {
       std::cerr << "PLANNER GATE FAIL: " << sizes[i] << " rows: planned "
                 << planned[i].evaluated << " evaluations >= fixed "
@@ -248,6 +274,6 @@ int main() {
     return 1;
   }
   std::cout << "identity gate passed: planned search == fixed-rank repairs, "
-               "strictly less work\n";
+               "strictly less work, plan == search's pruning\n";
   return 0;
 }

@@ -11,6 +11,7 @@
 #include "datagen/tpch.h"
 #include "query/column_stats.h"
 #include "query/distinct.h"
+#include "support/sort_distinct.h"
 #include "util/rng.h"
 
 namespace {
@@ -41,8 +42,7 @@ void BM_DistinctSort(benchmark::State& state) {
   auto rel = MakeRel(state.range(0));
   auto attrs = relation::AttrSet::Of({0, 2, 3});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        query::DistinctCount(rel, attrs, query::DistinctStrategy::kSort));
+    benchmark::DoNotOptimize(testsupport::SortDistinct(rel, attrs));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -47,22 +47,17 @@ std::vector<EbCandidate> RankEb(const relation::Relation& rel,
 
   const std::vector<int> attrs = pool.ToVector();
   std::vector<EbCandidate> out(attrs.size());
-  if (width > 1 && attrs.size() > 1) {
-    // Slot-per-candidate writes keep the result order independent of
-    // scheduling; ground_truth/base_x are shared read-only. ParallelFor
-    // caps the width at the candidate count, so size scratches to that.
-    std::vector<query::RefineScratch> worker(
-        std::min<size_t>(static_cast<size_t>(width), attrs.size()));
-    util::ThreadPool::Global().ParallelFor(
-        attrs.size(), width, [&](int slot, size_t i) {
-          out[i] = ScoreCandidate(rel, ground_truth, base_x, attrs[i],
-                                  worker[static_cast<size_t>(slot)]);
-        });
-  } else {
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      out[i] = ScoreCandidate(rel, ground_truth, base_x, attrs[i], scratch);
-    }
-  }
+  // Slot-per-candidate writes keep the result order independent of
+  // scheduling; ground_truth/base_x are shared read-only. ParallelFor
+  // caps the width at the candidate count (width 1 runs inline as slot 0),
+  // so size scratches to that.
+  std::vector<query::RefineScratch> worker(
+      std::min<size_t>(static_cast<size_t>(width), attrs.size()));
+  util::ThreadPool::Global().ParallelFor(
+      attrs.size(), width, [&](int slot, size_t i) {
+        out[i] = ScoreCandidate(rel, ground_truth, base_x, attrs[i],
+                                worker[static_cast<size_t>(slot)]);
+      });
 
   auto original_less = [](const EbCandidate& a, const EbCandidate& b) {
     if (a.h_xy_given_xa != b.h_xy_given_xa) {

@@ -10,25 +10,32 @@
 
 namespace fdevolve::fd {
 
+/// The §4.2 rank of two extensions by their measures: negative when `a`
+/// ranks first, positive when `b` does, 0 on a tie. Primary key confidence
+/// (descending), secondary key goodness with values *closer to zero*
+/// preferred — this is what penalises UNIQUE-like attributes (PhNo loses
+/// to Municipal in Table 1 despite both reaching confidence 1).
+/// Candidate::RankLess and Extend's frontier both rank by it, each with
+/// its own tie-break.
+inline int CompareRank(const FdMeasures& a, const FdMeasures& b) {
+  if (a.confidence != b.confidence) return a.confidence > b.confidence ? -1 : 1;
+  if (a.abs_goodness() != b.abs_goodness()) {
+    return a.abs_goodness() < b.abs_goodness() ? -1 : 1;
+  }
+  return 0;
+}
+
 /// One candidate extension FA : XA -> Y.
 struct Candidate {
   int attr = -1;        ///< the attribute A added to the antecedent
   Fd extended;          ///< XA -> Y
   FdMeasures measures;  ///< confidence/goodness of the extended FD
 
-  /// Ranking comparator (§4.2): primary key confidence (descending),
-  /// secondary key goodness with values *closer to zero* preferred — this is
-  /// what penalises UNIQUE-like attributes (PhNo loses to Municipal in
-  /// Table 1 despite both reaching confidence 1). Final tie-break: attribute
-  /// index, for determinism.
+  /// Ranking comparator: CompareRank, then attribute index, for
+  /// determinism.
   static bool RankLess(const Candidate& a, const Candidate& b) {
-    if (a.measures.confidence != b.measures.confidence) {
-      return a.measures.confidence > b.measures.confidence;
-    }
-    if (a.measures.abs_goodness() != b.measures.abs_goodness()) {
-      return a.measures.abs_goodness() < b.measures.abs_goodness();
-    }
-    return a.attr < b.attr;
+    const int rank = CompareRank(a.measures, b.measures);
+    return rank != 0 ? rank < 0 : a.attr < b.attr;
   }
 };
 

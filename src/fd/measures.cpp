@@ -1,5 +1,7 @@
 #include "fd/measures.h"
 
+#include "query/group_ids.h"
+
 namespace fdevolve::fd {
 
 FdMeasures MeasuresFromCounts(size_t x, size_t xy, size_t y) {
@@ -21,8 +23,10 @@ FdMeasures MeasuresFromCounts(size_t x, size_t xy, size_t y) {
 }
 
 FdMeasures ComputeMeasures(const relation::Relation& rel, const Fd& fd) {
-  query::DistinctEvaluator eval(rel);
-  return ComputeMeasures(eval, fd);
+  query::RefineScratch scratch;
+  const size_t x = query::GroupCountBy(rel, fd.lhs(), scratch);
+  const size_t xy = query::GroupCountBy(rel, fd.AllAttrs(), scratch);
+  return MeasuresFromCounts(x, xy, query::GroupCountBy(rel, fd.rhs(), scratch));
 }
 
 FdMeasures ComputeMeasures(query::DistinctEvaluator& eval, const Fd& fd) {
@@ -33,8 +37,9 @@ FdMeasures ComputeMeasures(query::DistinctEvaluator& eval, const Fd& fd) {
 }
 
 bool Satisfies(const relation::Relation& rel, const Fd& fd) {
-  query::DistinctEvaluator eval(rel);
-  return eval.Count(fd.lhs()) == eval.Count(fd.AllAttrs());
+  query::RefineScratch scratch;
+  return query::GroupCountBy(rel, fd.lhs(), scratch) ==
+         query::GroupCountBy(rel, fd.AllAttrs(), scratch);
 }
 
 }  // namespace fdevolve::fd

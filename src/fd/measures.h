@@ -49,13 +49,18 @@ struct FdMeasures {
 FdMeasures MeasuresFromCounts(size_t distinct_x, size_t distinct_xy,
                               size_t distinct_y);
 
-/// Computes the measures with a fresh evaluation (no cache).
+/// Measures one FD once, over the live rows: three count-only
+/// query::GroupCountBy passes (|π_X|, |π_XY|, |π_Y|) sharing one scratch,
+/// with no grouping kept. PlanRepair, OrderFds and Satisfies measure
+/// through it.
 FdMeasures ComputeMeasures(const relation::Relation& rel, const Fd& fd);
 
-/// Computes the measures through a shared memoising evaluator.
+/// Computes the measures through a shared memoising evaluator, for callers
+/// that count many overlapping sets (ExtendByOne, discovery, the exact
+/// schema monitor).
 FdMeasures ComputeMeasures(query::DistinctEvaluator& eval, const Fd& fd);
 
-/// Definition 2 check (via confidence; |π_X| == |π_XY|).
+/// Definition 2 check (|π_X| == |π_XY|, two count-only passes).
 bool Satisfies(const relation::Relation& rel, const Fd& fd);
 
 }  // namespace fdevolve::fd

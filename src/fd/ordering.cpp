@@ -45,10 +45,9 @@ std::vector<OrderedFd> RankFds(const std::vector<Fd>& fds,
 std::vector<OrderedFd> OrderFds(const relation::Relation& rel,
                                 const std::vector<Fd>& fds,
                                 const OrderingOptions& opts) {
-  query::DistinctEvaluator eval(rel);
   std::vector<FdMeasures> measures;
   measures.reserve(fds.size());
-  for (const Fd& f : fds) measures.push_back(ComputeMeasures(eval, f));
+  for (const Fd& f : fds) measures.push_back(ComputeMeasures(rel, f));
   return RankFds(fds, measures, opts);
 }
 

@@ -51,8 +51,8 @@ std::vector<OrderedFd> RankFds(const std::vector<Fd>& fds,
                                const std::vector<FdMeasures>& measures,
                                const OrderingOptions& opts = {});
 
-/// Counts each FD's measures through one shared DistinctEvaluator, then
-/// ranks them with RankFds. This is `OrderFDs` from Algorithm 1.
+/// Measures each FD once (ComputeMeasures), then ranks them with
+/// RankFds. This is `OrderFDs` from Algorithm 1.
 std::vector<OrderedFd> OrderFds(const relation::Relation& rel,
                                 const std::vector<Fd>& fds,
                                 const OrderingOptions& opts = {});

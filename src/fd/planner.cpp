@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "fd/candidate_ranking.h"
-#include "query/distinct.h"
-
 namespace fdevolve::fd {
 namespace {
 
@@ -20,36 +17,24 @@ std::string Round3(double v) {
 
 RepairPlan PlanRepair(const relation::Relation& rel, const Fd& fd,
                       const RepairOptions& opts) {
+  const SearchScope scope(rel, fd, opts, /*price=*/true);
   RepairPlan plan;
   plan.fd = fd;
   plan.live_rows = rel.live_count();
-  plan.target_confidence =
-      opts.target_confidence > 1.0 ? 1.0 : opts.target_confidence;
+  plan.target_confidence = scope.target();
   plan.use_planner = opts.use_planner;
   plan.budget_ms = opts.budget_ms;
   plan.budget_cost = opts.budget_cost;
-
-  query::DistinctEvaluator eval(rel);
-  plan.original = ComputeMeasures(eval, fd);
-  const size_t xy = plan.original.distinct_xy;
-  plan.already_exact =
-      plan.target_confidence >= 1.0
-          ? plan.original.distinct_x == xy
-          : plan.original.confidence >= plan.target_confidence;
-
-  const relation::AttrSet pool = CandidatePool(rel, fd, opts.pool);
-  plan.pool_size = pool.Count();
-  plan.max_depth = opts.max_added_attrs > 0
-                       ? std::min(opts.max_added_attrs, pool.Count())
-                       : pool.Count();
+  plan.original = ComputeMeasures(rel, fd);
+  plan.already_exact = scope.Accepts(plan.original);
+  plan.pool_size = scope.pool().Count();
+  plan.max_depth = scope.max_depth();
   if (plan.already_exact || plan.pool_size == 0) return plan;
 
-  const CostModel model(rel);
-  const auto products = model.TopSlotProducts(pool, plan.max_depth - 1);
-  const size_t reach_product =
-      products[static_cast<size_t>(plan.max_depth - 1)];
-
-  for (int a : pool.ToVector()) {
+  const CostModel& model = *scope.model();
+  const size_t x = plan.original.distinct_x;
+  const size_t xy = plan.original.distinct_xy;
+  for (int a : scope.pool().ToVector()) {
     PlannedCandidate c;
     c.attr = a;
     const query::ColumnStats& s = model.stats(a);
@@ -58,19 +43,10 @@ RepairPlan PlanRepair(const relation::Relation& rel, const Fd& fd,
     c.max_group_rows = s.max_group_rows;
     c.null_fraction = s.null_fraction;
     c.est_cost_ms = model.CandidateCostMs(a);
-    c.distinct_bound =
-        model.ReachableDistinctBound(plan.original.distinct_x, a, 1);
-    c.reachable_bound =
-        model.ReachableDistinctBound(plan.original.distinct_x, a,
-                                     reach_product);
+    c.distinct_bound = model.ReachableDistinctBound(x, a, 1);
+    c.reachable_bound = scope.ReachableBound(x, a, 1);
     c.best_confidence = CostModel::BestConfidence(c.reachable_bound, xy);
-    // Mirror of the executing search's prune test: exactness is decided on
-    // integers, approximate targets on the correctly-rounded ratio.
-    c.prunable = plan.target_confidence >= 1.0
-                     ? c.reachable_bound < xy
-                     : static_cast<double>(c.reachable_bound) /
-                               static_cast<double>(xy) <
-                           plan.target_confidence;
+    c.prunable = scope.Prunes(x, xy, a, 1);
     if (!c.prunable) plan.planned_cost_ms += c.est_cost_ms;
     plan.candidates.push_back(c);
   }
@@ -80,9 +56,7 @@ RepairPlan PlanRepair(const relation::Relation& rel, const Fd& fd,
   std::stable_sort(plan.candidates.begin(), plan.candidates.end(),
                    [&](const PlannedCandidate& a, const PlannedCandidate& b) {
                      if (a.prunable != b.prunable) return !a.prunable;
-                     return model.SpendsBefore(a.attr, b.attr,
-                                               plan.original.distinct_x, xy,
-                                               reach_product);
+                     return scope.SpendsBefore(a.attr, b.attr, x, xy, 1);
                    });
   return plan;
 }

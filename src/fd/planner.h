@@ -1,14 +1,16 @@
-// Plan phase of the repair search: what `EXPLAIN REPAIR` renders and what
-// a budgeted `Extend` spends first.
+// Plan phase of the repair search: what `EXPLAIN REPAIR` renders.
 //
-// `PlanRepair` prices every seed candidate (one-attribute antecedent
+// `PlanRepair` reads the search's rules from the same fd::SearchScope that
+// Extend runs by: the clamped target, the pool and depth limit, the
+// acceptance test, the cost model, the prune test and the budget-spending
+// order. It prices every seed candidate (one-attribute antecedent
 // extension) with the `CostModel`, computes its sound cardinality bounds,
-// and orders the candidates the way a budgeted search spends them:
+// marks the branches the search skips unevaluated (none with the planner
+// off), and lists the candidates in the order a budget is spent:
 // high-signal-first, cheap-first among ties. Planning only *estimates* —
-// no candidate is evaluated; the plan's bounds mark which branches the
-// executing search will prune before evaluation. With no budget the
-// executing search keeps the fixed-rank frontier order, so the plan is a
-// prediction of work, never a change of answers.
+// no candidate is evaluated. With no budget the executing search keeps
+// the fixed-rank frontier order, so the plan is a prediction of work,
+// never a change of answers.
 #pragma once
 
 #include <string>
@@ -38,8 +40,9 @@ struct PlannedCandidate {
   size_t reachable_bound = 0;
   /// Best reachable confidence of the branch: min(1, reachable_bound/|π_XY|).
   double best_confidence = 0.0;
-  /// True when best_confidence cannot meet the target: the executing
-  /// search skips this branch without evaluating it.
+  /// SearchScope::Prunes: the planner is on and best_confidence cannot
+  /// meet the target, so the executing search skips this branch without
+  /// evaluating it.
   bool prunable = false;
 };
 

@@ -19,40 +19,79 @@ namespace {
 /// Frontier node: a candidate antecedent extension awaiting expansion.
 struct Node {
   relation::AttrSet added;
-  double confidence = 0.0;
-  uint64_t abs_goodness = 0;
-  int64_t goodness = 0;
-  size_t distinct_x = 0;
-  size_t distinct_xy = 0;
-  size_t distinct_y = 0;
+  FdMeasures measures;
   uint64_t seq = 0;  ///< insertion order, final determinism tie-break
 };
 
 /// Priority: fewer added attributes first (minimality), then the §4.2 rank
-/// (confidence descending, |goodness| ascending), then insertion order.
+/// (CompareRank), then insertion order.
 struct NodeWorse {
   bool operator()(const Node& a, const Node& b) const {
     int ca = a.added.Count();
     int cb = b.added.Count();
     if (ca != cb) return ca > cb;
-    if (a.confidence != b.confidence) return a.confidence < b.confidence;
-    if (a.abs_goodness != b.abs_goodness) return a.abs_goodness > b.abs_goodness;
-    return a.seq > b.seq;
+    const int rank = CompareRank(a.measures, b.measures);
+    return rank != 0 ? rank > 0 : a.seq > b.seq;
   }
 };
 
-FdMeasures MeasuresOf(const Node& n) {
-  FdMeasures m;
-  m.distinct_x = n.distinct_x;
-  m.distinct_xy = n.distinct_xy;
-  m.distinct_y = n.distinct_y;
-  m.confidence = n.confidence;
-  m.goodness = n.goodness;
-  m.exact = n.distinct_x == n.distinct_xy;
-  return m;
+}  // namespace
+
+SearchScope::SearchScope(const relation::Relation& rel, const Fd& fd,
+                         const RepairOptions& opts, bool price)
+    : target_(opts.target_confidence > 1.0 ? 1.0 : opts.target_confidence),
+      pool_(CandidatePool(rel, fd, opts.pool)),
+      max_depth_(opts.max_added_attrs > 0
+                     ? std::min(opts.max_added_attrs, pool_.Count())
+                     : pool_.Count()),
+      use_planner_(opts.use_planner),
+      budgeted_(opts.budget_ms > 0.0 || opts.budget_cost > 0.0) {
+  if (use_planner_ || budgeted_ || price) {
+    model_.emplace(rel);
+    reach_ = model_->TopSlotProducts(pool_, max_depth_ - 1);
+  }
 }
 
-}  // namespace
+bool SearchScope::Accepts(const FdMeasures& m) const {
+  return target_ >= 1.0 ? m.distinct_x == m.distinct_xy
+                        : m.confidence >= target_;
+}
+
+size_t SearchScope::Reach(int depth) const {
+  assert(depth >= 1 && depth <= max_depth_);
+  return reach_[static_cast<size_t>(max_depth_ - depth)];
+}
+
+// The bound for candidate C = U∪{a} covers every superset S ⊇ C within the
+// depth limit:
+//   |π_{X∪S}| ≤ min(n_live, |π_{X∪U}| · slots(a) · products[r])
+// with r = max_depth − |C|, where products[r] multiplies the r largest
+// pool slot counts (saturating, so never unsound).
+size_t SearchScope::ReachableBound(size_t base_x, int a, int depth) const {
+  return model_->ReachableDistinctBound(base_x, a, Reach(depth));
+}
+
+// |π_{X∪S∪Y}| ≥ |π_{X∪U∪Y}| by monotonicity, so when the bound cannot reach
+// the target no superset of C is acceptable and the whole branch can be
+// skipped. Pruning never changes answers: an acceptable set has no
+// prunable subset (the bound would contradict its acceptability), so its
+// evaluation chain survives, and surviving candidates keep their relative
+// seq order. Exactness is decided on integers, approximate targets on the
+// correctly-rounded ratio.
+bool SearchScope::Prunes(size_t base_x, size_t base_xy, int a,
+                         int depth) const {
+  if (!use_planner_) return false;
+  const size_t ub = ReachableBound(base_x, a, depth);
+  return target_ >= 1.0 ? ub < base_xy
+                        : static_cast<double>(ub) /
+                                  static_cast<double>(base_xy) <
+                              target_;
+}
+
+bool SearchScope::SpendsBefore(int a, int b, size_t base_x, size_t base_xy,
+                               int depth) const {
+  return model_->SpendsBefore(a, b, base_x, base_xy, Reach(depth));
+}
 
 const char* ToString(StopReason reason) {
   switch (reason) {
@@ -75,19 +114,11 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   RepairResult result;
   result.original = fd;
 
-  const double target =
-      opts.target_confidence > 1.0 ? 1.0 : opts.target_confidence;
-  auto satisfies_target = [target](size_t x, size_t xy, double confidence) {
-    // target == 1 means exactness, decided on integers (no FP tolerance).
-    return target >= 1.0 ? x == xy : confidence >= target;
-  };
-
-  const relation::AttrSet pool = CandidatePool(rel, fd, opts.pool);
+  const SearchScope scope(rel, fd, opts);
+  const double target = scope.target();
+  const relation::AttrSet& pool = scope.pool();
   const std::vector<int> pool_attrs = pool.ToVector();
-  const int max_depth =
-      opts.max_added_attrs > 0
-          ? std::min(opts.max_added_attrs, pool.Count())
-          : pool.Count();
+  const int max_depth = scope.max_depth();
 
   // The last level: candidates of depth max_depth when the target is
   // exactness. Such a node is never expanded, and a non-exact one is only
@@ -143,11 +174,10 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
               slot_scratch[static_cast<size_t>(slot)];
           if (i == 0) {
             root_xy = root_x.Refine(rel, fd.rhs(), ws);
-            const size_t x = root_x.group_count();
-            const size_t xy = root_xy.group_count();
-            const double confidence = MeasuresFromCounts(x, xy, 0).confidence;
-            already_met.store(satisfies_target(x, xy, confidence),
-                              std::memory_order_relaxed);
+            already_met.store(
+                scope.Accepts(MeasuresFromCounts(
+                    root_x.group_count(), root_xy.group_count(), 0)),
+                std::memory_order_relaxed);
           } else if (i < first_seed) {
             if (target >= 1.0 && max_depth >= 1) {
               query::Grouping y = query::GroupBy(rel, fd.rhs());
@@ -167,34 +197,11 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
                                     : rel.column(rhs_attrs[0]).codes().data();
   result.original_measures = MeasuresFromCounts(
       root_x.group_count(), root_xy.group_count(), y_count);
-  if (satisfies_target(result.original_measures.distinct_x,
-                       result.original_measures.distinct_xy,
-                       result.original_measures.confidence)) {
+  if (scope.Accepts(result.original_measures)) {
     result.already_exact = true;
     result.stats.elapsed_ms = timer.ElapsedMs();
     return result;
   }
-
-  // Planner state. The cardinality bound for candidate C = base∪{a} covers
-  // every superset S ⊇ C within the depth limit:
-  //   |π_{X∪S}| ≤ min(n_live, |π_{X∪base}| · slots(a) · products[r])
-  // with r = max_depth − |C|, where products[r] multiplies the r largest
-  // pool slot counts (saturating, so never unsound). |π_{X∪S∪Y}| ≥
-  // |π_{X∪base∪Y}| by monotonicity, so when the bound cannot reach the
-  // target no superset of C is acceptable and the whole branch is skipped
-  // without evaluation. Pruning never changes answers: an acceptable set
-  // has no prunable subset (the bound would contradict its acceptability),
-  // so its evaluation chain survives, and surviving candidates keep their
-  // relative seq order — the repair list stays bit-identical to the
-  // unplanned search.
-  std::optional<CostModel> model;
-  std::vector<size_t> reach_products;
-  if (opts.use_planner || opts.budget_cost > 0.0) {
-    model.emplace(rel);
-    reach_products = model->TopSlotProducts(pool, max_depth);
-  }
-  const bool budgeted =
-      model && (opts.budget_ms > 0.0 || opts.budget_cost > 0.0);
 
   std::priority_queue<Node, std::vector<Node>, NodeWorse> frontier;
   std::unordered_set<relation::AttrSet, relation::AttrSetHash> visited;
@@ -254,21 +261,17 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     const size_t pending = wave_sets.size();
     bool budget_hit = false;
     const int depth = base_added.Count() + 1;
-    const size_t reach =
-        model && depth <= max_depth
-            ? reach_products[static_cast<size_t>(max_depth - depth)]
-            : 0;
     const std::vector<int>* order = &attrs;
-    if (budgeted) {
-      // A budget is spent in the order PlanRepair prints
-      // (CostModel::SpendsBefore): high signal first, cheap first among
-      // ties. Reordering shifts seq tie-breaks, so budgeted runs trade the
-      // bit-identity guarantee for better use of the budget.
+    if (scope.budgeted()) {
+      // A budget is spent in the order PlanRepair prints: high signal
+      // first, cheap first among ties. Reordering shifts seq tie-breaks,
+      // so budgeted runs trade the bit-identity guarantee for better use
+      // of the budget.
       budget_order = attrs;
       std::stable_sort(budget_order.begin(), budget_order.end(),
                        [&](int a, int b) {
-                         return model->SpendsBefore(a, b, base_x, base_xy,
-                                                    reach);
+                         return scope.SpendsBefore(a, b, base_x, base_xy,
+                                                   depth);
                        });
       order = &budget_order;
     }
@@ -288,7 +291,8 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
         budget_hit = true;
         break;
       }
-      const double cost = model ? model->CandidateCostMs(a) : 0.0;
+      const double cost =
+          scope.model() ? scope.model()->CandidateCostMs(a) : 0.0;
       if (opts.budget_cost > 0.0 &&
           result.stats.planned_cost_ms + cost > opts.budget_cost) {
         result.stats.stop_reason = StopReason::kBudget;
@@ -297,17 +301,9 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
       }
       relation::AttrSet added = base_added.With(a);
       if (!visited.insert(added).second) continue;  // duplicate set
-      if (opts.use_planner && model) {
-        const size_t ub = model->ReachableDistinctBound(base_x, a, reach);
-        const bool reachable =
-            target >= 1.0 ? ub >= base_xy
-                          : static_cast<double>(ub) /
-                                    static_cast<double>(base_xy) >=
-                                target;
-        if (!reachable) {  // no acceptable set below this branch
-          ++result.stats.pruned_by_bound;
-          continue;
-        }
+      if (scope.Prunes(base_x, base_xy, a, depth)) {
+        ++result.stats.pruned_by_bound;  // no acceptable set below it
+        continue;
       }
       result.stats.planned_cost_ms += cost;
       wave_sets.push_back(std::move(added));
@@ -375,18 +371,8 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
         });
 
     for (size_t i = 0; i < wave_sets.size(); ++i) {
-      const FdMeasures& m = wave_measures[i];
       ++result.stats.candidates_evaluated;
-      Node n;
-      n.added = std::move(wave_sets[i]);
-      n.confidence = m.confidence;
-      n.abs_goodness = m.abs_goodness();
-      n.goodness = m.goodness;
-      n.distinct_x = m.distinct_x;
-      n.distinct_xy = m.distinct_xy;
-      n.distinct_y = m.distinct_y;
-      n.seq = seq++;
-      frontier.push(std::move(n));
+      frontier.push(Node{std::move(wave_sets[i]), wave_measures[i], seq++});
     }
     wave_added.clear();
     wave_bases.clear();
@@ -450,12 +436,11 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
       continue;
     }
 
-    if (satisfies_target(node.distinct_x, node.distinct_xy,
-                         node.confidence)) {  // accepted: a minimal repair
+    if (scope.Accepts(node.measures)) {  // accepted: a minimal repair
       Repair r;
       r.added = node.added;
       r.repaired = fd.WithAntecedent(node.added);
-      r.measures = MeasuresOf(node);
+      r.measures = node.measures;
       r.within_goodness_threshold =
           !has_threshold || r.measures.abs_goodness() <= threshold;
       have_within_threshold |= r.within_goodness_threshold;
@@ -467,8 +452,8 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     ++result.stats.nodes_expanded;
     if (node.added.Count() >= max_depth) continue;
 
-    if (!admit(node.added, pool.Minus(node.added).ToVector(), node.distinct_x,
-               node.distinct_xy)) {
+    if (!admit(node.added, pool.Minus(node.added).ToVector(),
+               node.measures.distinct_x, node.measures.distinct_xy)) {
       evaluate_wave();
       break;
     }

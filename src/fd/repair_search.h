@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fd/candidate_ranking.h"
+#include "fd/cost_model.h"
 #include "fd/fd.h"
 #include "fd/measures.h"
 #include "fd/ordering.h"
@@ -103,8 +104,9 @@ struct RepairOptions {
   /// as each candidate is admitted, so it is best-effort and
   /// timing-dependent: two runs may truncate at different candidates.
   /// With it set, a wave holds a single expansion, so the check sees
-  /// every earlier evaluation. When a budget is set the planner spends it
-  /// cheap/high-signal-first.
+  /// every earlier evaluation. Any budget builds the cost model, planner
+  /// on or off, and is spent high-signal/cheap-first in the order
+  /// EXPLAIN REPAIR prints (see SearchScope).
   double budget_ms = 0.0;
 
   /// Modeled-cost budget in milliseconds (CostModel::CandidateCostMs
@@ -113,6 +115,70 @@ struct RepairOptions {
   double budget_cost = 0.0;
 
   PoolOptions pool;
+};
+
+/// \brief The rules of one Extend run, derived once from (rel, fd, opts).
+///
+/// Extend searches by them and PlanRepair prints them, so EXPLAIN
+/// REPAIR's pruned branches, seed cost and spending order are the
+/// search's by construction. The cost model exists whenever the planner
+/// or any budget is on: with the planner on its bounds prune branches
+/// before evaluation, and with a budget candidates are admitted in
+/// CostModel::SpendsBefore order instead of pool order. Works on
+/// tombstoned relations (the pool and the model are live-row exact).
+class SearchScope {
+ public:
+  /// `price` builds the cost model even when the search runs without one:
+  /// PlanRepair prices every seed candidate whatever the options.
+  SearchScope(const relation::Relation& rel, const Fd& fd,
+              const RepairOptions& opts, bool price = false);
+
+  /// RepairOptions::target_confidence, clamped to 1.
+  double target() const { return target_; }
+  /// The candidate attributes: CandidatePool under RepairOptions::pool.
+  const relation::AttrSet& pool() const { return pool_; }
+  /// Most attributes a repair adds: max_added_attrs capped by the pool
+  /// size, or the whole pool when it is 0.
+  int max_depth() const { return max_depth_; }
+
+  /// The acceptance test: exactness, decided on integers, at target 1;
+  /// confidence >= target below it.
+  bool Accepts(const FdMeasures& m) const;
+
+  /// The cost model, or nullptr when the planner and every budget are off
+  /// and `price` was not asked for.
+  const CostModel* model() const { return model_ ? &*model_ : nullptr; }
+  /// True when a budget is set: admission follows SpendsBefore.
+  bool budgeted() const { return budgeted_; }
+
+  /// Sound upper bound on |π_XS| over every S within the depth limit
+  /// that contains U∪{a}, for the candidate U∪{a} at depth |U| + 1 whose
+  /// base has |π_XU| = base_x. Needs the model.
+  size_t ReachableBound(size_t base_x, int a, int depth) const;
+
+  /// The planner's prune test: true when the planner is on and no set
+  /// below the candidate can reach the target against its base's
+  /// |π_XUY| = base_xy, so the branch is skipped unevaluated.
+  bool Prunes(size_t base_x, size_t base_xy, int a, int depth) const;
+
+  /// Budget-spending order of two candidates of one base:
+  /// CostModel::SpendsBefore at the depth's reach product. Needs the
+  /// model.
+  bool SpendsBefore(int a, int b, size_t base_x, size_t base_xy,
+                    int depth) const;
+
+ private:
+  /// The product of the max_depth − depth largest pool slot counts: what
+  /// the extensions below a candidate at `depth` can multiply |π| by.
+  size_t Reach(int depth) const;
+
+  double target_ = 1.0;
+  relation::AttrSet pool_;
+  int max_depth_ = 0;
+  bool use_planner_ = true;
+  bool budgeted_ = false;
+  std::optional<CostModel> model_;
+  std::vector<size_t> reach_;  ///< CostModel::TopSlotProducts of the pool
 };
 
 /// \brief One exact repair: the attribute set added to the original
@@ -139,8 +205,8 @@ struct SearchStats {
   /// was considered; anything else means a limit truncated it.
   StopReason stop_reason = StopReason::kExhausted;
   /// Modeled cost (CostModel::CandidateCostMs) of the evaluations actually
-  /// performed; 0 when no cost model was in play (planner off, no
-  /// budget_cost).
+  /// performed. A model exists whenever the planner or any budget is on,
+  /// so this is 0 only with the planner off and no budget.
   double planned_cost_ms = 0.0;
   double elapsed_ms = 0.0;
 };

@@ -42,11 +42,6 @@ size_t SaturatingMul(size_t a, size_t b) {
   return a * b;
 }
 
-size_t ProjectionUpperBound(size_t base_distinct, const ColumnStats& added,
-                            size_t live_rows) {
-  return std::min(live_rows, SaturatingMul(base_distinct, added.group_slots()));
-}
-
 relation::AttrSet UniqueAttrs(const relation::Relation& rel) {
   relation::AttrSet s;
   auto stats = ComputeColumnStats(rel);

@@ -48,13 +48,6 @@ struct ColumnStats {
 /// Computes stats for every column of `rel` over its live rows.
 std::vector<ColumnStats> ComputeColumnStats(const relation::Relation& rel);
 
-/// Cheap sound upper bound on |π_{X ∪ {added}}| given |π_X| = base_distinct:
-///   |π_XZ| ≤ min(live_rows, |π_X| · slots(Z))
-/// where slots(Z) counts Z's distinct values plus a NULL slot. The product
-/// saturates (never wraps) so the bound stays sound for huge cardinalities.
-size_t ProjectionUpperBound(size_t base_distinct, const ColumnStats& added,
-                            size_t live_rows);
-
 /// Saturating size_t product — returns SIZE_MAX instead of wrapping.
 size_t SaturatingMul(size_t a, size_t b);
 

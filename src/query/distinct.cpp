@@ -2,60 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <stdexcept>
 
 namespace fdevolve::query {
-namespace {
-
-size_t SortDistinct(const relation::Relation& rel,
-                    const relation::AttrSet& attrs) {
-  const size_t n = rel.live_count();
-  if (n == 0) return 0;
-  const auto cols = attrs.ToVector();
-  if (cols.empty()) return 1;
-  const size_t k = cols.size();
-
-  // One flat row-major key buffer + an index sort, over the live rows
-  // only. This mirrors what a sort-based COUNT DISTINCT plan does in a
-  // DBMS, without the per-row vector allocations a naive materialization
-  // would pay.
-  std::vector<uint32_t> rows;
-  rows.reserve(n);
-  for (size_t t = 0; t < rel.tuple_count(); ++t) {
-    if (rel.is_live(t)) rows.push_back(static_cast<uint32_t>(t));
-  }
-  std::vector<uint32_t> keys(n * k);
-  for (size_t j = 0; j < k; ++j) {
-    const auto& codes = rel.column(cols[j]).codes();
-    for (size_t t = 0; t < n; ++t) keys[t * k + j] = codes[rows[t]];
-  }
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  auto row = [&](uint32_t t) { return keys.data() + static_cast<size_t>(t) * k; };
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const uint32_t* pa = row(a);
-    const uint32_t* pb = row(b);
-    for (size_t j = 0; j < k; ++j) {
-      if (pa[j] != pb[j]) return pa[j] < pb[j];
-    }
-    return false;
-  });
-  size_t distinct = 1;
-  for (size_t t = 1; t < n; ++t) {
-    if (!std::equal(row(order[t]), row(order[t]) + k, row(order[t - 1]))) {
-      ++distinct;
-    }
-  }
-  return distinct;
-}
-
-}  // namespace
 
 size_t DistinctCount(const relation::Relation& rel,
                      const relation::AttrSet& attrs,
-                     DistinctStrategy strategy, int /*ignored*/) {
-  if (strategy == DistinctStrategy::kSort) return SortDistinct(rel, attrs);
+                     DistinctStrategy /*ignored*/, int /*ignored*/) {
   return GroupCountBy(rel, attrs);
 }
 

@@ -2,8 +2,9 @@
 //
 // The paper implements confidence/goodness with COUNT(DISTINCT ...) queries
 // against MySQL and notes the cost is a sort (O(n log n)) or hash count.
-// We provide both strategies; the hash path is the default and the sort path
-// exists for the ablation bench that validates the complexity claim.
+// The library counts by partition refinement; the sort plan lives on as
+// the test oracle (tests/support/sort_distinct.h), which bench_query_micro
+// also times for the §4.4 comparison.
 #pragma once
 
 #include <cstddef>
@@ -16,22 +17,23 @@
 
 namespace fdevolve::query {
 
-/// \brief Strategy used by DistinctCount.
+/// \brief Strategy used by DistinctCount: partition refinement (dense /
+/// stripped partition), the only one.
 enum class DistinctStrategy {
-  kHash,  ///< partition refinement (dense / stripped partition; default)
-  kSort,  ///< sort composite keys, then count boundaries
+  kHash,
 };
 
 /// \brief |π_attrs(rel)| — the number of distinct projected tuples over
 /// the relation's live rows (tombstoned rows are excluded).
 ///
 /// Empty attrs yields 1 when any live row exists, 0 otherwise.
-/// The hash strategy is count-only: it never materializes group ids, and a
+/// The count is GroupCountBy's: it never materializes group ids, and a
 /// single attribute is answered from the column's live counts in O(1),
 /// tombstoned or not.
 ///
-/// The trailing `int` is ignored; it is kept so that callers that still
-/// pass a thread count compile. Every pass runs sequentially.
+/// The strategy and the trailing `int` are ignored; they are kept so that
+/// callers that still pass a strategy or a thread count compile. Every
+/// pass runs sequentially.
 /// \return the distinct count.
 size_t DistinctCount(const relation::Relation& rel,
                      const relation::AttrSet& attrs,

@@ -71,14 +71,13 @@ size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
   a.base_groups = base_groups;
   a.levels = levels;
   a.level_count = nlevels;
-  a.lo = 0;
-  a.hi = n;
+  a.n = n;
   a.out = out;
   a.live = live;
   if (s.dense.size() < cells) s.dense.resize(cells);
   std::fill(s.dense.begin(), s.dense.begin() + static_cast<ptrdiff_t>(cells),
             kernels::kVacant);
-  return kernels::Active().dense_refine(a, s.dense.data(), 0);
+  return kernels::Active().dense_refine(a, s.dense.data());
 }
 
 /// Finishes a chain on a stripped partition: the partition of the rows

@@ -12,8 +12,8 @@
 namespace fdevolve::query::kernels {
 namespace {
 
-uint32_t BaselineDense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
-  return detail::DenseRefineRange(a, dense, fresh, a.lo, a.hi);
+uint32_t BaselineDense(const RefineArgs& a, uint32_t* dense) {
+  return detail::DenseRefineRange(a, dense, 0, 0);
 }
 
 constexpr KernelSet kBaselineKernels{util::CpuTier::kBaseline, BaselineDense};

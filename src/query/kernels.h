@@ -18,7 +18,7 @@
 // instead of k times. Drivers split a chain into segments whose radix fits
 // the dense array and finish it on a query::StrippedPartition once the
 // next segment would not (query/group_ids.cpp does the planning; kernels
-// just execute one segment over one range).
+// just execute one segment over every tuple).
 //
 // Identity contract (enforced by tests/query/kernel_tier_fuzz_test.cpp):
 // both tiers — baseline scalar and AVX2 — assign exactly the same
@@ -52,7 +52,7 @@ struct Level {
   bool has_nulls = false;           ///< whether kNullCode can appear at all
 };
 
-/// Inputs of one fused refinement pass over the tuple range [lo, hi).
+/// Inputs of one fused refinement pass over the tuples [0, n).
 ///
 /// Contracts shared by every kernel:
 ///   * `base_ids == nullptr` means the trivial one-group base (id 0).
@@ -69,8 +69,7 @@ struct RefineArgs {
   uint64_t base_groups = 1;
   const Level* levels = nullptr;
   size_t level_count = 0;
-  size_t lo = 0;
-  size_t hi = 0;
+  size_t n = 0;
   uint32_t* out = nullptr;
   const uint8_t* live = nullptr;
 };
@@ -81,10 +80,9 @@ constexpr uint32_t kVacant = 0xffffffffu;
 /// Direct-indexed pass: `dense` has one cell per possible packed key,
 /// pre-filled with kVacant. The caller guarantees the segment radix (cell
 /// count) is <= kDenseCellLimit, which is what lets the gather-based
-/// variants treat keys as signed 32-bit indices. Returns the updated
-/// fresh-id counter.
-using DenseRefineFn = uint32_t (*)(const RefineArgs& args, uint32_t* dense,
-                                   uint32_t fresh);
+/// variants treat keys as signed 32-bit indices. Fresh ids count from 0;
+/// returns the number assigned, i.e. the pass's group count.
+using DenseRefineFn = uint32_t (*)(const RefineArgs& args, uint32_t* dense);
 
 /// One dispatch tier's kernel. Instances are immutable statics; the
 /// registry publishes a pointer to the active one.

@@ -41,7 +41,7 @@ inline uint32_t MissBits8(__m256i miss) {
 /// segments guarantee every key fits u32 (radix <= 2^31), so the whole
 /// computation stays in 32-bit lanes.
 template <bool kMasked, bool kCountOnly, bool kOneLevel>
-uint32_t DenseLoop8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
+uint32_t DenseLoop8(const RefineArgs& a, uint32_t* dense) {
   static_assert(kCountOnly || !kMasked, "a masked pass is count-only");
   const uint32_t* const base = a.base_ids;
   const uint8_t* const live = a.live;
@@ -99,12 +99,13 @@ uint32_t DenseLoop8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
                : _mm256_i32gather_epi32(cells, key, 4);
   };
 
-  size_t t = a.lo;
+  uint32_t fresh = 0;
+  size_t t = 0;
   // 2x unrolled: both gathers are in flight before the fixup runs (gather
   // latency hiding). Batch 1's gather may read a stale kVacant for a key
   // batch 0 is about to insert — harmless, the fixup re-reads each missed
   // cell, strictly in tuple order.
-  for (; t + 16 <= a.hi; t += 16) {
+  for (; t + 16 <= a.n; t += 16) {
     __m256i live0 = vvacant;  // all lanes live
     __m256i live1 = vvacant;
     if (kMasked) {
@@ -157,23 +158,23 @@ uint32_t DenseLoop8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + t + 8), id1);
     }
   }
-  return detail::DenseRefineRange(a, dense, fresh, t, a.hi);
+  return detail::DenseRefineRange(a, dense, fresh, t);
 }
 
 /// Dispatches to the six reachable shapes (a masked pass is count-only).
-uint32_t Avx2Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
+uint32_t Avx2Dense(const RefineArgs& a, uint32_t* dense) {
   assert(a.live == nullptr || a.out == nullptr);
   const bool one = a.level_count == 1;
   if (a.live != nullptr) {
-    return one ? DenseLoop8<true, true, true>(a, dense, fresh)
-               : DenseLoop8<true, true, false>(a, dense, fresh);
+    return one ? DenseLoop8<true, true, true>(a, dense)
+               : DenseLoop8<true, true, false>(a, dense);
   }
   if (a.out == nullptr) {
-    return one ? DenseLoop8<false, true, true>(a, dense, fresh)
-               : DenseLoop8<false, true, false>(a, dense, fresh);
+    return one ? DenseLoop8<false, true, true>(a, dense)
+               : DenseLoop8<false, true, false>(a, dense);
   }
-  return one ? DenseLoop8<false, false, true>(a, dense, fresh)
-             : DenseLoop8<false, false, false>(a, dense, fresh);
+  return one ? DenseLoop8<false, false, true>(a, dense)
+             : DenseLoop8<false, false, false>(a, dense);
 }
 
 }  // namespace

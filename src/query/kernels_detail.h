@@ -42,11 +42,12 @@ inline uint64_t PackedKey(const RefineArgs& a, size_t t) {
   return key;
 }
 
-/// Scalar dense pass over [lo, hi) — the sub-range form so the AVX2 kernels
-/// can delegate their unaligned tails to the exact reference loop.
+/// Scalar dense pass over [lo, n), continuing the fresh-id counter `fresh`
+/// — the suffix form so the AVX2 kernels can delegate their unaligned
+/// tails to the exact reference loop.
 inline uint32_t DenseRefineRange(const RefineArgs& a, uint32_t* dense,
-                                 uint32_t fresh, size_t lo, size_t hi) {
-  for (size_t t = lo; t < hi; ++t) {
+                                 uint32_t fresh, size_t lo) {
+  for (size_t t = lo; t < a.n; ++t) {
     if (a.live != nullptr && a.live[t] == 0) continue;
     const uint64_t key = PackedKey(a, t);
     uint32_t id = dense[key];

@@ -107,12 +107,12 @@ size_t StrippedPartition::RefineCount(const uint32_t* codes,
   size_t begin = 0;
   for (const uint32_t end : ends_) {
     const uint32_t gen = ReserveGenerations(scratch, 1);
+    // Branch-free: a slot's first row in the group counts, every row
+    // re-marks it.
     for (size_t i = begin; i < end; ++i) {
       const uint32_t slot = std::min(codes[rows_[i]], null_slot);
-      if (mark[slot] != gen) {
-        mark[slot] = gen;
-        ++count;
-      }
+      count += mark[slot] != gen;
+      mark[slot] = gen;
     }
     begin = end;
   }

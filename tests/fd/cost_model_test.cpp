@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "fd/planner.h"
 #include "fd/repair_search.h"
@@ -174,6 +175,64 @@ TEST(PlanRepairTest, BoundsMatchExecutedSearch) {
     EXPECT_EQ(res.stats.candidates_evaluated, 0u);
     EXPECT_FALSE(res.found());
     EXPECT_EQ(res.stats.stop_reason, StopReason::kExhausted);
+  }
+}
+
+// A -> B with |pi_A| = 3 and |pi_AB| = 5: the constant C can never lift
+// |pi_AC| to 5, the unique D can.
+Relation MakeConstantAndKey() {
+  Schema schema({{"A", DataType::kInt64},
+                 {"B", DataType::kInt64},
+                 {"C", DataType::kInt64},
+                 {"D", DataType::kInt64}});
+  return RelationBuilder("t", schema)
+      .Row({int64_t{1}, int64_t{1}, int64_t{7}, int64_t{1}})
+      .Row({int64_t{1}, int64_t{2}, int64_t{7}, int64_t{2}})
+      .Row({int64_t{2}, int64_t{1}, int64_t{7}, int64_t{3}})
+      .Row({int64_t{2}, int64_t{2}, int64_t{7}, int64_t{4}})
+      .Row({int64_t{3}, int64_t{1}, int64_t{7}, int64_t{5}})
+      .Build();
+}
+
+TEST(PlanRepairTest, PlanCountsTheSearchSeedWork) {
+  // With one added attribute and no budget the search evaluates exactly
+  // the seeds the plan does not mark PRUNED, and prunes the rest; with the
+  // planner off it prunes nothing, and neither does the plan.
+  const Relation rel = MakeConstantAndKey();
+  const Fd fd(AttrSet::Of({0}), AttrSet::Of({1}));
+  for (bool planner : {true, false}) {
+    RepairOptions opts;
+    opts.max_added_attrs = 1;
+    opts.use_planner = planner;
+    const RepairPlan plan = PlanRepair(rel, fd, opts);
+    const RepairResult res = Extend(rel, fd, opts);
+    size_t prunable = 0;
+    double cost = 0.0;  // in pool order, the order the plan sums in
+    for (int a : {2, 3}) {
+      for (const PlannedCandidate& c : plan.candidates) {
+        if (c.attr != a) continue;
+        if (c.prunable) {
+          ++prunable;
+        } else {
+          cost += c.est_cost_ms;
+        }
+      }
+    }
+    ASSERT_EQ(plan.candidates.size(), 2u);
+    EXPECT_EQ(prunable, planner ? 1u : 0u) << planner;
+    EXPECT_EQ(prunable, res.stats.pruned_by_bound) << planner;
+    EXPECT_EQ(plan.candidates.size() - prunable,
+              res.stats.candidates_evaluated)
+        << planner;
+    EXPECT_EQ(plan.planned_cost_ms, cost) << planner;
+    // The search prices its evaluations only when it has a model.
+    EXPECT_EQ(res.stats.planned_cost_ms, planner ? cost : 0.0) << planner;
+    const std::string text = DescribePlan(plan, rel.schema());
+    EXPECT_EQ(text.find("PRUNED") != std::string::npos, planner) << text;
+    EXPECT_NE(text.find(planner ? "(1 pruned by bound)"
+                                : "(0 pruned by bound)"),
+              std::string::npos)
+        << text;
   }
 }
 

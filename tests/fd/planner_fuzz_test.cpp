@@ -15,7 +15,6 @@
 #include "fd/cost_model.h"
 #include "fd/planner.h"
 #include "fd/repair_search.h"
-#include "query/column_stats.h"
 #include "query/distinct.h"
 #include "query/kernels.h"
 #include "relation/relation.h"
@@ -33,8 +32,10 @@ using relation::Value;
 
 /// Random relation with NULL-bearing columns (every odd attribute may hold
 /// NULLs) — exercises the NULL slot in both the bounds and the kernels.
-Relation RandomRelation(uint64_t seed, int n_attrs, size_t n_tuples,
-                        size_t domain) {
+/// Attribute i draws its values from [0, domains[i]).
+Relation RandomRelation(uint64_t seed, const std::vector<size_t>& domains,
+                        size_t n_tuples) {
+  const int n_attrs = static_cast<int>(domains.size());
   std::vector<relation::Attribute> attrs;
   for (int i = 0; i < n_attrs; ++i) {
     attrs.push_back({"a" + std::to_string(i), DataType::kInt64});
@@ -48,12 +49,20 @@ Relation RandomRelation(uint64_t seed, int n_attrs, size_t n_tuples,
       if (i % 2 == 1 && rng.Below(10) == 0) {
         row.emplace_back(Value::Null());
       } else {
-        row.emplace_back(static_cast<int64_t>(rng.Below(domain)));
+        row.emplace_back(static_cast<int64_t>(
+            rng.Below(domains[static_cast<size_t>(i)])));
       }
     }
     rel.AppendRow(row);
   }
   return rel;
+}
+
+Relation RandomRelation(uint64_t seed, int n_attrs, size_t n_tuples,
+                        size_t domain) {
+  return RandomRelation(
+      seed, std::vector<size_t>(static_cast<size_t>(n_attrs), domain),
+      n_tuples);
 }
 
 fd::Fd RandomFd(util::Rng& rng, int n_attrs) {
@@ -194,9 +203,9 @@ TEST_P(PlannerFuzz, BoundSoundnessOnRandomProjections) {
         if (rng.Below(4) == 0) rel.DeleteRow(t);
       }
     }
-    const auto stats = query::ComputeColumnStats(rel);
+    // Stats and bounds are the planner's own: live-row exact.
+    const fd::CostModel model(rel);
     query::DistinctEvaluator eval(rel);
-    const size_t live = rel.live_count();
     for (int trial = 0; trial < 20; ++trial) {
       AttrSet s;
       const int s_size = 1 + static_cast<int>(rng.Below(3));
@@ -209,15 +218,12 @@ TEST_P(PlannerFuzz, BoundSoundnessOnRandomProjections) {
       const size_t grown = eval.Count(extended);
       // Monotone below, bounded above: base <= |pi_{S u {a}}| <= ub.
       EXPECT_GE(grown, base) << "trial " << trial << " + a" << a;
-      EXPECT_LE(grown,
-                query::ProjectionUpperBound(base, stats[static_cast<size_t>(a)],
-                                            live))
+      EXPECT_LE(grown, model.ReachableDistinctBound(base, a, 1))
           << "trial " << trial << " + a" << a;
     }
     // Multi-step reachability: |pi_{S u {a} u E}| is bounded by the
     // branch bound built from the top slot products, for every extension
     // set E the planner's max-depth admits.
-    fd::CostModel model(rel);
     AttrSet pool = AttrSet::Of({0, 1, 2, 3, 4, 5});
     const auto products = model.TopSlotProducts(pool, 3);
     for (int trial = 0; trial < 10; ++trial) {
@@ -235,6 +241,72 @@ TEST_P(PlannerFuzz, BoundSoundnessOnRandomProjections) {
           eval.Count(s), a, products[static_cast<size_t>(extras)]);
       EXPECT_LE(eval.Count(all), bound)
           << "trial " << trial << " + a" << a << " + " << extras << " extras";
+    }
+  }
+}
+
+// The plan is the search's: with one added attribute and no budget, the
+// plan's PRUNED seeds are exactly Extend's pruned_by_bound and the others
+// exactly its evaluations, planner on or off (Extend runs on the
+// compacted copy of a tombstoned instance, the plan on the instance
+// itself). And a budget builds the cost model whatever the planner: with
+// a budget_ms that never binds, both modes admit in its spending order,
+// so they return the same repairs in the same order. Admission order
+// shows in the repair order only between repairs that tie on the §4.2
+// rank, so most rounds mix narrow columns with near-unique ones
+// (n^2 values), whose repairs often tie at |pi_XA| = n.
+TEST_P(PlannerFuzz, PlanPredictsSearchWorkAndBudgetOrder) {
+  util::Rng rng(seed() + 59);
+  for (int round = 0; round < 6; ++round) {
+    const int n_attrs = 6 + static_cast<int>(rng.Below(4));
+    const size_t n_tuples = 100 + rng.Below(400);
+    std::vector<size_t> domains(static_cast<size_t>(n_attrs),
+                                2 + rng.Below(6));
+    if (round >= 2) {
+      for (size_t& d : domains) {
+        d = rng.Below(2) == 0 ? n_tuples * n_tuples : 2 + rng.Below(6);
+      }
+    }
+    Relation rel = RandomRelation(seed() + 59 + static_cast<uint64_t>(round),
+                                  domains, n_tuples);
+    if (round % 2 == 1) {
+      for (size_t t = 0; t < rel.tuple_count(); ++t) {
+        if (rng.Below(4) == 0) rel.DeleteRow(t);
+      }
+    }
+    const Relation compacted = rel.CompactedCopy();
+    const fd::Fd f = RandomFd(rng, n_attrs);
+    for (double target : {1.0, 0.9}) {
+      for (bool planner : {true, false}) {
+        fd::RepairOptions opts;
+        opts.max_added_attrs = 1;
+        opts.target_confidence = target;
+        opts.use_planner = planner;
+        opts.pool.exclude_nulls = round % 3 == 0;
+        const fd::RepairPlan plan = fd::PlanRepair(rel, f, opts);
+        const fd::RepairResult res = fd::Extend(compacted, f, opts);
+        size_t prunable = 0;
+        for (const auto& c : plan.candidates) prunable += c.prunable ? 1 : 0;
+        if (!planner) {
+          EXPECT_EQ(prunable, 0u) << "round " << round;
+        }
+        EXPECT_EQ(prunable, res.stats.pruned_by_bound)
+            << "round " << round << " target " << target << " planner "
+            << planner;
+        EXPECT_EQ(plan.candidates.size() - prunable,
+                  res.stats.candidates_evaluated)
+            << "round " << round << " target " << target << " planner "
+            << planner;
+      }
+      fd::RepairOptions off;
+      off.max_added_attrs = 2;
+      off.target_confidence = target;
+      off.budget_ms = 1e9;
+      off.use_planner = false;
+      fd::RepairOptions on = off;
+      on.use_planner = true;
+      ExpectSameRepairs(fd::Extend(compacted, f, off),
+                        fd::Extend(compacted, f, on), "never-binding budget");
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "fd/cost_model.h"
 #include "support/column_scan.h"
 
 namespace fdevolve::query {
@@ -133,16 +134,19 @@ TEST(ColumnStatsTest, MaxGroupRowsIgnoresDeadRows) {
 }
 
 TEST(ColumnStatsTest, ProjectionUpperBoundIsSoundAndSaturates) {
+  // The one-step bound the planner prunes with,
+  // min(live, |pi_X| * slots(A)), from these stats.
   auto stats = Checked(MakeRel());
   // |pi_{dup}| = 2, adding uniq (3 slots): bound = min(3, 2*3) = 3 live.
-  EXPECT_EQ(ProjectionUpperBound(2, stats[0], 3), 3u);
+  EXPECT_EQ(fd::CostModel(stats, 3).ReachableDistinctBound(2, 0, 1), 3u);
   // Adding nully (2 values + NULL slot = 3 slots) with plenty of rows.
   EXPECT_EQ(stats[2].group_slots(), 3u);
-  EXPECT_EQ(ProjectionUpperBound(2, stats[2], 100), 6u);
+  EXPECT_EQ(fd::CostModel(stats, 100).ReachableDistinctBound(2, 2, 1), 6u);
   // Saturating arithmetic: a huge base never wraps around.
   const size_t big = SIZE_MAX / 2;
   EXPECT_EQ(SaturatingMul(big, 3), SIZE_MAX);
-  EXPECT_EQ(ProjectionUpperBound(big, stats[0], SIZE_MAX), SIZE_MAX);
+  EXPECT_EQ(fd::CostModel(stats, SIZE_MAX).ReachableDistinctBound(big, 0, 1),
+            SIZE_MAX);
 }
 
 TEST(ColumnStatsTest, AllRowsDeletedMeansNoUniqueColumns) {

@@ -1,7 +1,7 @@
 // Differential and property fuzzing of the distinct-count engine.
 //
-// DistinctCount documents that kSort and kHash agree; this suite enforces it
-// on randomized relations — including NULL-bearing columns (kNullCode),
+// DistinctCount must agree with the sort oracle (support/sort_distinct.h);
+// this suite enforces it on randomized relations — including NULL-bearing columns (kNullCode),
 // empty attribute sets, and empty relations — and checks that the
 // evaluator's cache-refined groupings and count-only path match a from-
 // scratch GroupBy, and that refining a grouping of S by T reproduces
@@ -26,6 +26,7 @@
 #include "relation/relation.h"
 #include "support/first_appearance.h"
 #include "support/fuzz_seed.h"
+#include "support/sort_distinct.h"
 #include "util/rng.h"
 
 namespace fdevolve {
@@ -112,8 +113,7 @@ TEST_P(DistinctFuzz, SortAndHashAgreeWithNulls) {
       AttrSet s = RandomSubset(rng, n_attrs, 0.4);  // may be empty
       const size_t hash = query::DistinctCount(rel, s,
                                                query::DistinctStrategy::kHash);
-      const size_t sort = query::DistinctCount(rel, s,
-                                               query::DistinctStrategy::kSort);
+      const size_t sort = testsupport::SortDistinct(rel, s);
       EXPECT_EQ(hash, sort)
           << "tuples=" << n_tuples << " attrs=" << s.Count()
           << " nulls=" << null_rate;
@@ -127,14 +127,13 @@ TEST_P(DistinctFuzz, SortAndHashAgreeOnEdgeCases) {
   Relation empty = RandomNullableRelation(seed(), 3, 0, 4, 0.0);
   for (auto s : {AttrSet(), AttrSet::Of({0}), AttrSet::Of({0, 2})}) {
     EXPECT_EQ(query::DistinctCount(empty, s, query::DistinctStrategy::kHash),
-              query::DistinctCount(empty, s, query::DistinctStrategy::kSort));
+              testsupport::SortDistinct(empty, s));
   }
   Relation all_null = RandomNullableRelation(seed() + 1, 2, 50, 4, 1.0);
   for (auto s : {AttrSet::Of({0}), AttrSet::Of({0, 1})}) {
     EXPECT_EQ(query::DistinctCount(all_null, s,
                                    query::DistinctStrategy::kHash),
-              query::DistinctCount(all_null, s,
-                                   query::DistinctStrategy::kSort));
+              testsupport::SortDistinct(all_null, s));
     EXPECT_EQ(query::DistinctCount(all_null, s), 1u);
   }
 }

@@ -4,6 +4,7 @@
 
 #include "datagen/synthetic.h"
 #include "relation/relation.h"
+#include "support/sort_distinct.h"
 
 namespace fdevolve::query {
 namespace {
@@ -35,7 +36,7 @@ TEST(DistinctCountTest, HashStrategy) {
 TEST(DistinctCountTest, SortStrategyAgreesWithHash) {
   Relation r = MakeRel();
   for (auto attrs : {AttrSet::Of({0}), AttrSet::Of({1}), AttrSet::Of({0, 1})}) {
-    EXPECT_EQ(DistinctCount(r, attrs, DistinctStrategy::kSort),
+    EXPECT_EQ(testsupport::SortDistinct(r, attrs),
               DistinctCount(r, attrs, DistinctStrategy::kHash));
   }
 }
@@ -50,7 +51,7 @@ TEST(DistinctCountTest, StrategiesAgreeOnSyntheticData) {
   for (int a = 0; a < r.attr_count(); ++a) {
     for (int b = a; b < r.attr_count(); ++b) {
       AttrSet s = AttrSet::Of({a, b});
-      EXPECT_EQ(DistinctCount(r, s, DistinctStrategy::kSort),
+      EXPECT_EQ(testsupport::SortDistinct(r, s),
                 DistinctCount(r, s, DistinctStrategy::kHash));
     }
   }
@@ -66,7 +67,7 @@ TEST(DistinctCountTest, EmptyRelation) {
   Relation r("e", schema);
   EXPECT_EQ(DistinctCount(r, AttrSet::Of({0})), 0u);
   EXPECT_EQ(DistinctCount(r, AttrSet()), 0u);
-  EXPECT_EQ(DistinctCount(r, AttrSet::Of({0}), DistinctStrategy::kSort), 0u);
+  EXPECT_EQ(testsupport::SortDistinct(r, AttrSet::Of({0})), 0u);
 }
 
 TEST(DistinctEvaluatorTest, CountsMatchDirect) {
@@ -228,7 +229,7 @@ TEST(DistinctEvaluatorTest, SingleAttributeCountsAfterDeletesCacheNothing) {
     if (t == 5 || t % 7 == 6) r.DeleteRow(t);
   }
   const auto sort_count = [&](const AttrSet& s) {
-    return DistinctCount(r, s, DistinctStrategy::kSort);
+    return testsupport::SortDistinct(r, s);
   };
   EXPECT_EQ(eval.Count(AttrSet::Of({0})), 6u);
   EXPECT_EQ(eval.Count(AttrSet::Of({0})), sort_count(AttrSet::Of({0})));

@@ -19,6 +19,7 @@
 #include "query/distinct.h"
 #include "relation/relation.h"
 #include "support/fuzz_seed.h"
+#include "support/sort_distinct.h"
 #include "util/rng.h"
 
 namespace fdevolve {
@@ -131,8 +132,7 @@ TEST_P(IncrementalFuzz, AdvanceBitIdenticalToFreshEvaluatorReplay) {
             << "round=" << round << " attrs=" << q.attrs.Count();
       }
       EXPECT_EQ(live.Count(q.attrs),
-                query::DistinctCount(rel, q.attrs,
-                                     query::DistinctStrategy::kSort))
+                testsupport::SortDistinct(rel, q.attrs))
           << "round=" << round;
     }
     EXPECT_EQ(live.watermark(), rel.version());
@@ -166,8 +166,7 @@ TEST_P(IncrementalFuzz, FirstNullAfterDictionaryFastPathGrouping) {
   const query::Grouping& reb = fresh.GroupFor(a0);
   EXPECT_EQ(adv.group_count, reb.group_count);
   EXPECT_EQ(adv.ids, reb.ids);
-  EXPECT_EQ(live.Count(a0),
-            query::DistinctCount(rel, a0, query::DistinctStrategy::kSort));
+  EXPECT_EQ(live.Count(a0), testsupport::SortDistinct(rel, a0));
 }
 
 // Monitor-level differential: incremental violation flags and measures for

@@ -26,6 +26,7 @@
 #include "storage/snapshot.h"
 #include "support/column_scan.h"
 #include "support/fuzz_seed.h"
+#include "support/sort_distinct.h"
 #include "util/rng.h"
 
 namespace fdevolve {
@@ -185,11 +186,10 @@ TEST_P(MutationFuzz, IncrementalEvaluatorMatchesFreshRebuild) {
       EXPECT_EQ(incremental, scratch.Count(s))
           << "step=" << step << " attrs=" << s.Count();
       EXPECT_EQ(incremental, query::GroupCountBy(fresh, s));
-      // The standalone strategies are live-aware too.
+      // DistinctCount and the sort oracle are live-aware too.
       EXPECT_EQ(incremental,
                 query::DistinctCount(rel, s, query::DistinctStrategy::kHash));
-      EXPECT_EQ(incremental,
-                query::DistinctCount(rel, s, query::DistinctStrategy::kSort));
+      EXPECT_EQ(incremental, testsupport::SortDistinct(rel, s));
     }
   }
 }

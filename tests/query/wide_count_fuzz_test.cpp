@@ -6,11 +6,12 @@
 // rows, so their chains rarely leave the dense array. This suite draws
 // 2-5 columns of 400-5,000 values over 2k-20k rows, so the radix of every
 // set it groups is past the limit, and checks on every kernel tier:
-//   * counts against DistinctStrategy::kSort, a std::set of the selected
-//     rows' code tuples, and the number of groups of the materializing
-//     GroupBy that hold a selected row — with arbitrary byte masks through
-//     GroupCountBy(rel, attrs, mask, scratch), and cached bases through
-//     RefineCountBy and DistinctEvaluator::Count;
+//   * counts against the sort oracle (support/sort_distinct.h), a
+//     std::set of the selected rows' code tuples, and the number of groups
+//     of the materializing GroupBy that hold a selected row — with
+//     arbitrary byte masks through GroupCountBy(rel, attrs, mask,
+//     scratch), and cached bases through RefineCountBy and
+//     DistinctEvaluator::Count;
 //   * materialized ids of GroupBy, RefineBy from a cached base, the
 //     evaluator's GroupFor, and GroupRows over repeated, unsorted and
 //     short row lists, against the std::map first-appearance oracle of
@@ -32,6 +33,7 @@
 #include "relation/relation.h"
 #include "support/first_appearance.h"
 #include "support/fuzz_seed.h"
+#include "support/sort_distinct.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
 
@@ -183,8 +185,7 @@ TEST_P(WideCountFuzz, LiveCountsMatchSortTupleSetAndGroupBy) {
                               " attrs=" + std::to_string(s.Count()) +
                               " rows=" + std::to_string(rel.tuple_count());
       ASSERT_TRUE(PastDenseLimit(rel, s)) << ctx;
-      const size_t sorted =
-          query::DistinctCount(rel, s, query::DistinctStrategy::kSort);
+      const size_t sorted = testsupport::SortDistinct(rel, s);
       EXPECT_EQ(sorted, TupleSetCount(rel, s, LiveMask(rel))) << ctx;
       EXPECT_EQ(sorted, GroupedCount(rel, s, LiveMask(rel))) << ctx;
       for (util::CpuTier tier : query::kernels::SupportedTiers()) {
@@ -263,8 +264,7 @@ TEST_P(WideCountFuzz, CachedBasesCountLikeSort) {
                               " base=" + std::to_string(base_attrs.Count()) +
                               " rest=" + std::to_string(rest.Count());
       ASSERT_TRUE(PastDenseLimit(rel, both)) << ctx;
-      const size_t want =
-          query::DistinctCount(rel, both, query::DistinctStrategy::kSort);
+      const size_t want = testsupport::SortDistinct(rel, both);
       for (util::CpuTier tier : query::kernels::SupportedTiers()) {
         query::kernels::ForceTier(tier);
         const std::string where = ctx + " " + util::CpuTierName(tier);
